@@ -23,7 +23,6 @@ from repro.serving import (
     ServingSimulator,
     generate_trace,
 )
-from repro.sweep.cache import CachingInferenceSimulator
 from repro.workloads.chat import RequestClass
 from repro.workloads.llm import LLAMA2_7B
 
@@ -38,11 +37,10 @@ MIX = (RequestClass(input_tokens=64, output_tokens=32, weight=0.50),
 
 def main() -> None:
     trace = generate_trace("bursty", MIX, rate=8.0, num_requests=1000, seed=7)
-    shared = CachingInferenceSimulator(design_a())
 
     rows = []
     for router in sorted(ROUTER_REGISTRY):
-        replicas = [ServingSimulator(LLAMA2_7B, design_a(), simulator=shared)
+        replicas = [ServingSimulator(LLAMA2_7B, design_a())
                     for _ in range(REPLICAS)]
         report = ClusterSimulator(replicas, router=router).run(trace, slo=SLO_TARGET)
         rows.append([router,

@@ -183,8 +183,7 @@ def fleet_lower_bound(model: LLMConfig, tpu: TPUConfig, *, arrival_rate: float,
                       max_batch: int = 32,
                       precision: Precision = Precision.INT8,
                       devices: int | None = None,
-                      memory_utilisation: float = 0.9,
-                      simulator=None) -> int:
+                      memory_utilisation: float = 0.9) -> int:
     """Capacity lower bound on the replica count sustaining ``arrival_rate``.
 
     The same estimate the cluster's routing front-end acts on: one replica
@@ -211,8 +210,7 @@ def fleet_lower_bound(model: LLMConfig, tpu: TPUConfig, *, arrival_rate: float,
     classes = tuple(request_classes) if request_classes else DEFAULT_REQUEST_MIX
     probe = ServingSimulator(model, tpu, scheduler=scheduler, precision=precision,
                              max_batch=max_batch, devices=devices,
-                             memory_utilisation=memory_utilisation,
-                             simulator=simulator)
+                             memory_utilisation=memory_utilisation)
     step = probe.costs.decode_cost(max_batch, probe.costs.bucket_tokens)
     fractions = mix_fractions(classes)
     mean_output = sum(fraction * cls.output_tokens
@@ -246,9 +244,9 @@ def plan_fleet(model: LLMConfig, tpu: TPUConfig, *, arrival_rate: float,
     cannot even sustain the offered token throughput are skipped up front:
     the search starts at the capacity lower bound ``ceil(arrival_rate ×
     mean output tokens / estimated per-replica decode throughput)``, the
-    same estimate the cluster's router acts on.  All fleets share one
-    memoised graph simulator, so the incremental cost of each extra
-    evaluation is the event loop, not re-simulation.
+    same estimate the cluster's router acts on.  All fleets share step
+    prices through the process-wide step-price table, so the incremental
+    cost of each extra evaluation is the event loop, not re-pricing.
 
     ``fidelity="fluid"`` sizes the fleet with the closed-form estimator
     instead of event-loop replays — each candidate fleet costs
@@ -281,7 +279,6 @@ def plan_fleet(model: LLMConfig, tpu: TPUConfig, *, arrival_rate: float,
     from repro.serving.simulator import ServingSimulator
     from repro.serving.spec import ServingSpec
     from repro.serving.trace import generate_trace, request_classes_from_settings
-    from repro.sweep.cache import CachingInferenceSimulator
     from repro.workloads.chat import DEFAULT_REQUEST_MIX
 
     if arrival_rate <= 0:
@@ -310,15 +307,13 @@ def plan_fleet(model: LLMConfig, tpu: TPUConfig, *, arrival_rate: float,
     # the overlay warps the arrivals, the faults replay in every evaluation.
     trace = generate_trace(trace_kind, classes, arrival_rate, num_requests,
                            seed, overlay=overlay)
-    shared = CachingInferenceSimulator(tpu)
 
     # Per-replica sustainable request rate: prefill serialises on the engine
     # while decode shares max_batch slots — the binding one caps the rate.
     lower_bound = fleet_lower_bound(
         model, tpu, arrival_rate=arrival_rate, request_classes=classes,
         scheduler=scheduler, max_batch=max_batch, precision=precision,
-        devices=devices, memory_utilisation=memory_utilisation,
-        simulator=shared)
+        devices=devices, memory_utilisation=memory_utilisation)
 
     def repriced(report):
         # simulate_cluster prices with the default sheet; re-price under
@@ -350,7 +345,7 @@ def plan_fleet(model: LLMConfig, tpu: TPUConfig, *, arrival_rate: float,
                 replicas=count, router=router, autoscaler=autoscaler,
                 faults=tuple(faults), overlay=overlay, fidelity=fidelity)
             report = repriced(simulate_cluster(
-                model, tpu, spec, settings, simulator=shared, store=store,
+                model, tpu, spec, settings, store=store,
                 telemetry=telemetry))
         elif fidelity == "fluid":
             spec = ServingSpec(
@@ -362,13 +357,12 @@ def plan_fleet(model: LLMConfig, tpu: TPUConfig, *, arrival_rate: float,
             fluid_settings = SimpleNamespace(request_classes=classes,
                                              precision=precision)
             report = repriced(simulate_cluster(model, tpu, spec,
-                                               fluid_settings,
-                                               simulator=shared))
+                                               fluid_settings))
         else:
             replicas = [ServingSimulator(
                 model, tpu, scheduler=scheduler, precision=precision,
                 max_batch=max_batch, devices=devices,
-                memory_utilisation=memory_utilisation, simulator=shared)
+                memory_utilisation=memory_utilisation)
                 for _ in range(count)]
             report = ClusterSimulator(replicas, router=router,
                                       autoscaler=autoscaler,

@@ -183,7 +183,7 @@ def sweep(request: SweepRequest, *, store: "ResultStore | None" = None,
     stats = engine.stats
     return SweepResponse(
         fingerprint=request_fingerprint(request),
-        served_from_store=stats.simulations == 0 and stats.store_hits > 0,
+        served_from_store=stats.store_hits > 0 and stats.store_misses == 0,
         new_simulations=stats.simulations,
         store_hits=stats.store_hits, store_misses=stats.store_misses,
         rows=tuple(row.to_dict() for row in rows),

@@ -138,7 +138,6 @@ from repro.serving.trace import (
     load_trace_jsonl,
     parse_overlay,
 )
-from repro.sweep.cache import CachingInferenceSimulator
 from repro.sweep.engine import SweepEngine
 from repro.sweep.export import fieldnames_of, write_csv, write_json
 from repro.sweep.grid import SweepPoint
@@ -577,11 +576,10 @@ def cmd_serve(args: argparse.Namespace) -> int:
         if overlay is not None:
             trace = apply_overlay(trace, overlay)
         if fleet_run:
-            shared = CachingInferenceSimulator(config)
             replicas = [ServingSimulator(
                 model, config, scheduler=args.scheduler, precision=precision,
                 max_batch=args.max_batch, bucket_tokens=args.bucket,
-                devices=args.devices, simulator=shared)
+                devices=args.devices)
                 for _ in range(args.replicas)]
             cluster = ClusterSimulator(replicas, router=args.router,
                                        autoscaler=args.autoscaler,

@@ -6,7 +6,7 @@ for a wall-clock span — because the serving engine's inner loop records
 from inside its hottest path and the enabled-overhead budget is <5 %
 wall (``benchmarks/bench_obs.py`` gates it).  Bulk producers go further:
 they register a :meth:`Telemetry.defer` callable over their raw capture
-tuples, and the per-record :class:`Span`/:class:`Event`/:class:`Gauge`
+rows, and the per-record :class:`Span`/:class:`Event`/:class:`Gauge`
 construction happens lazily on first read (export, report, summary) —
 outside both the simulated run and the overhead budget.
 
@@ -109,7 +109,7 @@ class Telemetry:
         ``materialize(spans, events, gauges)`` is called once, lazily, and
         appends :class:`Span`/:class:`Event`/:class:`Gauge` records to the
         lists it is handed.  Bulk emitters (the serving engine translates
-        hundreds of thousands of raw capture tuples per run) register one
+        tens of thousands of raw capture rows per run) register one
         callable instead of constructing every record inside the timed
         run — the construction cost lands at export/report time, where the
         <5 % enabled-overhead budget does not apply.

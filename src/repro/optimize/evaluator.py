@@ -10,8 +10,10 @@ tokens) under one price sheet.
 Three cache layers make searches cheap, and the evaluator counts exactly
 what crossed each:
 
-* one shared memoised graph simulator **per design** — every candidate on
-  a chip shares step-cost graphs across precisions' distinct entries;
+* the process-wide step-price table
+  (:data:`repro.serving.costs.STEP_PRICES`) — every candidate, replica and
+  capacity probe on a (design, precision) shares its priced step states,
+  so a repeated search prices no graph at all;
 * the optional persistent :class:`~repro.sweep.store.ResultStore`, honoured
   inside ``simulate_cluster``: a warm store serves whole fleet reports, so
   ``simulations`` stays 0 on repeated/resumed searches;
@@ -42,7 +44,6 @@ from repro.serving.cluster import cluster_run_key, simulate_cluster
 from repro.serving.faults import FaultSpec
 from repro.serving.metrics import SLO
 from repro.serving.trace import OverlaySpec, request_classes_from_settings
-from repro.sweep.cache import CachingInferenceSimulator
 from repro.workloads.llm import LLMConfig
 from repro.workloads.registry import get_scenario
 from repro.workloads.scenario import ScenarioKnobs
@@ -150,7 +151,6 @@ class CandidateEvaluator:
         self.faults = tuple(faults)
         self.overlay = overlay
         self._settings: dict[str, object] = {}
-        self._simulators: dict[str, CachingInferenceSimulator] = {}
         self._capacity_bounds: dict[tuple[str, str, str, int], int] = {}
         #: Fleet simulations actually executed at each fidelity, and runs
         #: served whole from the persistent store.
@@ -188,20 +188,13 @@ class CandidateEvaluator:
             self._settings[precision] = settings
         return settings
 
-    def _simulator_for(self, design: str) -> CachingInferenceSimulator:
-        simulator = self._simulators.get(design)
-        if simulator is None:
-            simulator = CachingInferenceSimulator(self.config_for(design))
-            self._simulators[design] = simulator
-        return simulator
-
     def capacity_lower_bound(self, candidate: Candidate) -> int:
         """Replica-count lower bound of the candidate's design/deployment.
 
         Memoised per (design, precision, scheduler, max_batch) — the axes
-        the estimate depends on — and computed with the shared per-design
-        graph simulator, so probing the bound costs at most a few step
-        pricings per distinct deployment shape.
+        the estimate depends on; its step prices come from the shared
+        step-price table, so probing the bound prices at most a few step
+        states per distinct deployment shape.
         """
         key = (candidate.design, candidate.precision, candidate.scheduler,
                candidate.max_batch)
@@ -213,8 +206,7 @@ class CandidateEvaluator:
                 arrival_rate=self.arrival_rate,
                 request_classes=request_classes_from_settings(settings),
                 scheduler=candidate.scheduler, max_batch=candidate.max_batch,
-                precision=Precision(candidate.precision),
-                simulator=self._simulator_for(candidate.design))
+                precision=Precision(candidate.precision))
             self._capacity_bounds[key] = bound
         return bound
 
@@ -248,7 +240,6 @@ class CandidateEvaluator:
         misses_before = self.store.stats.misses if self.store is not None else None
         try:
             report = simulate_cluster(self.model, config, spec, settings,
-                                      simulator=self._simulator_for(candidate.design),
                                       store=self.store)
         except ValueError as error:
             if tel is not None:

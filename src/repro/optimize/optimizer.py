@@ -10,8 +10,8 @@ repository to it:
    — an undersized fleet cannot meet an attainment floor it cannot even
    sustain throughput for;
 3. hand the survivors to the registered search strategy, which prices them
-   through :class:`~repro.optimize.evaluator.CandidateEvaluator` (shared
-   per-design graph caches, optional persistent store);
+   through :class:`~repro.optimize.evaluator.CandidateEvaluator` (the
+   process-wide step-price table, optional persistent store);
 4. filter full-fidelity results through the declared constraints and
    reduce them to a :class:`~repro.optimize.pareto.ParetoFrontier` with
    complete provenance.

@@ -79,7 +79,6 @@ from repro.serving.router import ReplicaView, RouterContext, RouterPolicy, get_r
 from repro.serving.simulator import ServingSimulator, emit_report_summary
 from repro.serving.spec import ServingSpec
 from repro.serving.trace import Request, generate_trace, request_classes_from_settings
-from repro.sweep.cache import CachingInferenceSimulator
 from repro.sweep.fingerprint import fingerprint
 from repro.sweep.store import decode_dataclass
 
@@ -867,10 +866,11 @@ def simulate_cluster(model, tpu_config, spec: ServingSpec, settings: object, *,
                      telemetry: Telemetry | None = None) -> ClusterReport:
     """Run one fleet-shaped :class:`ServingSpec` end to end (the sweep entry).
 
-    Builds ``spec.replicas`` homogeneous replicas that share one memoised
-    graph simulator (so the fleet prices each distinct step state once), a
-    router and an autoscaler from the spec's names, and replays the spec's
-    seeded trace through the cluster.
+    Builds ``spec.replicas`` homogeneous replicas (which share step prices
+    through :data:`~repro.serving.costs.STEP_PRICES`, so the fleet prices
+    each distinct step state at most once), a router and an autoscaler from
+    the spec's names, and replays the spec's seeded trace through the
+    cluster.  A lent ``simulator`` prices the step states the table misses.
 
     A persistent :class:`~repro.sweep.store.ResultStore` short-circuits the
     whole run: reports are keyed by :func:`cluster_run_key` and stored
@@ -910,13 +910,12 @@ def simulate_cluster(model, tpu_config, spec: ServingSpec, settings: object, *,
     trace = generate_trace(spec.trace, classes, spec.arrival_rate,
                            spec.num_requests, spec.seed,
                            overlay=spec.overlay)
-    shared = simulator if simulator is not None else CachingInferenceSimulator(tpu_config)
     replicas = [ServingSimulator(
         model, tpu_config, scheduler=spec.scheduler,
         precision=getattr(settings, "precision", Precision.INT8),
         max_batch=spec.max_batch, bucket_tokens=spec.bucket_tokens,
         devices=spec.devices, memory_utilisation=spec.memory_utilisation,
-        simulator=shared) for _ in range(spec.replicas)]
+        simulator=simulator) for _ in range(spec.replicas)]
     cluster = ClusterSimulator(replicas, router=spec.router,
                                autoscaler=spec.autoscaler,
                                min_replicas=spec.min_replicas,
@@ -943,8 +942,6 @@ def _fluid_cluster_report(model, tpu_config, spec: ServingSpec,
 
     fleet = spec.replicas
     base, extra = divmod(spec.num_requests, fleet)
-    shared = (simulator if simulator is not None
-              else CachingInferenceSimulator(tpu_config))
     # At most two distinct per-replica request counts; estimate each once.
     reports: dict[int, ServingReport] = {}
     counts = [base + (1 if index < extra else 0) for index in range(fleet)]
@@ -955,7 +952,7 @@ def _fluid_cluster_report(model, tpu_config, spec: ServingSpec,
             spec, arrival_rate=spec.arrival_rate / fleet, num_requests=count,
             replicas=1, min_replicas=1)
         reports[count] = estimate_serving(model, tpu_config, replica_spec,
-                                          settings, simulator=shared)
+                                          settings, simulator=simulator)
     per_replica = [reports[count] for count in counts if count > 0]
     makespan = max(report.makespan_s for report in per_replica)
     per_second = (1.0 / makespan) if makespan > 0 else 0.0

@@ -107,9 +107,9 @@ def estimate_serving(model: LLMConfig, tpu_config: TPUConfig,
     Returns a fully populated :class:`~repro.serving.metrics.ServingReport`
     (``requests`` empty) comparable field-for-field with the exact
     engine's.  A :class:`ServingSimulator` is constructed only for its
-    deployment planning and memoised step costs — no event loop runs; pass
-    ``simulator`` (a shared caching simulator) to reuse priced graphs
-    across calls.
+    deployment planning and memoised step costs — no event loop runs.  Step
+    prices come from the process-wide step-price table; a lent
+    ``simulator`` prices the states the table misses.
 
     Raises
     ------

@@ -6,8 +6,8 @@ TTFT/TPOT/e2e latency distributions, SLO goodput, utilisation and energy per
 token.  The event loop models the control plane; the data plane — what one
 prefill or decode step costs — comes from the analytical cost model through
 a memoised :class:`~repro.serving.costs.StepCostModel`, so the simulator
-inherits the paper's chip model (and the sweep engine's caches) instead of
-inventing its own timing.
+inherits the paper's chip model (and the process-wide step-price table)
+instead of inventing its own timing.
 
 Modelling choices, stated explicitly:
 
@@ -87,7 +87,6 @@ from repro.serving.scheduler import (
 )
 from repro.serving.spec import ServingSpec
 from repro.serving.trace import Request, generate_trace, request_classes_from_settings
-from repro.sweep.cache import CachingInferenceSimulator
 from repro.sweep.fingerprint import fingerprint
 from repro.sweep.store import decode_dataclass
 from repro.workloads.llm import LLMConfig
@@ -97,6 +96,8 @@ from repro.workloads.llm import LLMConfig
 SERVING_STORE_KIND = "serving-report"
 
 _new_instance = object.__new__
+#: Values per gauge catch-up block in ``_ShardState.tel_gauges``.
+_GAUGE_ROW = 7
 _arrival_key = attrgetter("arrival_s", "request_id")
 
 
@@ -153,16 +154,26 @@ class _ShardState:
     total_tokens: int = 0
     peak_reserved: int = 0
     final_clock: float = 0.0
-    #: Telemetry capture (empty unless the run collects telemetry) — plain
-    #: tuples so shard states still pickle cheaply and merge by
-    #: concatenation.  Span rows are ``(kind, start_s, end_s, batch,
-    #: bucket, steps, tokens, popped)``; the admit/complete instant events
-    #: are derived from them at materialisation (a prefill row implies an
-    #: admit of ``batch`` requests at ``start_s``; ``popped`` > 0 implies
-    #: that many completions at ``end_s``).  Gauge rows are catch-up
-    #: blocks ``(grid_t0, n_points, queue_depth, batch, reserved_bytes,
-    #: met, completed)`` that expand to ``n_points`` consecutive
-    #: fixed-interval grid samples sharing one state snapshot.
+    #: Telemetry capture (empty unless the run collects telemetry): flat
+    #: lists of plain values, one row after another, so capture allocates
+    #: no per-row object for the garbage collector to track, shard states
+    #: pickle cheaply, and shards merge by concatenation.  ``tel_spans``
+    #: holds rows of two shapes.  A prefill row is ``None`` followed by
+    #: ``(start_s, step_s, group, bucket, batch, G, decode_steps,
+    #: decode_bucket)``: one prefill span ending at ``start_s + step_s``
+    #: plus an admit of ``group`` requests at ``start_s``.  A completion
+    #: row ``(end_s, G, decode_steps, bucket, batch, batch_after)`` closes
+    #: a decode span and completes ``batch - batch_after`` requests at
+    #: ``end_s``.  Decode spans run from the previous row's end to the next
+    #: row: a completion row always ends one, and a prefill row ends one
+    #: when decode steps ran since the previous row.  ``G`` and
+    #: ``decode_steps`` are the run's decode counters when the row was
+    #: written; their deltas give a decode span's tokens and steps.
+    #: ``tel_gauges`` holds catch-up blocks ``(grid_t0, n_points, arrived,
+    #: batch, reserved_bytes, met, completed)`` that expand to ``n_points``
+    #: consecutive fixed-interval grid samples sharing one state snapshot.
+    #: Every arrived request is waiting, running or completed, so the
+    #: queue depth is ``arrived - batch - completed``.
     tel_spans: list = field(default_factory=list)
     tel_gauges: list = field(default_factory=list)
 
@@ -193,7 +204,7 @@ class ServingSimulator:
         self.memory_utilisation = memory_utilisation
         self.costs = StepCostModel(
             model, simulator if simulator is not None
-            else CachingInferenceSimulator(tpu_config),
+            else InferenceSimulator(tpu_config),
             precision=precision, bucket_tokens=bucket_tokens)
         #: KV-cache bytes one token of one sequence occupies (all layers).
         self.kv_bytes_per_token = model.kv_cache_bytes(1, 1, precision)
@@ -341,10 +352,10 @@ class ServingSimulator:
     @staticmethod
     def _install_telemetry(tel: Telemetry, track: str, state: _ShardState, *,
                            budget: int, rejected: int) -> None:
-        """Hand the raw capture tuples to the telemetry sink.
+        """Hand the raw capture rows to the telemetry sink.
 
-        A serving run captures hundreds of thousands of tuples; turning
-        each into a record object here would dwarf the run itself and
+        A serving run captures tens of thousands of rows; turning each
+        into a record object here would dwarf the run itself and
         blow the <5 % enabled-overhead budget.  Registering one deferred
         translator keeps this call O(1) — the records materialise when
         the telemetry is first read (export, report, summary).
@@ -357,23 +368,49 @@ class ServingSimulator:
         final_completed = len(state.ttfts)
 
         def materialize(spans: list, events: list, gauges: list) -> None:
-            for kind, start, end, batch, bucket, steps, tokens, popped \
-                    in tel_spans:
-                if kind == "prefill":
+            # End and decode counters of the previous row.  A shard's first
+            # row is a prefill at decode_steps 0, so no decode span ever
+            # crosses a shard boundary.
+            last_end = 0.0
+            last_g = last_steps = 0
+            i, size = 0, len(tel_spans)
+            while i < size:
+                if tel_spans[i] is None:
+                    (start, step_s, group, bucket, batch, g, steps,
+                     decode_bucket) = tel_spans[i + 1:i + 9]
+                    i += 9
+                    end = start + step_s
+                    if steps > last_steps:
+                        # The prefill interrupted a running decode span.
+                        spans.append(Span(track, "decode", last_end, start,
+                                          {"batch": batch,
+                                           "context_bucket": decode_bucket,
+                                           "steps": steps - last_steps,
+                                           "tokens": (g - last_g) * batch}))
                     events.append(Event(track, "admit", start,
-                                        {"count": batch}))
-                spans.append(Span(track, kind, start, end,
-                                  {"batch": batch, "context_bucket": bucket,
-                                   "steps": steps, "tokens": tokens}))
-                if popped:
+                                        {"count": group}))
+                    spans.append(Span(track, "prefill", start, end,
+                                      {"batch": group, "context_bucket": bucket,
+                                       "steps": 1, "tokens": group}))
+                else:
+                    end, g, steps, bucket, batch, batch_after = \
+                        tel_spans[i:i + 6]
+                    i += 6
+                    spans.append(Span(track, "decode", last_end, end,
+                                      {"batch": batch, "context_bucket": bucket,
+                                       "steps": steps - last_steps,
+                                       "tokens": (g - last_g) * batch}))
                     events.append(Event(track, "complete", end,
-                                        {"count": popped}))
-            for t0, points, queue, batch, reserved, met, completed \
-                    in tel_gauges:
+                                        {"count": batch - batch_after}))
+                last_end, last_g, last_steps = end, g, steps
+            for i in range(0, len(tel_gauges), _GAUGE_ROW):
+                t0, points, arrived, batch, reserved, met, completed = \
+                    tel_gauges[i:i + _GAUGE_ROW]
+                queue = arrived - batch - completed
                 kv = reserved / budget
                 slo_frac = met / completed if completed else None
-                for i in range(points):
-                    t = t0 + i * interval
+                for k in range(points):
+                    t = t0 + k * interval
                     gauges.append(Gauge(track, "queue_depth", t, queue))
                     gauges.append(Gauge(track, "batch_occupancy", t, batch))
                     gauges.append(Gauge(track, "kv_utilisation", t, kv))
@@ -509,26 +546,23 @@ class ServingSimulator:
         # exactly the way a fresh shard run does — which is what makes a
         # sharded capture concatenate into the serial one.  With telemetry
         # off next_gauge is +inf and the whole apparatus is one
-        # always-false float compare per outer iteration.  Decode spans
-        # are captured per batch-composition epoch: the batch is constant
-        # across one entry of the inner chunk loop, so a span opens
-        # lazily when the batch changes (pd_* snapshot the open span's
-        # start) and flushes when a completion closes it, a prefill
-        # interrupts, or the run drains — everything else about the span
-        # (duration, steps, tokens) falls out of the clock/G/decode_steps
-        # deltas at flush time, so the inner loop carries zero telemetry
-        # instructions and a continuing burst costs one compare.
+        # always-false float compare per outer iteration.  Spans cost one
+        # row per prefill and one per completing decode burst, nothing
+        # else: the batch only changes at those two events, so each
+        # decode span is exactly the decode time between two consecutive
+        # rows, and the G/decode_steps snapshots the rows carry give its
+        # steps and tokens at materialisation.  Decode bursts that end
+        # without a completion carry zero telemetry instructions.
         tel = collect_telemetry
-        tel_spans_append = state.tel_spans.append
-        tel_gauges_append = state.tel_gauges.append
+        tel_rows = state.tel_spans
+        tel_grid = state.tel_gauges
         ttfts = state.ttfts
         floor = math.floor
         next_gauge = (floor(clock / gauge_interval) * gauge_interval
                       if tel else inf)
-        pd_t0 = 0.0
-        pd_batch = pd_bkt = -1
-        pd_g = pd_decode = 0
-        popped = 0
+        #: Context bucket of the latest decode chunk (a prefill row stamps
+        #: it onto the decode span it interrupts).
+        bkt = 0
         slow = bool(boundaries)
         #: Per-run unpacked step-cost caches keyed ``bucket << shift |
         #: group`` (an exact composite — group never exceeds ``max_batch``):
@@ -566,9 +600,12 @@ class ServingSimulator:
                     index += 1
 
             if clock >= next_gauge:
-                points = int((clock - next_gauge) / gauge_interval) + 1
-                tel_gauges_append((next_gauge, points, len(waiting), batch,
-                                   reserved, met_count, len(ttfts)))
+                # int(passed) + 1 grid points, without the call in the
+                # common one-point case.
+                passed = (clock - next_gauge) / gauge_interval
+                points = 1 if passed < 1.0 else int(passed) + 1
+                tel_grid += (next_gauge, points, index, batch, reserved,
+                             met_count, len(ttfts))
                 next_gauge += gauge_interval * points
 
             if waiting and (admit_during_decode or not batch):
@@ -594,26 +631,20 @@ class ServingSimulator:
                     for request, _ in admitted:
                         if request.input_tokens > max_input:
                             max_input = request.input_tokens
-                    bkt = (max_input + btm1) // bt * bt
-                    cached = pcache_get(bkt << shift | group)
+                    pbkt = (max_input + btm1) // bt * bt
+                    cached = pcache_get(pbkt << shift | group)
                     if cached is None:
-                        cost = memo_get(("prefill", group, bkt))
+                        cost = memo_get(("prefill", group, pbkt))
                         if cost is None:
-                            cost = price("prefill", group, bkt)
+                            cost = price("prefill", group, pbkt)
                         cached = (cost.seconds, cost.mxu_energy_joules,
                                   cost.total_energy_joules)
-                        pcache[bkt << shift | group] = cached
+                        pcache[pbkt << shift | group] = cached
                     seconds, mxu_e, total_e = cached
                     step_s = seconds * slow_factor(clock) if slow else seconds
                     if tel:
-                        if pd_batch != -1:
-                            tel_spans_append(("decode", pd_t0, clock,
-                                              pd_batch, pd_bkt,
-                                              decode_steps - pd_decode,
-                                              (G - pd_g) * pd_batch, 0))
-                            pd_batch = -1
-                        tel_spans_append(("prefill", clock, clock + step_s,
-                                          group, bkt, 1, group, 0))
+                        tel_rows += (None, clock, step_s, group, pbkt, batch,
+                                     G, decode_steps, bkt)
                     clock += step_s
                     busy_seg += step_s
                     mxu_seg += mxu_e
@@ -665,20 +696,6 @@ class ServingSimulator:
                 # slow-window edge).
                 arrival_cap = index < n and admit_during_decode and batch < max_batch
                 next_arrival = arrivals[index] if index < n else inf
-                if tel and batch != pd_batch:
-                    # Composition changed since the open decode span began:
-                    # flush it (its end is *this* instant — the clock has
-                    # not moved since the previous burst exited) and open
-                    # a new one.  A burst continuing the same batch skips
-                    # this entire block.
-                    if pd_batch != -1:
-                        tel_spans_append(("decode", pd_t0, clock, pd_batch,
-                                          pd_bkt, decode_steps - pd_decode,
-                                          (G - pd_g) * pd_batch, 0))
-                    pd_t0 = clock
-                    pd_g = G
-                    pd_decode = decode_steps
-                    pd_batch = batch
                 while True:
                     top = ctx_heap[0]
                     while top[1] <= G:  # finished request's stale entry
@@ -722,7 +739,7 @@ class ServingSimulator:
                     decode_steps += 1
                     G += chunk
                     if rem_heap[0][0] <= G:
-                        popped = 0
+                        running = batch
                         while rem_heap and rem_heap[0][0] <= G:
                             (_, rid, arrival, inp, out, first,
                              resv) = heappop(rem_heap)
@@ -740,26 +757,14 @@ class ServingSimulator:
                                 met_count += 1
                                 met_tokens += out
                             batch -= 1
-                            popped += 1
+                        if tel:
+                            tel_rows += (clock, G, decode_steps, bkt,
+                                         running, batch)
                         break
                     if arrival_cap and next_arrival <= clock:
                         break
                     if slow:
                         break  # re-sample the degradation factor per chunk
-                if tel:
-                    # Burst exit: remember the bucket the burst reached
-                    # (the context bucket advances within a span; the
-                    # recorded bucket is the final one).  A completion
-                    # closes the span and stamps its pop count, which
-                    # materialises as the "complete" instant event at the
-                    # span's end.
-                    pd_bkt = bkt
-                    if popped:
-                        tel_spans_append(("decode", pd_t0, clock, pd_batch,
-                                          bkt, decode_steps - pd_decode,
-                                          (G - pd_g) * pd_batch, popped))
-                        popped = 0
-                        pd_batch = -1
                 continue
 
             if index < n:
@@ -769,12 +774,10 @@ class ServingSimulator:
                 continue
             break
 
+        # The loop only drains once the batch is empty, and the completion
+        # that emptied it wrote a row: no decode span is left open here.
         if busy_seg != 0.0:
             segments.append((busy_seg, mxu_seg, te_seg))
-        if tel and pd_batch != -1:
-            tel_spans_append(("decode", pd_t0, clock, pd_batch, pd_bkt,
-                              decode_steps - pd_decode,
-                              (G - pd_g) * pd_batch, 0))
         state.met_count = met_count
         state.met_tokens = met_tokens
         state.total_tokens = total_tokens
@@ -852,19 +855,22 @@ class ServingSimulator:
         for shard_state, entries in outcomes:
             # Shards are time-ordered, so concatenating captures keeps them
             # monotonic (gauge samples stay on the absolute grid); the
-            # met/completed gauge counts are shard-local and rebase onto the
-            # running totals so the merged series stays cumulative.
+            # arrived/met/completed gauge counts are shard-local and rebase
+            # onto the running totals so the merged series stays cumulative
+            # (every earlier request completed before this shard began).
             met_offset = merged.met_count
             completed_offset = len(merged.ttfts)
             merged.tel_spans.extend(shard_state.tel_spans)
+            gauges = shard_state.tel_gauges
             if met_offset or completed_offset:
-                merged.tel_gauges.extend(
-                    (t, points, queue, batch, reserved, met + met_offset,
-                     completed + completed_offset)
-                    for t, points, queue, batch, reserved, met, completed
-                    in shard_state.tel_gauges)
-            else:
-                merged.tel_gauges.extend(shard_state.tel_gauges)
+                gauges = gauges[:]
+                gauges[2::_GAUGE_ROW] = [arrived + completed_offset for arrived
+                                         in gauges[2::_GAUGE_ROW]]
+                gauges[5::_GAUGE_ROW] = [met + met_offset for met
+                                         in gauges[5::_GAUGE_ROW]]
+                gauges[6::_GAUGE_ROW] = [completed + completed_offset
+                                         for completed in gauges[6::_GAUGE_ROW]]
+            merged.tel_gauges.extend(gauges)
             merged.finished.extend(shard_state.finished)
             merged.ttfts.extend(shard_state.ttfts)
             merged.tpots.extend(shard_state.tpots)
@@ -884,7 +890,7 @@ class ServingSimulator:
         # are the union of what the (surviving) shards priced beyond the
         # parent memo; every other lookup would have been a memo hit in the
         # serial run.
-        self.costs._memo.update(new_entries)
+        self.costs.adopt(new_entries)
         self.costs.stats.misses += len(new_entries)
         self.costs.stats.hits += (merged.prefill_steps + merged.decode_steps
                                   - len(new_entries))

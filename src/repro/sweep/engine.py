@@ -137,9 +137,11 @@ def _compute_result(point: SweepPoint, simulator: CachingInferenceSimulator,
     workload family — LLM serving, DiT sampling, MoE, chat mixes, anything
     registered later — flows through this one path.  Points carrying a
     :class:`~repro.serving.spec.ServingSpec` run the discrete-event serving
-    simulator instead, sharing the same memoised graph cache, and map the
-    serving report onto the common row shape (latency = mean end-to-end
-    request latency, throughput = sustained generated tokens per second).
+    simulator instead, and map the serving report onto the common row shape
+    (latency = mean end-to-end request latency, throughput = sustained
+    generated tokens per second).  Their step prices come from the
+    process-wide :data:`~repro.serving.costs.STEP_PRICES` table; only the
+    states it misses reach ``simulator`` and count as graph simulations.
     """
     spec = point.spec
     if point.serving is not None:

@@ -339,6 +339,30 @@ class TestTracedIdentity:
         decode = [s for s in tel.spans if s.name == "decode"]
         assert decode and all(s.args["steps"] >= 1 for s in decode)
 
+    def test_decode_spans_account_for_every_step_and_token(self):
+        """Decode spans tile the decode work, spans a prefill cut included.
+
+        At this rate requests arrive while a batch decodes, so some
+        prefills interrupt a running decode span: those spans end with no
+        completion event, and the run's totals only add up if they are
+        still recorded.
+        """
+        tel = Telemetry()
+        report = run_serial(make_trace(rate=0.5), telemetry=tel)
+        decode = [s for s in tel.spans if s.name == "decode"]
+        completions = {e.time_s for e in tel.events if e.name == "complete"}
+        assert any(s.end_s not in completions for s in decode)
+        assert sum(s.args["steps"] for s in decode) == report.decode_steps
+        assert (sum(s.args["tokens"] for s in decode)
+                == sum(r.output_tokens - 1 for r in report.requests))
+        # A waiting request has not had its prefill, so its first token
+        # comes after the sample.
+        queue = [g for g in tel.gauges if g.name == "queue_depth"]
+        assert max(g.value for g in queue) > 0
+        for gauge in queue:
+            assert gauge.value <= sum(r.first_token_s > gauge.time_s
+                                      for r in report.requests)
+
 
 # ---------------------------------------------------------------------------
 # CLI: flags, composition, report subcommand
