@@ -9,14 +9,12 @@ configured the way a day-scale replay should be: aggregate-only metrics
 memo and GC paused across the timed region, best of five walls.
 
 The same spec is then priced with the closed-form fluid estimator
-(:mod:`repro.serving.fluid`) — whose cost is independent of trace length —
-and re-run sharded at quiescence boundaries to prove the split/merge path
-reproduces the serial report bit for bit.
+(:mod:`repro.serving.fluid`), whose cost is independent of trace length.
 
 ``BENCH_serving_scale.json`` lands at the repository root for CI's
 regression gate (wall, requests/wall-second, cache hit rate) and artifact
 upload.  Pinned invariants: >=10x requests/wall-second over the committed
-baseline, fluid >=100x faster than the exact wall, sharded == serial.
+baseline, fluid >=100x faster than the exact wall.
 """
 
 from __future__ import annotations
@@ -44,7 +42,6 @@ NUM_REQUESTS = 250_000
 ARRIVAL_RATE = 32.0
 SEED = 7
 BUCKET_TOKENS = 512
-SHARDS = 8
 #: requests_per_wall_second of the pre-optimisation event core
 #: (benchmarks/baselines/BENCH_serving.json at the time the heap core
 #: landed); the acceptance gate is >= 10x this figure.
@@ -54,26 +51,8 @@ FLUID_SPEEDUP_GATE = 100.0
 SLO_SPEC = SLO(ttft_s=1.0, tpot_s=0.1)
 
 
-#: Step-cost cache counters are cumulative on the shared memo, so two runs
-#: of the same trace snapshot different totals depending on what ran before
-#: them.  The determinism comparison ignores exactly those bookkeeping
-#: fields; every simulated outcome must still match bit for bit.  (The
-#: regression tests in tests/test_serving_shards.py compare *fresh* engines,
-#: where the counters match too.)
-_CACHE_COUNTER_KEYS = ("cost_cache_hits", "cost_cache_misses",
-                       "cost_cache_hit_rate")
-
-
-def _outcome(report) -> dict:
-    """A report's dict with run-order-dependent cache counters removed."""
-    payload = report.to_dict()
-    for key in _CACHE_COUNTER_KEYS:
-        payload.pop(key, None)
-    return payload
-
-
-def _timed(function, repeats: int = 5):
-    """Best-of-N wall time with GC paused; returns (result, wall, walls).
+def _timed(function):
+    """Best-of-five wall time with GC paused; returns (result, wall, walls).
 
     Five repeats, not three: the gate is a ratio against a wall-clock
     baseline, and shared runners drift enough between seconds that the
@@ -84,7 +63,7 @@ def _timed(function, repeats: int = 5):
     enabled = gc.isenabled()
     gc.disable()
     try:
-        for _ in range(repeats):
+        for _ in range(5):
             start = time.perf_counter()
             result = function()
             walls.append(time.perf_counter() - start)
@@ -95,7 +74,7 @@ def _timed(function, repeats: int = 5):
 
 
 def test_day_scale_throughput_gate(benchmark):
-    """250k requests: 10x exact gate, 100x fluid gate, sharded == serial."""
+    """250k requests: 10x exact gate, 100x fluid gate."""
     trace = generate_trace("poisson", DEFAULT_REQUEST_MIX, ARRIVAL_RATE,
                            NUM_REQUESTS, SEED)
     simulator = ServingSimulator(GPT3_30B, design_a(),
@@ -111,11 +90,6 @@ def test_day_scale_throughput_gate(benchmark):
                               collect_requests=False))
     requests_per_wall_second = NUM_REQUESTS / wall
     scale = requests_per_wall_second / COMMITTED_BASELINE_REQ_PER_S
-
-    sharded, sharded_wall, _ = _timed(
-        lambda: simulator.run(trace, slo=SLO_SPEC, devices=devices,
-                              shards=SHARDS, collect_requests=False),
-        repeats=1)
 
     spec = ServingSpec(trace="poisson", arrival_rate=ARRIVAL_RATE,
                        num_requests=NUM_REQUESTS, seed=SEED,
@@ -136,8 +110,6 @@ def test_day_scale_throughput_gate(benchmark):
          ["requests/wall-second", f"{requests_per_wall_second:,.0f}"],
          ["vs committed 28,242.6/s", f"{scale:.1f}x"],
          ["step-cost cache hit rate", f"{report.cost_cache_hit_rate * 100:.2f}%"],
-         [f"sharded wall (--shards {SHARDS})", f"{sharded_wall:.3f} s"],
-         ["sharded == serial", _outcome(sharded) == _outcome(report)],
          ["fluid estimate wall", f"{fluid_wall * 1e3:.2f} ms"],
          ["fluid speedup vs exact", f"{fluid_speedup:,.0f}x"],
          ["fluid tokens/s rel error",
@@ -162,11 +134,6 @@ def test_day_scale_throughput_gate(benchmark):
             "completed": report.completed,
             "tokens_per_second": report.tokens_per_second,
         },
-        "sharded": {
-            "shards": SHARDS,
-            "wall_seconds": sharded_wall,
-            "identical_to_serial": _outcome(sharded) == _outcome(report),
-        },
         "fluid": {
             "wall_seconds": fluid_wall,
             "speedup_vs_exact": fluid_speedup,
@@ -186,8 +153,6 @@ def test_day_scale_throughput_gate(benchmark):
     assert fluid_speedup >= FLUID_SPEEDUP_GATE, (
         f"fluid estimate is only {fluid_speedup:.0f}x faster than the exact "
         f"wall (gate: {FLUID_SPEEDUP_GATE}x)")
-    assert _outcome(sharded) == _outcome(report), (
-        "sharded replay diverged from the serial report")
 
     # Steady-state figure of merit for pytest-benchmark comparisons: the
     # warm 250k replay itself (aggregate-only, memo already hot).

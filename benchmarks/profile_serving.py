@@ -47,8 +47,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--seed", type=int, default=7)
     parser.add_argument("--bucket", type=int, default=512,
                         help="step-cost context bucket in tokens (default 512)")
-    parser.add_argument("--shards", type=int, default=1,
-                        help="profile the sharded path instead (default 1)")
     parser.add_argument("--collect-requests", action="store_true",
                         help="keep per-request metric rows (default: "
                              "aggregate-only, the day-scale configuration)")
@@ -72,7 +70,7 @@ def main(argv: list[str] | None = None) -> int:
     profiler = cProfile.Profile()
     profiler.enable()
     report = simulator.run(trace, slo=SLO(ttft_s=1.0, tpot_s=0.1),
-                           devices=devices, shards=args.shards,
+                           devices=devices,
                            collect_requests=args.collect_requests)
     profiler.disable()
 

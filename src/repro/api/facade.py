@@ -47,8 +47,8 @@ if TYPE_CHECKING:  # pragma: no cover - type-only imports
     from repro.sweep.store import ResultStore
 
 #: Fields that tune execution, not content — excluded from the request
-#: fingerprint so a sharded submission correlates with a serial one.
-_EXECUTION_HINTS = ("shards", "workers")
+#: fingerprint so a parallel submission correlates with a serial one.
+_EXECUTION_HINTS = ("workers",)
 
 
 def request_fingerprint(request) -> str:
@@ -115,8 +115,7 @@ def simulate(request: SimulateRequest, *, store: "ResultStore | None" = None,
             payload = report.to_dict(include_requests=False)
         else:
             report = simulate_serving(model, config, spec, settings,
-                                      store=store, shards=request.shards,
-                                      telemetry=telemetry)
+                                      store=store, telemetry=telemetry)
             payload = report.to_dict()
     except (ValueError, OSError) as error:
         raise _engine_error(error) from None

@@ -23,10 +23,10 @@ The contract, stated explicitly:
   traces, objectives, search strategies, designs, models, scenarios) and
   re-uses the engines' own error wording, so the facade, the CLI and the
   gateway all report the same message for the same mistake.
-* **Execution hints stay out of content.**  ``shards``/``workers`` tune
-  *how* a run executes, never *what* it computes (sharded == serial, bit
-  for bit), so they ride on the request but are documented as
-  non-semantic; store keys never include them.
+* **Execution hints stay out of content.**  ``workers`` tunes *how* a
+  sweep executes, never *what* it computes (parallel == serial, bit for
+  bit), so it rides on the request but is documented as non-semantic;
+  store keys never include it.
 
 ``SCHEMA_VERSION`` stamps every payload.  Bump it when a field changes
 meaning or shape — never for adding optional fields with defaults — and
@@ -60,7 +60,7 @@ from repro.workloads.scenario import ScenarioKnobs
 #: Version of the request/response schemas.  Payloads carrying a different
 #: version are rejected with ``unsupported-schema-version`` instead of
 #: being silently reinterpreted.
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 _PRECISIONS = tuple(p.value for p in Precision)
 
@@ -224,9 +224,7 @@ class _Request:
 class SimulateRequest(_Request):
     """One serving run: a single deployment, or a fleet when ``replicas > 1``.
 
-    Defaults mirror ``repro-sim serve``.  ``shards`` is an execution hint
-    (quiescence-boundary trace sharding; sharded == serial bit for bit)
-    and deliberately never enters store keys.
+    Defaults mirror ``repro-sim serve``.
     """
 
     kind: ClassVar[str] = "simulate"
@@ -255,23 +253,11 @@ class SimulateRequest(_Request):
     fidelity: str = "exact"
     faults: tuple[str, ...] = ()
     overlay: str | None = None
-    #: Execution hint, not content: worker processes for exact
-    #: single-deployment runs.  Excluded from fingerprints and stores.
-    shards: int = 1
 
     def __post_init__(self) -> None:
         self._freeze("faults")
         self.resolve()
-        spec = self.spec()
-        _check_positive(self.shards, "shards")
-        if self.shards > 1 and spec.fidelity == "fluid":
-            raise invalid_field("shards",
-                                "shards split the exact event loop; fluid "
-                                "fidelity has no trace to shard")
-        if self.shards > 1 and (spec.replicas > 1 or spec.faults):
-            raise invalid_field("shards",
-                                "shards apply to single-deployment runs; the "
-                                "cluster path already interleaves replicas")
+        self.spec()
 
     def resolve(self):
         """(model, chip config, scenario settings) of this run."""

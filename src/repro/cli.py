@@ -548,8 +548,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
     # Fault injection lives at the routing layer, so a faulted run goes
     # through the cluster simulator even at --replicas 1.
     fleet_run = args.replicas > 1 or bool(faults)
-    if args.shards < 1:
-        raise SystemExit("--shards must be positive")
     if args.fidelity == "fluid":
         if args.trace_file:
             raise SystemExit("--fidelity fluid prices the scenario's request "
@@ -557,12 +555,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         if faults or overlay is not None:
             raise SystemExit("--fidelity fluid cannot replay --faults or "
                              "--overlay; chaos runs need the exact event loop")
-        if args.shards > 1:
-            raise SystemExit("--shards splits the exact event loop; fluid "
-                             "fidelity has no trace to shard")
-    elif args.shards > 1 and fleet_run:
-        raise SystemExit("--shards applies to single-deployment runs; the "
-                         "cluster path already interleaves replicas")
 
     telemetry = _telemetry_from_args(args)
     if args.trace_file and args.store:
@@ -590,8 +582,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
             model, config, scheduler=args.scheduler, precision=precision,
             max_batch=args.max_batch, bucket_tokens=args.bucket,
             devices=args.devices)
-        return simulator.run(trace, slo=slo, shards=args.shards,
-                             telemetry=tel)
+        return simulator.run(trace, slo=slo, telemetry=tel)
 
     def run_api(tel: Telemetry | None = None, api_store=None):
         request = repro_api.SimulateRequest(
@@ -605,7 +596,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
             input_tokens=args.input_tokens, output_tokens=args.output_tokens,
             slo_ttft=args.slo_ttft, slo_tpot=args.slo_tpot,
             fidelity=args.fidelity, faults=tuple(args.faults or ()),
-            overlay=args.overlay, shards=args.shards)
+            overlay=args.overlay)
         return repro_api.simulate(request, store=api_store, telemetry=tel)
 
     def run_once(tel: Telemetry | None = None, api_store=None):
@@ -1156,11 +1147,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "'fluid' prices the run with the closed-form "
                             "estimator — orders of magnitude faster, "
                             "golden-bounded error (default exact)")
-    serve.add_argument("--shards", type=int, default=1,
-                       help="split the trace at quiescence boundaries across "
-                            "N worker processes and merge deterministically; "
-                            "the report is bit-for-bit identical to --shards "
-                            "1 (default 1; single-deployment runs only)")
     serve.add_argument("--profile", action="store_true",
                        help="run under cProfile, print the top cumulative "
                             "functions and dump a .pstats artifact")

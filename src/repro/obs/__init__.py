@@ -9,8 +9,8 @@ object.  The contract, test-gated end to end:
   default and guard every emission behind a single truthiness check, so
   an uninstrumented run executes the exact pre-telemetry hot path.
 * **Never perturbs results.**  Telemetry only *reads* simulation state;
-  reports are bit-for-bit identical with tracing on vs off (serial,
-  sharded and fluid — fluid emits summary events only).
+  reports are bit-for-bit identical with tracing on vs off (exact and
+  fluid — fluid emits summary events only).
 * **Simulated-time gauges.**  Time-series samples are taken on a fixed
   grid in *simulated* seconds, so a trace of a 10-minute fleet run has
   the same gauge density however fast the simulator replayed it.

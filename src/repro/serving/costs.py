@@ -129,6 +129,8 @@ def units_signature(simulator: InferenceSimulator) -> tuple:
 
 #: The process-wide step-price table every :class:`StepCostModel` reads.
 STEP_PRICES = StepPriceTable()
+# The sweep engine's worker pool forks, and another thread (a gateway
+# worker, say) may hold the table's lock at that instant.
 if hasattr(os, "register_at_fork"):  # POSIX only; elsewhere nothing forks
     os.register_at_fork(after_in_child=STEP_PRICES._after_fork)
 
@@ -200,10 +202,3 @@ class StepCostModel:
             STEP_PRICES.hold(price_key, cost)
         self._memo[key] = cost
         return cost
-
-    def adopt(self, priced: dict[tuple[str, int, int], StepCost]) -> None:
-        """Take step states priced elsewhere (a shard worker) into both
-        the per-run memo and the process-wide table."""
-        self._memo.update(priced)
-        for (phase, batch, bucket), cost in priced.items():
-            STEP_PRICES.hold((self._scope, phase, batch, bucket), cost)

@@ -44,15 +44,14 @@ per-request work; a finish pops exactly the finishing requests.  Per-request
 latency values accumulate into raw arrays and percentiles are computed once
 at report time.  Device-busy time and energy accumulate per *quiescent
 segment* — the spans between instants where the system is fully drained —
-and the report sums the segment totals left-to-right.  Segments are exactly
-the units trace sharding hands to workers, which is what makes a sharded
-run (``run(..., shards=N)``) bit-for-bit identical to the serial one: every
-float in the report is produced by the same additions in the same order.
+and each segment's subtotal joins the run's totals when the segment closes.
+Stored report payloads and benchmark digests pin the floats these
+additions produce, so the grouping is part of the output contract: a flat
+running sum changes the last digits of ``busy_s`` and the energies.
 
 Determinism: given identical arguments (including the trace seed) a run is
 bit-for-bit reproducible — the only randomness is the explicit
-``random.Random(seed)`` inside trace generation — and independent of the
-shard count.
+``random.Random(seed)`` inside trace generation.
 """
 
 from __future__ import annotations
@@ -60,8 +59,6 @@ from __future__ import annotations
 import bisect
 import heapq
 import math
-import multiprocessing
-import os
 from collections import deque
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
@@ -72,7 +69,7 @@ from repro.common import Precision, ceil_div
 from repro.core.config import TPUConfig
 from repro.core.simulator import InferenceSimulator
 from repro.obs.telemetry import Event, Gauge, Span, Telemetry
-from repro.serving.costs import StepCost, StepCostModel
+from repro.serving.costs import StepCostModel
 from repro.serving.metrics import (
     SLO,
     LatencySummary,
@@ -80,7 +77,6 @@ from repro.serving.metrics import (
     ServingReport,
 )
 from repro.serving.scheduler import (
-    SCHEDULER_REGISTRY,
     SchedulerPolicy,
     _by_arrival,
     get_scheduler,
@@ -96,7 +92,7 @@ from repro.workloads.llm import LLMConfig
 SERVING_STORE_KIND = "serving-report"
 
 _new_instance = object.__new__
-#: Values per gauge catch-up block in ``_ShardState.tel_gauges``.
+#: Values per gauge catch-up block in ``_RunState.tel_gauges``.
 _GAUGE_ROW = 7
 _arrival_key = attrgetter("arrival_s", "request_id")
 
@@ -128,13 +124,8 @@ class LiveRequest:
 
 
 @dataclass
-class _ShardState:
-    """Raw outcome of one event-loop pass over a (sub-)trace.
-
-    Everything is either an exact integer, an exact per-request record, or a
-    per-quiescent-segment float subtotal, so shard states merge into the
-    serial run's numbers bit-for-bit (see the module docstring).
-    """
+class _RunState:
+    """Raw outcome of one event-loop pass over a trace."""
 
     #: ``(request_id, arrival_s, input_tokens, output_tokens, first_token_s,
     #: finish_s)`` tuples in completion order (empty when per-request rows
@@ -147,8 +138,11 @@ class _ShardState:
     #: Requests (and their output tokens) that met the run's SLO.
     met_count: int = 0
     met_tokens: int = 0
-    #: ``(busy_s, mxu_energy_j, total_energy_j)`` per quiescent segment.
-    segments: list = field(default_factory=list)
+    #: Sums of the closed quiescent segments' subtotals, in segment order
+    #: (see the module docstring).
+    busy_s: float = 0.0
+    mxu_energy_j: float = 0.0
+    total_energy_j: float = 0.0
     prefill_steps: int = 0
     decode_steps: int = 0
     total_tokens: int = 0
@@ -156,8 +150,7 @@ class _ShardState:
     final_clock: float = 0.0
     #: Telemetry capture (empty unless the run collects telemetry): flat
     #: lists of plain values, one row after another, so capture allocates
-    #: no per-row object for the garbage collector to track, shard states
-    #: pickle cheaply, and shards merge by concatenation.  ``tel_spans``
+    #: no per-row object for the garbage collector to track.  ``tel_spans``
     #: holds rows of two shapes.  A prefill row is ``None`` followed by
     #: ``(start_s, step_s, group, bucket, batch, G, decode_steps,
     #: decode_bucket)``: one prefill span ending at ``start_s + step_s``
@@ -229,7 +222,6 @@ class ServingSimulator:
     def run(self, trace: Sequence[Request], slo: SLO = SLO(), *,
             devices: int | None = None,
             slow_windows: Sequence[tuple[float, float, float]] = (),
-            shards: int = 1, shard_workers: int | None = None,
             collect_requests: bool = True,
             telemetry: Telemetry | None = None,
             telemetry_track: str = "serve",
@@ -250,25 +242,11 @@ class ServingSimulator:
         chunk's start, with chunks capped at the next window boundary so a
         long chunk cannot smear one factor across a boundary.
 
-        ``shards`` splits the trace at quiescence boundaries (the largest
-        arrival gaps) and replays the pieces over a ``multiprocessing``
-        fan-out, merging the shard outcomes into a report **bit-for-bit
-        identical** to the serial run: each shard is validated to have
-        drained before the next shard's first arrival (violating shards are
-        merged with their successor and re-run), so the serial event
-        sequence is exactly the concatenation of the shard sequences.
-        ``shard_workers`` caps the process count (default: CPU count); with
-        one worker the engine simply runs serially — sharding is a runtime
-        execution detail and never changes results, which is why it is not
-        part of any content-addressed fingerprint.
-
         ``telemetry`` (an enabled :class:`~repro.obs.telemetry.Telemetry`)
         captures reject/admit/complete events, prefill/decode spans and
         fixed-interval gauges onto ``telemetry_track`` — the cluster layer
         names one track per replica.  Telemetry only *reads* loop state:
-        the report is bit-for-bit identical with it on or off, sharded
-        runs included (shard captures concatenate in trace order exactly
-        like the accounting segments).
+        the report is bit-for-bit identical with it on or off.
 
         ``collect_requests=False`` skips materialising the per-request
         :class:`~repro.serving.metrics.RequestMetrics` rows
@@ -281,18 +259,13 @@ class ServingSimulator:
         ------
         ValueError
             If the trace is empty, an explicit ``devices`` deployment
-            cannot hold the model's weights at all, a slow window is
-            malformed (end before start, or factor below 1), or ``shards``
-            / ``shard_workers`` is not positive.
+            cannot hold the model's weights at all, or a slow window is
+            malformed (end before start, or factor below 1).
         """
         if not trace:
             raise ValueError("serving needs a non-empty trace")
         if devices is not None and devices <= 0:
             raise ValueError("devices must be positive (or None)")
-        if shards <= 0:
-            raise ValueError("shards must be positive")
-        if shard_workers is not None and shard_workers <= 0:
-            raise ValueError("shard_workers must be positive (or None)")
         for window_start, window_end, factor in slow_windows:
             if window_end <= window_start or factor < 1.0:
                 raise ValueError("slow windows need end > start and factor >= 1")
@@ -323,23 +296,20 @@ class ServingSimulator:
             else:
                 admissible.append(request)
 
-        collect_tel = tel is not None
-        gauge_interval = tel.gauge_interval_s if collect_tel else 1.0
-        workers = shard_workers if shard_workers is not None else (os.cpu_count() or 1)
-        if shards > 1 and workers > 1 and len(admissible) > 1:
-            state = self._run_sharded(admissible, budget=budget, slo=slo,
-                                      slow_windows=tuple(slow_windows),
-                                      devices=devices, shards=shards,
-                                      workers=workers,
-                                      collect_requests=collect_requests,
-                                      collect_telemetry=collect_tel,
-                                      gauge_interval=gauge_interval)
-        else:
-            state = self._run_core_accounted(admissible, budget=budget, slo=slo,
-                                             slow_windows=tuple(slow_windows),
-                                             collect_requests=collect_requests,
-                                             collect_telemetry=collect_tel,
-                                             gauge_interval=gauge_interval)
+        # The core consults the memo without per-lookup stats bookkeeping
+        # (misses are still counted inside StepCostModel._step); every
+        # event does exactly one lookup, so the hits are the event count
+        # minus the new misses.
+        stats = self.costs.stats
+        misses_before = stats.misses
+        state = self._run_core(admissible, budget=budget, slo=slo,
+                               slow_windows=slow_windows,
+                               collect_requests=collect_requests,
+                               collect_telemetry=tel is not None,
+                               gauge_interval=(tel.gauge_interval_s
+                                               if tel is not None else 1.0))
+        stats.hits += (state.prefill_steps + state.decode_steps
+                       - (stats.misses - misses_before))
 
         if tel is not None:
             self._install_telemetry(tel, telemetry_track, state,
@@ -350,7 +320,7 @@ class ServingSimulator:
                                   start_s=ordered_trace[0].arrival_s)
 
     @staticmethod
-    def _install_telemetry(tel: Telemetry, track: str, state: _ShardState, *,
+    def _install_telemetry(tel: Telemetry, track: str, state: _RunState, *,
                            budget: int, rejected: int) -> None:
         """Hand the raw capture rows to the telemetry sink.
 
@@ -368,9 +338,8 @@ class ServingSimulator:
         final_completed = len(state.ttfts)
 
         def materialize(spans: list, events: list, gauges: list) -> None:
-            # End and decode counters of the previous row.  A shard's first
-            # row is a prefill at decode_steps 0, so no decode span ever
-            # crosses a shard boundary.
+            # End and decode counters of the previous row.  The first row
+            # is a prefill at decode_steps 0, so it opens no decode span.
             last_end = 0.0
             last_g = last_steps = 0
             i, size = 0, len(tel_spans)
@@ -433,44 +402,12 @@ class ServingSimulator:
         tel.count(f"{track}.tokens", state.total_tokens)
 
     # ------------------------------------------------------------------- core
-    def _run_core_accounted(self, admissible: Sequence[Request], *, budget: int,
-                            slo: SLO,
-                            slow_windows: Sequence[tuple[float, float, float]],
-                            collect_requests: bool,
-                            collect_telemetry: bool = False,
-                            gauge_interval: float = 1.0) -> _ShardState:
-        """Run the core and settle the step-cost cache statistics.
-
-        The core consults the memo without per-lookup stats bookkeeping
-        (misses are still counted inside
-        :meth:`~repro.serving.costs.StepCostModel._step`); every event does
-        exactly one lookup, so the hits are the event count minus the new
-        misses — the same totals the per-lookup counting produced.
-        """
-        stats = self.costs.stats
-        misses_before = stats.misses
-        state = self._run_core(admissible, budget=budget, slo=slo,
-                               slow_windows=slow_windows,
-                               collect_requests=collect_requests,
-                               collect_telemetry=collect_telemetry,
-                               gauge_interval=gauge_interval)
-        stats.hits += (state.prefill_steps + state.decode_steps
-                       - (stats.misses - misses_before))
-        return state
-
     def _run_core(self, admissible: Sequence[Request], *, budget: int,
                   slo: SLO, slow_windows: Sequence[tuple[float, float, float]],
-                  collect_requests: bool = True,
-                  collect_telemetry: bool = False,
-                  gauge_interval: float = 1.0) -> _ShardState:
-        """One optimised event-loop pass over already-admissible requests.
-
-        The returned :class:`_ShardState` carries only exact integers,
-        per-request records and per-quiescent-segment float subtotals, so
-        states from consecutive quiescence-separated sub-traces concatenate
-        into precisely the serial run's numbers.
-        """
-        state = _ShardState()
+                  collect_requests: bool, collect_telemetry: bool,
+                  gauge_interval: float) -> _RunState:
+        """One optimised event-loop pass over already-admissible requests."""
+        state = _RunState()
         if not admissible:
             return state
 
@@ -528,7 +465,6 @@ class ServingSimulator:
         ttfts_append = state.ttfts.append
         tpots_append = state.tpots.append
         e2es_append = state.e2es.append
-        segments = state.segments
         met_count = met_tokens = 0
         total_tokens = 0
         prefill_steps = decode_steps = 0
@@ -536,15 +472,15 @@ class ServingSimulator:
 
         clock = arrivals[0]
         busy_seg = mxu_seg = te_seg = 0.0
+        busy_sum = mxu_sum = te_sum = 0.0
         #: Global decode counter: total decode chunks applied so far.
         G = 0
 
         # Telemetry capture.  Gauges sample on the absolute simulated-time
         # grid (multiples of gauge_interval); a catch-up block covering
         # every grid point since the last emission is appended at the top
-        # of the outer loop, and quiescent instants re-anchor the grid
-        # exactly the way a fresh shard run does — which is what makes a
-        # sharded capture concatenate into the serial one.  With telemetry
+        # of the outer loop, and quiescent instants re-anchor the grid so
+        # idle gaps stay unsampled.  With telemetry
         # off next_gauge is +inf and the whole apparatus is one
         # always-false float compare per outer iteration.  Spans cost one
         # row per prefill and one per completing decode burst, nothing
@@ -576,17 +512,17 @@ class ServingSimulator:
 
         while True:
             # Quiescent point: nothing in flight and the next arrival is not
-            # in the past — close the current busy/energy segment.  These
-            # instants are exactly the legal shard boundaries.
+            # in the past — close the current busy/energy segment.
             if not batch and not waiting and (index == n or arrivals[index] >= clock):
                 if busy_seg != 0.0:
-                    segments.append((busy_seg, mxu_seg, te_seg))
+                    busy_sum += busy_seg
+                    mxu_sum += mxu_seg
+                    te_sum += te_seg
                     busy_seg = mxu_seg = te_seg = 0.0
                 if tel:
-                    # Re-anchor the gauge grid at the quiescent instant,
-                    # exactly as a shard starting here would initialise it
-                    # — idle gaps stay unsampled and a sharded capture
-                    # reproduces the serial row sequence bit-for-bit.
+                    # Re-anchor the gauge grid at the quiescent instant: the
+                    # catch-up block would otherwise fill the whole idle gap
+                    # with samples of an empty deployment.
                     next_gauge = floor(clock / gauge_interval) * gauge_interval
 
             if fifo:
@@ -774,10 +710,12 @@ class ServingSimulator:
                 continue
             break
 
-        # The loop only drains once the batch is empty, and the completion
-        # that emptied it wrote a row: no decode span is left open here.
-        if busy_seg != 0.0:
-            segments.append((busy_seg, mxu_seg, te_seg))
+        # The loop only exits from a quiescent point, which closed the last
+        # segment, and the completion that emptied the batch wrote a row:
+        # no segment or decode span is left open here.
+        state.busy_s = busy_sum
+        state.mxu_energy_j = mxu_sum
+        state.total_energy_j = te_sum
         state.met_count = met_count
         state.met_tokens = met_tokens
         state.total_tokens = total_tokens
@@ -787,117 +725,8 @@ class ServingSimulator:
         state.final_clock = clock
         return state
 
-    # --------------------------------------------------------------- sharding
-    def _run_sharded(self, admissible: list[Request], *, budget: int, slo: SLO,
-                     slow_windows: tuple[tuple[float, float, float], ...],
-                     devices: int, shards: int, workers: int,
-                     collect_requests: bool,
-                     collect_telemetry: bool = False,
-                     gauge_interval: float = 1.0) -> _ShardState:
-        """Fan shard slices over a process pool and merge their states.
-
-        Slices are cut at the largest arrival gaps; after the parallel
-        replay each boundary is *validated* (the shard must have drained
-        before its successor's first arrival).  A shard that spills is
-        merged with its successor and re-run, so the final partition is
-        provably a chain of quiescence-separated sub-traces whose event
-        sequences concatenate into the serial run's.
-        """
-        policy_name = self.policy.name
-        if SCHEDULER_REGISTRY.get(policy_name) is not self.policy:
-            # An unregistered ad-hoc policy cannot travel to workers by
-            # name; run serially rather than guess at picklability.
-            return self._run_core_accounted(admissible, budget=budget, slo=slo,
-                                            slow_windows=slow_windows,
-                                            collect_requests=collect_requests,
-                                            collect_telemetry=collect_telemetry,
-                                            gauge_interval=gauge_interval)
-
-        slices = _quiescence_slices([r.arrival_s for r in admissible], shards)
-        if len(slices) == 1:
-            return self._run_core_accounted(admissible, budget=budget, slo=slo,
-                                            slow_windows=slow_windows,
-                                            collect_requests=collect_requests,
-                                            collect_telemetry=collect_telemetry,
-                                            gauge_interval=gauge_interval)
-
-        seed_entries = dict(self.costs._memo)
-
-        def task_for(bounds: tuple[int, int]) -> tuple:
-            start, stop = bounds
-            return (self.model, self.tpu_config, policy_name, self.precision,
-                    self.max_batch, self.costs.bucket_tokens,
-                    self.memory_utilisation, devices, budget, slo,
-                    slow_windows, collect_requests,
-                    collect_telemetry, gauge_interval,
-                    tuple(admissible[start:stop]))
-
-        with multiprocessing.Pool(processes=min(workers, len(slices)),
-                                  initializer=_seed_shard_worker,
-                                  initargs=(seed_entries,)) as pool:
-            outcomes = pool.map(_run_shard_remote, [task_for(b) for b in slices])
-            # Validate each boundary; merge-and-re-run spilling shards.
-            position = 0
-            while position < len(slices) - 1:
-                shard_state, _ = outcomes[position]
-                next_start = slices[position + 1][0]
-                if shard_state.final_clock <= admissible[next_start].arrival_s:
-                    position += 1
-                    continue
-                slices[position] = (slices[position][0], slices[position + 1][1])
-                del slices[position + 1]
-                del outcomes[position + 1]
-                outcomes[position] = pool.apply(
-                    _run_shard_remote, (task_for(slices[position]),))
-
-        merged = _ShardState()
-        new_entries: dict = {}
-        for shard_state, entries in outcomes:
-            # Shards are time-ordered, so concatenating captures keeps them
-            # monotonic (gauge samples stay on the absolute grid); the
-            # arrived/met/completed gauge counts are shard-local and rebase
-            # onto the running totals so the merged series stays cumulative
-            # (every earlier request completed before this shard began).
-            met_offset = merged.met_count
-            completed_offset = len(merged.ttfts)
-            merged.tel_spans.extend(shard_state.tel_spans)
-            gauges = shard_state.tel_gauges
-            if met_offset or completed_offset:
-                gauges = gauges[:]
-                gauges[2::_GAUGE_ROW] = [arrived + completed_offset for arrived
-                                         in gauges[2::_GAUGE_ROW]]
-                gauges[5::_GAUGE_ROW] = [met + met_offset for met
-                                         in gauges[5::_GAUGE_ROW]]
-                gauges[6::_GAUGE_ROW] = [completed + completed_offset
-                                         for completed in gauges[6::_GAUGE_ROW]]
-            merged.tel_gauges.extend(gauges)
-            merged.finished.extend(shard_state.finished)
-            merged.ttfts.extend(shard_state.ttfts)
-            merged.tpots.extend(shard_state.tpots)
-            merged.e2es.extend(shard_state.e2es)
-            merged.segments.extend(shard_state.segments)
-            merged.met_count += shard_state.met_count
-            merged.met_tokens += shard_state.met_tokens
-            merged.total_tokens += shard_state.total_tokens
-            merged.prefill_steps += shard_state.prefill_steps
-            merged.decode_steps += shard_state.decode_steps
-            if shard_state.peak_reserved > merged.peak_reserved:
-                merged.peak_reserved = shard_state.peak_reserved
-            merged.final_clock = shard_state.final_clock
-            new_entries.update(entries)
-
-        # Exact cache accounting across the fan-out: the distinct new states
-        # are the union of what the (surviving) shards priced beyond the
-        # parent memo; every other lookup would have been a memo hit in the
-        # serial run.
-        self.costs.adopt(new_entries)
-        self.costs.stats.misses += len(new_entries)
-        self.costs.stats.hits += (merged.prefill_steps + merged.decode_steps
-                                  - len(new_entries))
-        return merged
-
     # ----------------------------------------------------------------- report
-    def _build_report(self, state: _ShardState, slo: SLO, *, devices: int,
+    def _build_report(self, state: _RunState, slo: SLO, *, devices: int,
                       num_requests: int, rejected: int, budget: int,
                       start_s: float) -> ServingReport:
         """Assemble the :class:`ServingReport` from raw event-loop state."""
@@ -917,11 +746,7 @@ class ServingSimulator:
             requests_append(metric)
         completed = len(state.ttfts)
         makespan = state.final_clock - start_s if completed else 0.0
-        busy = mxu_energy = total_energy = 0.0
-        for seg_busy, seg_mxu, seg_te in state.segments:
-            busy += seg_busy
-            mxu_energy += seg_mxu
-            total_energy += seg_te
+        mxu_energy = state.mxu_energy_j
         span = makespan if makespan > 0 else 0.0
         per_second = (1.0 / span) if span else 0.0
         total_tokens = state.total_tokens
@@ -929,7 +754,7 @@ class ServingSimulator:
             model_name=self.model.name, tpu_name=self.tpu_config.name,
             scheduler=self.policy.name, devices=devices,
             num_requests=num_requests, completed=completed, rejected=rejected,
-            makespan_s=makespan, busy_s=busy,
+            makespan_s=makespan, busy_s=state.busy_s,
             total_tokens=total_tokens,
             tokens_per_second=total_tokens * per_second,
             requests_per_second=completed * per_second,
@@ -943,72 +768,14 @@ class ServingSimulator:
             slo_attainment=state.met_count / completed if completed else 0.0,
             goodput_requests_per_second=state.met_count * per_second,
             goodput_tokens_per_second=state.met_tokens * per_second,
-            mxu_energy_joules=mxu_energy, total_energy_joules=total_energy,
+            mxu_energy_joules=mxu_energy,
+            total_energy_joules=state.total_energy_j,
             energy_per_token_joules=mxu_energy / total_tokens if total_tokens else 0.0,
             prefill_steps=state.prefill_steps, decode_steps=state.decode_steps,
             kv_budget_bytes=budget, peak_kv_reserved_bytes=state.peak_reserved,
             cost_cache_hits=self.costs.stats.hits,
             cost_cache_misses=self.costs.stats.misses,
             requests=tuple(requests))
-
-
-def _quiescence_slices(arrivals: Sequence[float], shards: int,
-                       ) -> list[tuple[int, int]]:
-    """Cut ``[0, len)`` into up to ``shards`` slices at the largest gaps.
-
-    Only strictly positive inter-arrival gaps are candidates (splitting
-    inside a simultaneous burst can never validate); ties break on the
-    earlier index so the partition is deterministic.
-    """
-    n = len(arrivals)
-    gaps = sorted(
-        ((arrivals[i] - arrivals[i - 1], i) for i in range(1, n)
-         if arrivals[i] > arrivals[i - 1]),
-        key=lambda pair: (-pair[0], pair[1]))
-    cuts = sorted(i for _, i in gaps[:shards - 1])
-    slices: list[tuple[int, int]] = []
-    start = 0
-    for cut in cuts:
-        slices.append((start, cut))
-        start = cut
-    slices.append((start, n))
-    return slices
-
-
-#: Parent memo snapshot installed in shard workers by the pool initializer
-#: (mirrors the sweep engine's graph-cache seeding idiom).
-_SHARD_SEED_ENTRIES: dict[tuple[str, int, int], StepCost] = {}
-
-
-def _seed_shard_worker(entries: Mapping[tuple[str, int, int], StepCost]) -> None:
-    """Pool initializer: install the parent's step-cost memo snapshot."""
-    _SHARD_SEED_ENTRIES.clear()
-    _SHARD_SEED_ENTRIES.update(entries)
-
-
-def _run_shard_remote(task: tuple) -> tuple[_ShardState, dict]:
-    """Pool worker: replay one shard slice with a seeded step-cost memo.
-
-    Returns the raw shard state plus the *new* memo entries the shard
-    priced, so the parent can absorb them (and account hits/misses exactly
-    as a serial run would) without re-shipping what it sent.
-    """
-    (model, tpu_config, scheduler, precision, max_batch, bucket_tokens,
-     memory_utilisation, devices, budget, slo, slow_windows, collect_requests,
-     collect_telemetry, gauge_interval, subtrace) = task
-    engine = ServingSimulator(
-        model, tpu_config, scheduler=scheduler, precision=precision,
-        max_batch=max_batch, bucket_tokens=bucket_tokens, devices=devices,
-        memory_utilisation=memory_utilisation)
-    engine.costs._memo.update(_SHARD_SEED_ENTRIES)
-    state = engine._run_core(list(subtrace), budget=budget, slo=slo,
-                             slow_windows=slow_windows,
-                             collect_requests=collect_requests,
-                             collect_telemetry=collect_telemetry,
-                             gauge_interval=gauge_interval)
-    new_entries = {key: value for key, value in engine.costs._memo.items()
-                   if key not in _SHARD_SEED_ENTRIES}
-    return state, new_entries
 
 
 def emit_report_summary(telemetry: Telemetry | None, track: str,
@@ -1074,8 +841,7 @@ def serving_run_key(model: LLMConfig, tpu_config: TPUConfig, spec: ServingSpec,
 def simulate_serving(model: LLMConfig, tpu_config: TPUConfig, spec: ServingSpec,
                      settings: object, *,
                      simulator: InferenceSimulator | None = None,
-                     store=None, shards: int = 1,
-                     shard_workers: int | None = None,
+                     store=None,
                      telemetry: Telemetry | None = None) -> ServingReport:
     """Run one :class:`ServingSpec` end to end (the sweep engine's entry).
 
@@ -1095,11 +861,6 @@ def simulate_serving(model: LLMConfig, tpu_config: TPUConfig, spec: ServingSpec,
     stored with their per-request rows, so a repeated run — another
     process, another client of the gateway, days later — decodes the
     report bit for bit instead of replaying the event loop.
-
-    ``shards``/``shard_workers`` forward to :meth:`ServingSimulator.run`'s
-    quiescence-boundary trace sharding.  They are execution hints, not
-    content: a sharded run's report is bit-for-bit the serial one, so they
-    deliberately do not enter the store key.
 
     Raises
     ------
@@ -1148,8 +909,7 @@ def simulate_serving(model: LLMConfig, tpu_config: TPUConfig, spec: ServingSpec,
         max_batch=spec.max_batch, bucket_tokens=spec.bucket_tokens,
         devices=spec.devices, memory_utilisation=spec.memory_utilisation,
         simulator=simulator)
-    report = engine.run(trace, slo=spec.slo, shards=shards,
-                        shard_workers=shard_workers, telemetry=telemetry)
+    report = engine.run(trace, slo=spec.slo, telemetry=telemetry)
     if store is not None:
         store.put(SERVING_STORE_KIND, key, report.to_dict())
     return report

@@ -258,15 +258,10 @@ class TestServe:
             main(self.SERVE + ["--json", str(tmp_path / "missing" / "report.json")])
 
 
-class TestServeFidelityAndShards:
+class TestServeFidelity:
     BASE = ["--seed", "7", "--llm", "llama2-7b", "--input-tokens", "64",
             "--output-tokens", "16", "serve", "--scenario", "chat-serving",
             "--rate", "0.5", "--requests", "60"]
-
-    def test_sharded_output_matches_serial(self, capsys):
-        _, serial = run_cli(capsys, *self.BASE)
-        _, sharded = run_cli(capsys, *self.BASE, "--shards", "5")
-        assert sharded == serial
 
     def test_fluid_fidelity_prints_report(self, capsys):
         code, out = run_cli(capsys, *self.BASE, "--fidelity", "fluid")
@@ -282,14 +277,6 @@ class TestServeFidelityAndShards:
         with pytest.raises(SystemExit, match="exact"):
             main(self.BASE + ["--fidelity", "fluid",
                               "--faults", "replica-crash:at_s=1"])
-
-    def test_fluid_rejects_shards(self):
-        with pytest.raises(SystemExit, match="shard"):
-            main(self.BASE + ["--fidelity", "fluid", "--shards", "2"])
-
-    def test_shards_reject_fleet_runs(self):
-        with pytest.raises(SystemExit, match="single-deployment"):
-            main(self.BASE + ["--replicas", "2", "--shards", "2"])
 
     def test_profile_writes_pstats_artifact(self, capsys, tmp_path):
         out_path = tmp_path / "serve.pstats"

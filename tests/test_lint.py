@@ -334,7 +334,7 @@ class TestFrozenDataclassRule:
 
 
             @dataclass
-            class _ShardState:
+            class _RunState:
                 clock_s: float = 0.0
         """)}
         assert lint(files, "RPR003") == []

@@ -4,14 +4,11 @@ The contract under test, in order of importance:
 
 1. **Telemetry never perturbs the simulation** — ServingReport /
    ClusterReport are bit-for-bit identical with tracing on vs. off, on
-   every execution path (serial, sharded, fluid, cluster chaos).
-2. **Sharded telemetry equals serial telemetry** — the quiescent-segment
-   merge reassembles spans/events/gauges exactly, cumulative gauge fields
-   (SLO attainment) included.
-3. **The Chrome trace-event schema is pinned** — a golden file in
+   every execution path (exact, fluid, cluster chaos).
+2. **The Chrome trace-event schema is pinned** — a golden file in
    tests/golden/ locks phase names, pid/tid mapping and fault
    instant-event fields, so Perfetto compatibility cannot rot silently.
-4. The CLI flags compose: ``--trace-out`` with ``--profile``, with
+3. The CLI flags compose: ``--trace-out`` with ``--profile``, with
    ``--check-determinism``, and ``repro-sim report`` renders both formats.
 """
 
@@ -243,35 +240,6 @@ class TestTracedIdentity:
         traced = run_serial(trace, telemetry=Telemetry())
         assert traced.to_dict() == plain.to_dict()
 
-    def test_sharded_report_identical_with_tracing(self):
-        trace = make_trace(num_requests=120, rate=0.5)
-        plain = run_serial(trace, shards=4)
-        traced = run_serial(trace, shards=4, telemetry=Telemetry())
-        assert traced.to_dict() == plain.to_dict()
-
-    def test_sharded_telemetry_equals_serial_telemetry(self):
-        """The quiescent-segment merge reassembles the exact serial trace.
-
-        The trace must contain genuine quiescent instants (or the slices
-        merge back into one segment and sharding never happens) and the
-        run must be forced onto multiple workers (or a single-CPU host
-        silently falls back to the serial path) — without both, this
-        equality would pass vacuously.
-        """
-        burst = make_trace(num_requests=60, rate=0.5)
-        trace = burst + tuple(
-            dataclasses.replace(request, arrival_s=request.arrival_s + 1e5,
-                                request_id=request.request_id + 1000)
-            for request in burst)
-        serial_tel, sharded_tel = Telemetry(), Telemetry()
-        run_serial(trace, telemetry=serial_tel)
-        run_serial(trace, shards=4, shard_workers=4, telemetry=sharded_tel)
-        # Same grid, same spans, same counters — bit-for-bit, not almost.
-        assert sharded_tel.spans == serial_tel.spans
-        assert sharded_tel.events == serial_tel.events
-        assert sharded_tel.gauges == serial_tel.gauges
-        assert sharded_tel.counters == serial_tel.counters
-
     def test_disabled_instance_equals_none(self):
         trace = make_trace()
         plain = run_serial(trace)
@@ -362,6 +330,31 @@ class TestTracedIdentity:
         for gauge in queue:
             assert gauge.value <= sum(r.first_token_s > gauge.time_s
                                       for r in report.requests)
+
+    def test_idle_gaps_stay_unsampled(self):
+        """The gauge grid re-anchors when the deployment drains.
+
+        A trace repeated 1e5 s later leaves a long idle gap between its
+        copies.  Only the grid points next to the gap's edges may be
+        sampled; without the re-anchor the catch-up block fills the whole
+        gap with samples of an empty deployment.
+        """
+        burst = make_trace(num_requests=60, rate=0.5)
+        trace = burst + tuple(
+            dataclasses.replace(request, arrival_s=request.arrival_s + 1e5,
+                                request_id=request.request_id + 1000)
+            for request in burst)
+        tel = Telemetry()
+        report = run_serial(trace, telemetry=tel)
+        gap_start = max(r.finish_s for r in report.requests
+                        if r.request_id < 1000)
+        gap_end = min(r.arrival_s for r in report.requests
+                      if r.request_id >= 1000)
+        assert gap_end - gap_start > 9e4
+        interval = tel.gauge_interval_s
+        assert tel.gauges
+        assert not [g for g in tel.gauges
+                    if gap_start + interval < g.time_s < gap_end - interval]
 
 
 # ---------------------------------------------------------------------------

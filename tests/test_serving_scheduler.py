@@ -1,5 +1,7 @@
 """Tests for the continuous-batching engine and its scheduler policies."""
 
+import dataclasses
+
 import pytest
 
 from repro.core.designs import design_a, tpuv4i_baseline
@@ -14,9 +16,9 @@ from repro.serving.simulator import ServingSimulator, simulate_serving
 from repro.serving.spec import ServingSpec
 from repro.serving.trace import Request, generate_trace
 from repro.sweep.cache import CachingInferenceSimulator
-from repro.workloads.chat import RequestClass
+from repro.workloads.chat import DEFAULT_REQUEST_MIX, RequestClass
 from repro.workloads.dit import DIT_XL_2
-from repro.workloads.llm import LLAMA2_7B, LLMConfig
+from repro.workloads.llm import GPT3_30B, LLAMA2_7B, LLMConfig
 from repro.workloads.scenario import LLMInferenceSettings
 
 #: Small but non-trivial model: weights take a visible bite out of one HBM.
@@ -124,6 +126,44 @@ class TestDeterminismAndCaching:
         misses_after_first = cache_sim.cache.stats.misses
         ServingSimulator(SERVE_LLM, tpuv4i_baseline(), simulator=cache_sim).run(make_trace())
         assert cache_sim.cache.stats.misses == misses_after_first
+
+
+class TestAccounting:
+    @pytest.mark.parametrize("rate", [0.02, 0.5])
+    def test_aggregate_only_matches_collected(self, rate):
+        """collect_requests=False drops rows but changes no aggregate."""
+        trace = generate_trace("poisson", DEFAULT_REQUEST_MIX, rate, 100, 1)
+        slo = SLO(ttft_s=1.0, tpot_s=0.1)
+        collected = ServingSimulator(GPT3_30B, design_a()).run(trace, slo=slo)
+        aggregate = ServingSimulator(GPT3_30B, design_a()).run(
+            trace, slo=slo, collect_requests=False)
+        assert aggregate.requests == ()
+        assert (aggregate.to_dict(include_requests=False)
+                == collected.to_dict(include_requests=False))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_busy_and_energy_sum_per_quiescent_segment(self, seed):
+        """Busy time and energy add up one quiescent segment at a time.
+
+        Two saturated bursts a million seconds apart are two segments, so
+        the combined run's totals are exactly (``==``) the two single-burst
+        totals added.  Stored payloads and benchmark digests pin these
+        floats; a flat running sum over every step changes their last
+        digits and fails here.
+        """
+        def burst(trace_seed, shift):
+            return tuple(
+                dataclasses.replace(request, arrival_s=request.arrival_s + shift,
+                                    request_id=request.request_id + int(shift))
+                for request in generate_trace("poisson", DEFAULT_REQUEST_MIX,
+                                              50.0, 200, trace_seed))
+
+        first, second = burst(seed, 0.0), burst(seed + 100, 1e6)
+        one, two, both = (ServingSimulator(LLAMA2_7B, design_a()).run(trace)
+                          for trace in (first, second, first + second))
+        for field in ("busy_s", "mxu_energy_joules", "total_energy_joules"):
+            assert (getattr(both, field)
+                    == getattr(one, field) + getattr(two, field)), field
 
 
 class TestAdmissionControl:

@@ -27,12 +27,9 @@ from repro.core.units import ExecutionUnit, UnitCost
 from repro.hw.energy import EnergyBudget
 from repro.serving import costs
 from repro.serving.costs import STEP_PRICES, StepCostModel
-from repro.serving.simulator import ServingSimulator
-from repro.serving.trace import generate_trace
 from repro.sweep.engine import SweepEngine
 from repro.sweep.grid import SweepGrid
 from repro.sweep.store import ResultStore
-from repro.workloads.chat import DEFAULT_REQUEST_MIX
 from repro.workloads.llm import LLAMA2_7B
 
 FAST = dict(llm="llama2-7b", input_tokens=64, output_tokens=16, rate=20.0,
@@ -236,15 +233,6 @@ class TestTableKey:
         again = StepCostModel(LLAMA2_7B, InferenceSimulator(design_a()))
         assert again.decode_cost(4, 100) == stock_cost
         assert again.decode_cost(5, 100) != custom.decode_cost(5, 100)
-
-    def test_sharded_runs_leave_their_prices_in_the_table(self, graph_evals):
-        trace = generate_trace("bursty", DEFAULT_REQUEST_MIX, 2.0, 300, 5)
-        sharded = ServingSimulator(LLAMA2_7B, design_a())
-        sharded.run(trace, shards=4, shard_workers=2)
-        assert len(STEP_PRICES) == sharded.costs.distinct_states
-        before = graph_evals[0]
-        ServingSimulator(LLAMA2_7B, design_a()).run(trace)
-        assert graph_evals[0] == before
 
 
 class TestConcurrentPricing:
