@@ -22,8 +22,10 @@ this script compares them against the copies committed under
   whenever the fresh value exceeds the baseline at all: a cached re-sweep
   that starts simulating again is a correctness bug, not noise.
 * **throughput metrics** (e.g. requests simulated per wall-second) are
-  wall-times upside down: they regress when the fresh value *drops*
-  relative to baseline, gated with the same relative thresholds.
+  wall-times upside down: they regress on the slowdown a drop is worth,
+  ``baseline / fresh - 1`` (infinite for a fresh 0), gated with the same
+  relative thresholds, so a threshold means the same thing for both kinds
+  (at 0.25, a throughput fails once it falls by 20 %).
 * **overhead metrics** (the telemetry enabled-overhead fraction) gate
   against an *absolute* ceiling (fail at >= 0.05, warn at >= 0.035),
   not a baseline ratio — the 5 % budget is part of the telemetry
@@ -91,6 +93,8 @@ BENCH_METRICS: dict[str, tuple[Metric, ...]] = {
     "BENCH_cluster.json": (
         Metric("wall_seconds", "wall"),
         Metric("cache_hit_rate", "rate"),
+        Metric("realistic.wall_seconds", "wall"),
+        Metric("realistic.requests_per_wall_second", "throughput"),
     ),
     "BENCH_optimize.json": (
         Metric("cold_wall_seconds", "wall"),
@@ -155,14 +159,19 @@ def compare(name: str, metric: Metric, fresh: float, base: float,
             return "warn", detail
         return "ok", detail
     if metric.kind == "throughput":
-        # Inverted wall-time: higher is better, so gate the relative drop.
-        # No absolute floor — these are large numbers (hundreds of
-        # thousands of requests per wall-second), never near zero.
-        drop = (base - fresh) / base if base > 0 else 0.0
-        detail = f"{base:,.0f} -> {fresh:,.0f} ({-drop:+.1%})"
-        if drop > fail_threshold:
+        # Inverted wall-time: gate the equivalent slowdown, not the relative
+        # drop, which never exceeds 1.0 and so could never pass CI's wider
+        # fail threshold.  No absolute floor — these are large numbers
+        # (hundreds of thousands of requests per wall-second), never near
+        # zero.
+        if fresh > 0:
+            slowdown = base / fresh - 1.0
+        else:
+            slowdown = float("inf") if base > 0 else 0.0
+        detail = f"{base:,.0f} -> {fresh:,.0f} (slowdown {slowdown:+.1%})"
+        if slowdown > fail_threshold:
             return "fail", detail
-        if drop > warn_threshold:
+        if slowdown > warn_threshold:
             return "warn", detail
         return "ok", detail
     if metric.kind == "count":

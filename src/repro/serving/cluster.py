@@ -73,6 +73,7 @@ from repro.serving.metrics import (
     RequestMetrics,
     ResilienceSummary,
     ServingReport,
+    report_payload,
 )
 from repro.obs.telemetry import Telemetry
 from repro.serving.router import ReplicaView, RouterContext, RouterPolicy, get_router
@@ -231,17 +232,13 @@ class ClusterReport:
 
     def to_dict(self, include_requests: bool = True) -> dict[str, object]:
         """Plain-dict form (nested summaries inlined) for JSON export."""
-        payload = dataclasses.asdict(self)
-        payload["utilisation"] = self.utilisation
-        payload["cost_cache_hits"] = self.cost_cache_hits
-        payload["cost_cache_misses"] = self.cost_cache_misses
-        payload["cost_cache_hit_rate"] = self.cost_cache_hit_rate
-        payload["replica_timeline"] = [list(entry) for entry in self.replica_timeline]
-        if not include_requests:
-            del payload["requests"]
-        else:
-            payload["requests"] = [request.to_dict() for request in self.requests]
-        return payload
+        return report_payload(
+            self, include_requests,
+            replica_timeline=[list(entry) for entry in self.replica_timeline],
+            utilisation=self.utilisation,
+            cost_cache_hits=self.cost_cache_hits,
+            cost_cache_misses=self.cost_cache_misses,
+            cost_cache_hit_rate=self.cost_cache_hit_rate)
 
 
 class _ReplicaHandle:
@@ -275,6 +272,7 @@ class _ReplicaHandle:
         self._prefill_busy_until = 0.0
         self._slots = [0.0] * replica.max_batch
         self.outstanding_tokens = 0
+        self._view: ReplicaView | None = None
         self.subtrace: list[Request] = []
         # Activation bookkeeping.
         self.active = False
@@ -322,6 +320,8 @@ class _ReplicaHandle:
     # ------------------------------------------------------------- faults
     def stalled(self, now: float) -> bool:
         """Whether an admission-stall window covers ``now``."""
+        if not self.stall_windows:
+            return False
         return any(start <= now < end for start, end in self.stall_windows)
 
     def crash(self, now: float, *, up_at: float) -> list[Request]:
@@ -361,10 +361,6 @@ class _ReplicaHandle:
             _, _, request = heapq.heappop(self._queue)
             self.outstanding_tokens -= request.total_tokens
 
-    @property
-    def outstanding_requests(self) -> int:
-        return len(self._queue)
-
     def assign(self, request: Request, now: float) -> None:
         prefill_s = self.replica.costs.prefill_cost(1, request.input_tokens).seconds
         prefill_start = max(now, self._prefill_busy_until)
@@ -378,14 +374,23 @@ class _ReplicaHandle:
         self.subtrace.append(request)
 
     def view(self) -> ReplicaView:
-        return ReplicaView(
-            index=self.index, tpu_name=self.replica.tpu_config.name,
-            devices=self.devices, max_batch=self.replica.max_batch,
-            outstanding_requests=self.outstanding_requests,
-            outstanding_tokens=self.outstanding_tokens,
-            service_tokens_per_s=self.service_tokens_per_s,
-            kv_budget_bytes=self.kv_budget,
-            kv_bytes_per_token=self.replica.kv_bytes_per_token)
+        """The router's snapshot, rebuilt only when the load estimate moved.
+
+        The view's other fields are fixed for the run, so a view whose two
+        load figures still match the estimate is the current one.
+        """
+        view = self._view
+        if (view is None or view.outstanding_requests != len(self._queue)
+                or view.outstanding_tokens != self.outstanding_tokens):
+            view = self._view = ReplicaView(
+                index=self.index, tpu_name=self.replica.tpu_config.name,
+                devices=self.devices, max_batch=self.replica.max_batch,
+                outstanding_requests=len(self._queue),
+                outstanding_tokens=self.outstanding_tokens,
+                service_tokens_per_s=self.service_tokens_per_s,
+                kv_budget_bytes=self.kv_budget,
+                kv_bytes_per_token=self.replica.kv_bytes_per_token)
+        return view
 
 
 class ClusterSimulator:
@@ -491,18 +496,24 @@ class ClusterSimulator:
         def active_handles() -> list[_ReplicaHandle]:
             return [h for h in handles if h.active]
 
-        def dispatch(request: Request, now: float, rerouted: bool = False) -> None:
-            nonlocal routed, shed
+        def survey(now: float) -> tuple[list[_ReplicaHandle], dict[int, ReplicaView]]:
+            """The active replicas, drained to ``now``, and their views."""
             active = active_handles()
             for handle in active:
                 handle.drain(now)
+            return active, {handle.index: handle.view() for handle in active}
+
+        def dispatch(request: Request, now: float, rerouted: bool = False,
+                     surveyed: tuple | None = None) -> None:
+            """Route one request, reusing ``surveyed`` if taken at ``now``."""
+            nonlocal routed, shed
+            active, views = surveyed or survey(now)
             if active:
                 warm = [h for h in active if h.ready_at <= now]
                 ready = [h for h in warm if not h.stalled(now)]
                 if not ready:  # every candidate is cold-starting or stalled:
                     pool = warm or active  # wait on the least-soon-ready one
                     ready = [min(pool, key=lambda h: (h.ready_at, h.index))]
-                views = {h.index: h.view() for h in ready}
                 candidates = tuple(views[h.index] for h in ready)
                 fitting = tuple(v for v in candidates if v.fits(request))
                 chosen = self.router.choose(
@@ -575,14 +586,14 @@ class ClusterSimulator:
 
         for request in ordered:
             now = request.arrival_s
-            advance_faults(now)
-            active = active_handles()
-            for handle in active:
-                handle.drain(now)
-            views = {handle.index: handle.view() for handle in active}
+            if pending:
+                advance_faults(now)
+            surveyed = survey(now)
+            active, views = surveyed
             fleet_view = self._fleet_view(now, fleet_size, active, views)
             target = self._clamp(self.autoscaler.decide(fleet_view, scaler_state))
             if target != len(active):
+                surveyed = None  # dispatch must see the rescaled fleet
                 before = len(active)
                 self._rescale(handles, active, target, now, tel=tel)
                 # A crashed replica cannot be re-activated by scale-out, so
@@ -594,7 +605,7 @@ class ClusterSimulator:
                         tel.event("autoscaler",
                                   "scale-up" if after > before else "scale-down",
                                   now, {"from": before, "to": after})
-            dispatch(request, now)
+            dispatch(request, now, surveyed=surveyed)
         while pending:  # restarts beyond the last arrival still end outages
             at, _, kind, payload = heapq.heappop(pending)
             if kind == "restart" and handles[payload].down_until is not None:
@@ -641,11 +652,14 @@ class ClusterSimulator:
     def _fleet_view(self, now: float, fleet_size: int,
                     active: Sequence[_ReplicaHandle],
                     views: dict[int, ReplicaView]) -> FleetView:
-        outstanding = sum(h.outstanding_requests for h in active)
+        # Keep sum(): from Python 3.12 it rounds differently from a running
+        # +=, and the report golden pins its rounding.
+        loads = [views[h.index] for h in active]
+        outstanding = sum([view.outstanding_requests for view in loads])
         if active:
-            utilisation = sum(min(1.0, h.outstanding_requests / h.replica.max_batch)
-                              for h in active) / len(active)
-            pressure = sum(views[h.index].kv_pressure for h in active) / len(active)
+            utilisation = sum([min(1.0, view.outstanding_requests / view.max_batch)
+                               for view in loads]) / len(active)
+            pressure = sum([view.kv_pressure for view in loads]) / len(active)
         else:  # reachable mid-outage: crashes can fell the whole fleet
             utilisation = pressure = 0.0
         return FleetView(now_s=now, fleet_size=fleet_size,

@@ -315,11 +315,24 @@ class ServingReport:
 
     def to_dict(self, include_requests: bool = True) -> dict[str, object]:
         """Plain-dict form (nested summaries inlined) for JSON export."""
-        payload = dataclasses.asdict(self)
-        payload["utilisation"] = self.utilisation
-        payload["cost_cache_hit_rate"] = self.cost_cache_hit_rate
-        if not include_requests:
-            del payload["requests"]
-        else:
-            payload["requests"] = [request.to_dict() for request in self.requests]
-        return payload
+        return report_payload(self, include_requests,
+                              utilisation=self.utilisation,
+                              cost_cache_hit_rate=self.cost_cache_hit_rate)
+
+
+def report_payload(report, include_requests: bool,
+                   **derived: object) -> dict[str, object]:
+    """``dataclasses.asdict`` of a report with per-request rows, encoded once.
+
+    ``derived`` keys replace fields in place or are appended in order.  The
+    rows take the ``requests`` field's position, or are left out entirely
+    when ``include_requests`` is false, so they are never copied only to be
+    dropped or re-encoded.
+    """
+    payload = dataclasses.asdict(dataclasses.replace(report, requests=()))
+    payload.update(derived)
+    if include_requests:
+        payload["requests"] = [request.to_dict() for request in report.requests]
+    else:
+        del payload["requests"]
+    return payload

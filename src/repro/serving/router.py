@@ -43,7 +43,9 @@ class ReplicaView:
     The load figures are the cluster front-end's *estimates* (a fluid queue
     drained at the replica's estimated service rate), not the replica
     engine's internal state — exactly the imperfect information a production
-    router acts on.
+    router acts on.  The front end hands the same view out again while the
+    replica's load is unchanged; views are immutable, so a policy must
+    compare them by value and never rely on their identity.
     """
 
     index: int

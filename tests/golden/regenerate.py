@@ -7,8 +7,14 @@ exactly what moved::
 
     PYTHONPATH=src python tests/golden/regenerate.py
 
-Covers ``table_iv.json`` (the paper reproduction) and
-``chrome_trace.json`` (the pinned Chrome trace-event export schema).
+Covers ``table_iv.json`` (the paper reproduction), ``chrome_trace.json``
+(the pinned Chrome trace-event export schema) and ``serving_reports.json``
+(report digests).  The report digests depend on the interpreter's float
+``sum()``, and a run writes only its own interpreter's set, so after an
+intentional report change regenerate them under Python 3.11 and 3.12::
+
+    PYTHONPATH=src python3.11 tests/golden/regenerate.py serving-reports
+    PYTHONPATH=src python3.12 tests/golden/regenerate.py serving-reports
 """
 
 from __future__ import annotations
@@ -23,6 +29,26 @@ from repro.obs.export import chrome_trace_dict
 
 GOLDEN_PATH = pathlib.Path(__file__).parent / "table_iv.json"
 TRACE_GOLDEN_PATH = pathlib.Path(__file__).parent / "chrome_trace.json"
+REPORTS_GOLDEN_PATH = pathlib.Path(__file__).parent / "serving_reports.json"
+# The golden tests live one directory up and import no pytest at module level.
+sys.path.insert(0, str(pathlib.Path(__file__).parent.parent))
+
+
+def write_serving_reports() -> None:
+    """Rewrite this interpreter's digest set, keeping the other one."""
+    from test_golden_serving_reports import report_digests, summation
+
+    golden = {"description": "sha256 of json.dumps(report.to_dict()) with "
+                             "and without rows, per float summation of sum()",
+              "digests": {}}
+    if REPORTS_GOLDEN_PATH.exists():
+        golden = json.loads(REPORTS_GOLDEN_PATH.read_text(encoding="utf-8"))
+    golden["digests"][summation()] = report_digests()
+    golden["digests"] = dict(sorted(golden["digests"].items()))
+    REPORTS_GOLDEN_PATH.write_text(json.dumps(golden, indent=2) + "\n",
+                                   encoding="utf-8")
+    print(f"wrote {REPORTS_GOLDEN_PATH} ({summation()} summation, "
+          f"{len(golden['digests'][summation()])} reports)")
 
 
 def main() -> None:
@@ -56,14 +82,17 @@ def main() -> None:
 
     # The trace golden is generated from the same synthetic telemetry the
     # schema tests build, so the two can never drift apart.
-    sys.path.insert(0, str(pathlib.Path(__file__).parent.parent))
     from test_obs import synthetic_telemetry
     trace = chrome_trace_dict(synthetic_telemetry())
     TRACE_GOLDEN_PATH.write_text(json.dumps(trace, indent=2, sort_keys=True)
                                  + "\n", encoding="utf-8")
     print(f"wrote {TRACE_GOLDEN_PATH} "
           f"({len(trace['traceEvents'])} trace events)")
+    write_serving_reports()
 
 
 if __name__ == "__main__":
-    main()
+    if sys.argv[1:] == ["serving-reports"]:
+        write_serving_reports()
+    else:
+        main()

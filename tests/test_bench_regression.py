@@ -79,6 +79,24 @@ class TestOtherKinds:
         assert gate.compare("b", metric, 0.06, 0.12, 0.25, 0.10)[0] == "fail"
         assert gate.compare("b", metric, 0.02, 0.0002, 0.25, 0.10)[0] == "ok"
 
+    def test_throughput_gates_on_the_equivalent_slowdown(self):
+        # A relative drop never exceeds 1.0, so gating it against CI's
+        # 1.5 fail threshold let any throughput collapse through.
+        metric = gate.Metric("requests_per_wall_second", "throughput")
+        assert gate.compare("b", metric, 300.0, 1000.0, 1.5, 0.25)[0] == "fail"
+        assert gate.compare("b", metric, 500.0, 1000.0, 1.5, 0.25)[0] == "warn"
+        assert gate.compare("b", metric, 900.0, 1000.0, 1.5, 0.25)[0] == "ok"
+        assert gate.compare("b", metric, 0.0, 1000.0, 1.5, 0.25)[0] == "fail"
+        assert gate.compare("b", metric, 2000.0, 1000.0, 1.5, 0.25)[0] == "ok"
+
+    def test_throughput_and_wall_thresholds_mean_the_same(self):
+        # Halving throughput is doubling the wall time: the same verdict.
+        throughput = gate.Metric("requests_per_wall_second", "throughput")
+        for slowdown in (0.05, 0.2, 0.3, 1.0, 2.0):
+            fresh = 1000.0 / (1.0 + slowdown)
+            assert (gate.compare("b", throughput, fresh, 1000.0, 0.25, 0.10)[0]
+                    == wall(10.0 * (1.0 + slowdown), 10.0))
+
     def test_obs_record_is_gated(self):
         assert "BENCH_obs.json" in gate.BENCH_METRICS
 
@@ -147,3 +165,9 @@ class TestMainVerdicts:
         kinds = {metric.path: metric.kind
                  for metric in gate.BENCH_METRICS["BENCH_optimize.json"]}
         assert kinds["warm_simulations"] == "count"
+
+    def test_realistic_cluster_case_is_gated(self):
+        kinds = {metric.path: metric.kind
+                 for metric in gate.BENCH_METRICS["BENCH_cluster.json"]}
+        assert kinds["realistic.wall_seconds"] == "wall"
+        assert kinds["realistic.requests_per_wall_second"] == "throughput"

@@ -6,10 +6,12 @@ import pytest
 
 from repro.common import Precision
 from repro.core.designs import design_a, design_b, tpuv4i_baseline
+from repro.serving.autoscaler import AutoscalerPolicy
 from repro.serving.cluster import (
     ClusterSimulator,
     FleetCostModel,
     ReplicaSummary,
+    _ReplicaHandle,
     simulate_cluster,
 )
 from repro.serving.metrics import SLO
@@ -249,6 +251,23 @@ class TestAutoscaledRun:
         assert report.chip_hours * 3600.0 >= sum(
             r.devices * r.busy_s for r in report.replicas)
 
+    def test_instant_scale_out_is_routable_at_once(self):
+        # With no cold start, replicas activated at an arrival are routable
+        # for that same arrival: dispatch must survey the rescaled fleet,
+        # not reuse the views taken before the rescale.
+        step_up = AutoscalerPolicy(
+            name="step-up", description="one replica, then the whole fleet",
+            decide=lambda view, state: 1 if view.now_s < 0.5 else view.fleet_size,
+            cold_start_s=0.0)
+        requests = tuple(Request(request_id=i, arrival_s=0.1 * i,
+                                 input_tokens=64, output_tokens=8)
+                         for i in range(10))
+        report = make_cluster(replicas=3, autoscaler=step_up).run(requests)
+        assert report.replica_timeline == ((0.0, 1), (0.5, 3))
+        # Round-robin sends the n-th arrival to replica n % 3 from the
+        # scale-out on: arrivals 5 and 8 to replica 2, arrival 7 to replica 1.
+        assert [r.requests_routed for r in report.replicas] == [7, 1, 2]
+
     def test_mean_active_between_min_and_fleet(self):
         trace = make_trace(num_requests=120, rate=200.0, kind="bursty")
         report = make_cluster(replicas=3, autoscaler="queue-depth").run(trace)
@@ -276,6 +295,22 @@ class TestAutoscaledRun:
                               shared=CachingInferenceSimulator(tpuv4i_baseline()),
                               ).run(requests)
         assert sum(1 for r in report.replicas if r.requests_routed > 0) > 1
+
+
+class TestReplicaViews:
+    def test_view_is_reused_until_the_load_moves(self):
+        trace = make_trace(num_requests=4)
+        handle = _ReplicaHandle(0, ServingSimulator(CLUSTER_LLM, tpuv4i_baseline()),
+                                trace)
+        idle = handle.view()
+        assert handle.view() is idle
+        handle.assign(trace[0], trace[0].arrival_s)
+        busy = handle.view()
+        assert (busy.outstanding_requests, busy.outstanding_tokens) == (
+            1, trace[0].total_tokens)
+        assert handle.view() is busy
+        handle.drain(float("inf"))
+        assert handle.view() == idle
 
 
 class TestSimulateCluster:
