@@ -20,7 +20,10 @@ The saturated fleet above attains no SLO at all, so the record also carries
 a ``realistic`` block: a 20k-request llama2-7b fleet at a load someone would
 deploy (utilisation in [0.5, 0.9], SLO attainment strictly inside (0, 1)),
 timed through ``repro.api.simulate`` on warm step prices, so the routing
-pre-pass, the replica event loops and the report encoding all count.
+pre-pass, the replica event loops and the report encoding all count.  An
+untimed traced call adds the routing front end's work as exact counts: the
+fleet views it built (none: the fleet never scales) and the times it rebuilt
+the routable replica set (once: nothing changes routability).
 """
 
 from __future__ import annotations
@@ -32,6 +35,7 @@ from _harness import REPORTS_DIR, emit_report
 
 from repro.api import SimulateRequest, simulate
 from repro.core.designs import design_a
+from repro.obs.telemetry import Telemetry
 from repro.serving.cluster import ClusterSimulator
 from repro.serving.metrics import SLO
 from repro.serving.simulator import ServingSimulator
@@ -69,7 +73,8 @@ def _run():
 
 
 def _run_realistic():
-    """The realistic fleet's report payload and the wall time of its call.
+    """The realistic fleet's report payload, the wall time of its call and
+    the counters of a traced call.
 
     A first call prices the step states, so the timed call measures the
     fleet layers rather than the cost model.
@@ -79,14 +84,16 @@ def _run_realistic():
     response = simulate(REALISTIC)
     wall = time.perf_counter() - start
     assert response.report == priced.report
-    return response.report, wall
+    tel = Telemetry()
+    assert simulate(REALISTIC, telemetry=tel).report == priced.report
+    return response.report, wall, tel.counters
 
 
 def test_cluster_simulator_throughput(benchmark):
     """5k chat requests over 4 replicas: wall-clock, caching, reproducibility."""
     report, wall = _run()
     repeat, repeat_wall = _run()
-    realistic, realistic_wall = _run_realistic()
+    realistic, realistic_wall, realistic_counters = _run_realistic()
 
     emit_report(
         "cluster_throughput",
@@ -128,6 +135,8 @@ def test_cluster_simulator_throughput(benchmark):
             "requests_per_wall_second": REALISTIC.requests / realistic_wall,
             "utilisation": realistic["utilisation"],
             "slo_attainment": realistic["slo_attainment"],
+            "fleet_views": realistic_counters["cluster.fleet_views"],
+            "routable_rebuilds": realistic_counters["cluster.routable_rebuilds"],
         },
     }, indent=2) + "\n", encoding="utf-8")
     print(f"wrote cluster benchmark record to {BENCH_PATH}")

@@ -95,6 +95,8 @@ BENCH_METRICS: dict[str, tuple[Metric, ...]] = {
         Metric("cache_hit_rate", "rate"),
         Metric("realistic.wall_seconds", "wall"),
         Metric("realistic.requests_per_wall_second", "throughput"),
+        Metric("realistic.fleet_views", "count"),
+        Metric("realistic.routable_rebuilds", "count"),
     ),
     "BENCH_optimize.json": (
         Metric("cold_wall_seconds", "wall"),

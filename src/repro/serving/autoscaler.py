@@ -1,9 +1,12 @@
 """Fleet autoscaling policies and the autoscaler registry.
 
-The cluster front-end re-evaluates the fleet size at every request arrival:
-the active :class:`AutoscalerPolicy` sees a :class:`FleetView` (queue depth,
-estimated utilisation, KV pressure) and returns the replica count it wants;
-the cluster clamps it to ``[min_replicas, fleet_size]`` and applies it.
+The cluster front-end re-evaluates the fleet size at every request arrival
+for a policy that scales: the :class:`AutoscalerPolicy`'s ``decide`` sees a
+:class:`FleetView` (queue depth, estimated utilisation, KV pressure) and
+returns the replica count it wants; the cluster clamps it to
+``[min_replicas, fleet_size]`` and applies it.  A policy whose ``decide`` is
+``None`` never scales: the whole fleet is active from the first arrival and
+no view is built.
 Scaling is not free, and the two costs production autoscalers fight are both
 modelled:
 
@@ -18,7 +21,8 @@ modelled:
 Policies are frozen dataclasses in an open ``AUTOSCALER_REGISTRY`` — the
 same pattern as the router/scheduler registries.  Built-ins:
 
-* ``fixed`` — the whole configured fleet, always (no autoscaling);
+* ``fixed`` — the whole configured fleet, always (``decide=None``: no
+  autoscaling, so no decision);
 * ``queue-depth`` — scale out when the estimated queue per active replica
   exceeds a threshold, scale in (with hysteresis) when it falls below a
   lower one;
@@ -37,6 +41,7 @@ activation claims the lowest-indexed inactive one, so replicas below
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from collections.abc import Callable
 from dataclasses import dataclass
 
@@ -74,12 +79,14 @@ class AutoscalerPolicy:
     ``decide`` maps a :class:`FleetView` (plus a mutable per-run ``state``
     dict for hysteresis timers) to the desired active replica count; the
     cluster clamps the answer to ``[min_replicas, fleet_size]``.  The policy
-    must be deterministic in its inputs.
+    must be deterministic in its inputs.  ``decide=None`` is a policy that
+    never scales: the cluster provisions the whole fleet up front and then
+    builds no view and makes no decision at any arrival.
     """
 
     name: str
     description: str
-    decide: Callable[[FleetView, dict], int]
+    decide: Callable[[FleetView, dict], int] | None
     #: Simulated seconds between activating a replica and it becoming
     #: routable (weights loading / container boot).
     cold_start_s: float = 5.0
@@ -136,8 +143,7 @@ def fixed_autoscaler(name: str = "fixed") -> AutoscalerPolicy:
     return AutoscalerPolicy(
         name=name,
         description="keep every configured replica active (no autoscaling)",
-        decide=lambda view, state: view.fleet_size,
-        cold_start_s=0.0)
+        decide=None, cold_start_s=0.0)
 
 
 def queue_depth_autoscaler(scale_up_queue: float = 4.0,
@@ -231,15 +237,15 @@ def forecasting_autoscaler(window_s: float = 10.0,
         raise ValueError("hold_s must be non-negative")
 
     def decide(view: FleetView, state: dict) -> int:
+        # Decision times only grow, so the list stays sorted: trim and count
+        # the two half-windows by bisection.
         arrivals: list[float] = state.setdefault("arrivals", [])
         arrivals.append(view.now_s)
-        horizon = view.now_s - 2.0 * window_s
-        while arrivals and arrivals[0] < horizon:
-            arrivals.pop(0)
+        del arrivals[:bisect_left(arrivals, view.now_s - 2.0 * window_s)]
         half = window_s / 2.0
-        recent = sum(1 for t in arrivals if t > view.now_s - half)
-        previous = sum(1 for t in arrivals
-                       if view.now_s - window_s < t <= view.now_s - half)
+        middle = bisect_right(arrivals, view.now_s - half)
+        recent = len(arrivals) - middle
+        previous = middle - bisect_right(arrivals, view.now_s - window_s)
         rate = (recent + previous) / window_s
         slope = (recent - previous) / (half * half)
         lead = cold_start_s if lead_s is None else lead_s

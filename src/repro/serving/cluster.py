@@ -14,12 +14,16 @@ reports into one frozen :class:`ClusterReport`.
 How the fleet is simulated, stated explicitly:
 
 * **Route first, then replay.**  One seeded arrival trace is split across
-  replicas in a deterministic pre-pass: at each arrival the autoscaler is
-  consulted, then the router picks among the routable replicas (active, past
-  cold start, preferring ones whose KV budget fits the request).  Each
-  replica then replays its sub-trace through the full continuous-batching
-  event loop.  Replicas do not interact mid-flight — true for production
-  fleets too, where the router is the only coupling point.
+  replicas in a deterministic pre-pass: at each arrival an autoscaler that
+  scales is consulted (one without ``decide``, like ``fixed``, never is),
+  then the router picks among the routable replicas (active, past cold
+  start, not stalled, preferring ones whose KV budget fits the request).
+  That set changes only at a cold-start end, a stall edge, a rescale, a
+  crash or a restart, so the pre-pass keeps it from one such edge to the
+  next.  Each replica then replays its sub-trace through the full
+  continuous-batching event loop.  Replicas do not interact mid-flight —
+  true for production fleets too, where the router is the only coupling
+  point.
 * **Routing sees estimates, not oracle state.**  The front-end tracks each
   replica with a queueing estimate shaped like the engine itself: prefill
   occupies the replica serially (one prompt at a time, priced by the
@@ -60,6 +64,7 @@ from __future__ import annotations
 import dataclasses
 import heapq
 import itertools
+import math
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
@@ -324,6 +329,12 @@ class _ReplicaHandle:
             return False
         return any(start <= now < end for start, end in self.stall_windows)
 
+    def next_edge(self, now: float) -> float:
+        """The first cold-start end or stall edge after ``now``: the next
+        instant the replica's routability can change."""
+        edges = [self.ready_at, *(t for window in self.stall_windows for t in window)]
+        return min((t for t in edges if t > now), default=math.inf)
+
     def crash(self, now: float, *, up_at: float) -> list[Request]:
         """Fell the replica: stop billing, mark it down until ``up_at``.
 
@@ -448,14 +459,21 @@ class ClusterSimulator:
         fleet_size = len(handles)
         start_s = ordered[0].arrival_s
 
+        # A policy without ``decide`` never scales: no view is built and the
+        # whole fleet is provisioned, which is what ``fixed`` asks for.
+        decide = self.autoscaler.decide
         scaler_state: dict = {}
-        bootstrap = FleetView(now_s=start_s, fleet_size=fleet_size,
-                              min_replicas=self.min_replicas,
-                              active_count=self.min_replicas,
-                              ready_count=self.min_replicas,
-                              outstanding_requests=0, kv_pressure=0.0,
-                              utilisation=0.0)
-        initial = self._clamp(self.autoscaler.decide(bootstrap, scaler_state))
+        fleet_views = 0
+        initial = fleet_size
+        if decide is not None:
+            bootstrap = FleetView(now_s=start_s, fleet_size=fleet_size,
+                                  min_replicas=self.min_replicas,
+                                  active_count=self.min_replicas,
+                                  ready_count=self.min_replicas,
+                                  outstanding_requests=0, kv_pressure=0.0,
+                                  utilisation=0.0)
+            fleet_views += 1
+            initial = self._clamp(decide(bootstrap, scaler_state))
         for handle in handles[:initial]:
             # The initial fleet is provisioned before traffic: no cold start.
             handle.activate(start_s, 0.0)
@@ -492,29 +510,39 @@ class ClusterSimulator:
         disrupted: set[int] = set()
         shed = 0
         routed = 0
+        # The replicas dispatch picks from, kept until ``routable_until``:
+        # the next cold-start end or stall edge among the active replicas
+        # (dispatch times never decrease).  Rescales, crashes and restarts
+        # change the fleet and reset it.
+        routable: list[_ReplicaHandle] = []
+        routable_until = -math.inf
+        routable_rebuilds = 0
 
         def active_handles() -> list[_ReplicaHandle]:
             return [h for h in handles if h.active]
 
-        def survey(now: float) -> tuple[list[_ReplicaHandle], dict[int, ReplicaView]]:
-            """The active replicas, drained to ``now``, and their views."""
-            active = active_handles()
-            for handle in active:
-                handle.drain(now)
-            return active, {handle.index: handle.view() for handle in active}
-
-        def dispatch(request: Request, now: float, rerouted: bool = False,
-                     surveyed: tuple | None = None) -> None:
-            """Route one request, reusing ``surveyed`` if taken at ``now``."""
-            nonlocal routed, shed
-            active, views = surveyed or survey(now)
-            if active:
+        def dispatch(request: Request, now: float, rerouted: bool = False) -> None:
+            """Route one request at ``now``."""
+            nonlocal routed, shed, routable, routable_until, routable_rebuilds
+            if now >= routable_until:
+                active = active_handles()
                 warm = [h for h in active if h.ready_at <= now]
-                ready = [h for h in warm if not h.stalled(now)]
-                if not ready:  # every candidate is cold-starting or stalled:
-                    pool = warm or active  # wait on the least-soon-ready one
-                    ready = [min(pool, key=lambda h: (h.ready_at, h.index))]
-                candidates = tuple(views[h.index] for h in ready)
+                routable = [h for h in warm if not h.stalled(now)]
+                if not routable and active:
+                    # Every candidate is cold-starting or stalled: wait on
+                    # the least-soon-ready one.
+                    pool = warm or active
+                    routable = [min(pool, key=lambda h: (h.ready_at, h.index))]
+                routable_until = min((h.next_edge(now) for h in active),
+                                     default=math.inf)
+                routable_rebuilds += 1
+            if routable:
+                # Only the replicas whose views are read need draining: a
+                # drain pops every estimate finished by its time, so one
+                # left behind reaches the same state when next read.
+                for handle in routable:
+                    handle.drain(now)
+                candidates = tuple(h.view() for h in routable)
                 fitting = tuple(v for v in candidates if v.fits(request))
                 chosen = self.router.choose(
                     request, fitting or candidates,
@@ -553,12 +581,14 @@ class ClusterSimulator:
                            "replica": handle.index})
 
         def advance_faults(now: float) -> None:
+            nonlocal routable_until
             while pending and pending[0][0] <= now:
                 at, _, kind, payload = heapq.heappop(pending)
                 if kind == "restart":
                     handle = handles[payload]
                     if handle.down_until is not None:
                         handle.restart(at, self.autoscaler.cold_start_s)
+                        routable_until = -math.inf
                         timeline.append((at, len(active_handles())))
                         if tel is not None:
                             tel.event("faults", "restart", at,
@@ -572,6 +602,7 @@ class ClusterSimulator:
                     continue  # already down or scaled in: nothing to fell
                 handle.drain(at)
                 victims = handle.crash(at, up_at=at + event.duration_s)
+                routable_until = -math.inf
                 crash_times.append(at)
                 if tel is not None:
                     tel.event("faults", "crash", at,
@@ -588,12 +619,17 @@ class ClusterSimulator:
             now = request.arrival_s
             if pending:
                 advance_faults(now)
-            surveyed = survey(now)
-            active, views = surveyed
-            fleet_view = self._fleet_view(now, fleet_size, active, views)
-            target = self._clamp(self.autoscaler.decide(fleet_view, scaler_state))
+            if decide is None:
+                dispatch(request, now)
+                continue
+            active = active_handles()
+            for handle in active:
+                handle.drain(now)
+            fleet_views += 1
+            target = self._clamp(decide(self._fleet_view(now, fleet_size, active),
+                                        scaler_state))
             if target != len(active):
-                surveyed = None  # dispatch must see the rescaled fleet
+                routable_until = -math.inf  # dispatch must see the new fleet
                 before = len(active)
                 self._rescale(handles, active, target, now, tel=tel)
                 # A crashed replica cannot be re-activated by scale-out, so
@@ -605,7 +641,7 @@ class ClusterSimulator:
                         tel.event("autoscaler",
                                   "scale-up" if after > before else "scale-down",
                                   now, {"from": before, "to": after})
-            dispatch(request, now, surveyed=surveyed)
+            dispatch(request, now)
         while pending:  # restarts beyond the last arrival still end outages
             at, _, kind, payload = heapq.heappop(pending)
             if kind == "restart" and handles[payload].down_until is not None:
@@ -630,6 +666,8 @@ class ClusterSimulator:
             tel.count("cluster.routed", routed)
             tel.count("cluster.shed", shed)
             tel.count("cluster.crashes", len(crash_times))
+            tel.count("cluster.fleet_views", fleet_views)
+            tel.count("cluster.routable_rebuilds", routable_rebuilds)
 
         end_s = ordered[-1].arrival_s
         for report in reports:
@@ -650,11 +688,10 @@ class ClusterSimulator:
         return max(self.min_replicas, min(len(self.replicas), target))
 
     def _fleet_view(self, now: float, fleet_size: int,
-                    active: Sequence[_ReplicaHandle],
-                    views: dict[int, ReplicaView]) -> FleetView:
+                    active: Sequence[_ReplicaHandle]) -> FleetView:
         # Keep sum(): from Python 3.12 it rounds differently from a running
         # +=, and the report golden pins its rounding.
-        loads = [views[h.index] for h in active]
+        loads = [h.view() for h in active]
         outstanding = sum([view.outstanding_requests for view in loads])
         if active:
             utilisation = sum([min(1.0, view.outstanding_requests / view.max_batch)

@@ -171,3 +171,6 @@ class TestMainVerdicts:
                  for metric in gate.BENCH_METRICS["BENCH_cluster.json"]}
         assert kinds["realistic.wall_seconds"] == "wall"
         assert kinds["realistic.requests_per_wall_second"] == "throughput"
+        # The routing front end's work is gated exactly, not by wall time.
+        assert kinds["realistic.fleet_views"] == "count"
+        assert kinds["realistic.routable_rebuilds"] == "count"

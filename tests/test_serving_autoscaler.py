@@ -1,5 +1,7 @@
 """Tests for the autoscaling policies and the autoscaler registry."""
 
+import dataclasses
+
 import pytest
 
 from repro.serving.autoscaler import (
@@ -58,11 +60,59 @@ class TestFleetView:
         assert fleet_view(active=0, outstanding=5).queue_per_active == 0.0
 
 
+def run_fleet(autoscaler, requests=40, faults=()):
+    """A small 4-replica fleet run: chat requests at 20 req/s, round-robin."""
+    from repro.core.designs import tpuv4i_baseline
+    from repro.serving.cluster import ClusterSimulator
+    from repro.serving.simulator import ServingSimulator
+    from repro.serving.trace import generate_trace
+    from repro.workloads.chat import RequestClass
+    from repro.workloads.llm import LLMConfig
+
+    model = LLMConfig(name="scaler-test-llm", num_layers=2, num_heads=8,
+                      d_model=1024, d_ff=4096, vocab_size=32000)
+    trace = generate_trace(
+        "poisson", (RequestClass(input_tokens=64, output_tokens=8),),
+        20.0, requests, 5)
+    engines = [ServingSimulator(model, tpuv4i_baseline()) for _ in range(4)]
+    return ClusterSimulator(engines, autoscaler=autoscaler,
+                            faults=faults).run(trace)
+
+
 class TestFixed:
-    def test_always_full_fleet(self):
+    def test_makes_no_decision(self):
         policy = fixed_autoscaler()
-        assert policy.decide(fleet_view(fleet=8, active=2), {}) == 8
+        assert policy.decide is None
         assert policy.cold_start_s == 0.0
+
+    def test_fleet_run_builds_no_fleet_view(self, monkeypatch):
+        from repro.serving import cluster
+
+        def no_view(*args, **kwargs):
+            raise AssertionError("a fleet that never scales built a FleetView")
+
+        monkeypatch.setattr(cluster, "FleetView", no_view)
+        monkeypatch.setattr(cluster.ClusterSimulator, "_fleet_view", no_view)
+        report = run_fleet("fixed")
+        first_arrival = report.replica_timeline[0][0]
+        assert report.replica_timeline == ((first_arrival, 4),)
+        assert report.mean_active_replicas == 4.0
+        for replica in report.replicas:
+            assert replica.requests_routed == 10
+            assert replica.active_s == report.makespan_s
+
+    def test_any_policy_without_decide_matches_fixed(self):
+        from repro.serving.faults import FaultSpec
+
+        static = AutoscalerPolicy(name="static", description="never scales",
+                                  decide=None, cold_start_s=0.0)
+        crash = (FaultSpec("replica-crash", at_s=0.5, duration_s=0.5,
+                           replica=1),)
+        fixed = run_fleet("fixed", faults=crash)
+        report = run_fleet(static, faults=crash)
+        assert fixed.resilience.crash_count == 1
+        assert report.autoscaler == "static"
+        assert dataclasses.replace(report, autoscaler="fixed") == fixed
 
 
 class TestQueueDepth:
@@ -131,13 +181,6 @@ class TestUtilisationTarget:
 class TestCustomPolicy:
     def test_custom_autoscaler_round_trip(self):
         """A user-registered policy drives a cluster without touching core."""
-        from repro.core.designs import tpuv4i_baseline
-        from repro.serving.cluster import ClusterSimulator
-        from repro.serving.simulator import ServingSimulator
-        from repro.serving.trace import generate_trace
-        from repro.workloads.chat import RequestClass
-        from repro.workloads.llm import LLMConfig
-
         policy = AutoscalerPolicy(
             name="test-half-fleet",
             description="always run exactly half the configured fleet",
@@ -145,15 +188,7 @@ class TestCustomPolicy:
             cold_start_s=0.0)
         register_autoscaler(policy)
         try:
-            model = LLMConfig(name="scaler-test-llm", num_layers=2, num_heads=8,
-                              d_model=1024, d_ff=4096, vocab_size=32000)
-            trace = generate_trace(
-                "poisson", (RequestClass(input_tokens=64, output_tokens=8),),
-                20.0, 30, 5)
-            replicas = [ServingSimulator(model, tpuv4i_baseline())
-                        for _ in range(4)]
-            report = ClusterSimulator(replicas,
-                                      autoscaler="test-half-fleet").run(trace)
+            report = run_fleet("test-half-fleet", requests=30)
             assert report.autoscaler == "test-half-fleet"
             assert report.peak_active_replicas == 2
             assert report.replicas[2].requests_routed == 0

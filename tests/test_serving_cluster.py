@@ -6,6 +6,7 @@ import pytest
 
 from repro.common import Precision
 from repro.core.designs import design_a, design_b, tpuv4i_baseline
+from repro.obs.telemetry import Telemetry
 from repro.serving.autoscaler import AutoscalerPolicy
 from repro.serving.cluster import (
     ClusterSimulator,
@@ -14,6 +15,7 @@ from repro.serving.cluster import (
     _ReplicaHandle,
     simulate_cluster,
 )
+from repro.serving.faults import FaultSpec
 from repro.serving.metrics import SLO
 from repro.serving.simulator import ServingSimulator
 from repro.serving.spec import ServingSpec
@@ -311,6 +313,38 @@ class TestReplicaViews:
         assert handle.view() is busy
         handle.drain(float("inf"))
         assert handle.view() == idle
+
+
+class TestRoutableEdges:
+    """An arrival landing exactly on a routability edge sees the new set."""
+
+    def test_stall_window_edges(self):
+        # Replica 0 stalls over [1.0, 3.0): the arrival at 1.0 must avoid it
+        # and the arrival at 3.0 must see it routable again.
+        requests = tuple(Request(request_id=i, arrival_s=at, input_tokens=64,
+                                 output_tokens=out)
+                         for i, (at, out) in enumerate(
+                             [(0.0, 2), (0.0, 4000), (1.0, 2), (3.0, 2)]))
+        tel = Telemetry()
+        make_cluster(replicas=2, router="least-outstanding-requests",
+                     faults=(FaultSpec("admission-stall", at_s=1.0,
+                                       duration_s=2.0, replica=0),),
+                     ).run(requests, telemetry=tel)
+        routes = [event.args["replica"] for event in tel.events
+                  if event.track == "router" and event.name == "route"]
+        assert routes == [0, 1, 1, 0]
+
+    def test_cold_start_end_edge(self):
+        # Replica 1 is activated at 0.5 and routable from exactly 1.5.
+        step_up = AutoscalerPolicy(
+            name="step-up-cold", description="one replica, then the fleet",
+            decide=lambda view, state: 1 if view.now_s < 0.5 else view.fleet_size,
+            cold_start_s=1.0)
+        requests = tuple(Request(request_id=i, arrival_s=0.5 * i,
+                                 input_tokens=64, output_tokens=8)
+                         for i in range(5))
+        report = make_cluster(replicas=2, autoscaler=step_up).run(requests)
+        assert [r.requests_routed for r in report.replicas] == [4, 1]
 
 
 class TestSimulateCluster:

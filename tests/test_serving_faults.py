@@ -299,6 +299,31 @@ class TestForecastingAutoscaler:
             target = policy.decide(view(float(i), 3, min_replicas=3), state)
             assert target >= 3
 
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(deltas=st.lists(st.sampled_from([0.0, 0.05, 0.25, 0.5, 1.0, 3.7]),
+                           min_size=1, max_size=60),
+           window_s=st.sampled_from([0.5, 1.0, 2.0, 10.0]),
+           lead_s=st.sampled_from([None, 0.0, 2.5]))
+    def test_windowed_counts_match_a_recount(self, deltas, window_s, lead_s):
+        # One active replica at the floor: decide returns the forecast
+        # target itself, which a recount over every arrival so far fixes.
+        policy = forecasting_autoscaler(window_s=window_s,
+                                        requests_per_replica_s=1.5,
+                                        lead_s=lead_s, cold_start_s=4.0)
+        lead = 4.0 if lead_s is None else lead_s
+        state, now, history = {}, 0.0, []
+        for delta in deltas:
+            now += delta
+            history.append(now)
+            half = window_s / 2.0
+            recent = sum(1 for t in history if t > now - half)
+            previous = sum(1 for t in history
+                           if now - window_s < t <= now - half)
+            rate = (recent + previous) / window_s
+            slope = (recent - previous) / (half * half)
+            expected = max(1, math.ceil(max(0.0, rate + slope * lead) / 1.5))
+            assert policy.decide(view(now, 1), state) == expected
+
 
 # ------------------------------------------------------------- cluster chaos
 @pytest.fixture(scope="module")
