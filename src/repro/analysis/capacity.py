@@ -158,10 +158,6 @@ class FleetEvaluation:
     mean_active_replicas: float
     cost_per_million_tokens_dollars: float
 
-    def to_dict(self) -> dict[str, object]:
-        """Plain-dict form used by the JSON/CSV exporters."""
-        return dataclasses.asdict(self)
-
 
 @dataclass(frozen=True)
 class FleetPlan:

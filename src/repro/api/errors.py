@@ -6,17 +6,14 @@ same frozen :class:`ApiError`: a machine-readable ``code``, a
 human-readable ``message`` (reusing the engines' own wording, so
 ``parse_constraint``-style explanations survive the trip), and the
 ``field`` path that caused it when one exists.  The CLI prints the
-rendered form; the gateway returns the dict form as JSON with an
-appropriate 4xx status; library users catch :class:`ApiRequestError` and
-read ``.error``.
+rendered form; the gateway returns its :func:`repro.codec.encode` form as
+JSON with an appropriate 4xx status; library users catch
+:class:`ApiRequestError` and read ``.error``.
 """
 
 from __future__ import annotations
 
-import dataclasses
-from collections.abc import Mapping
 from dataclasses import dataclass
-from typing import Any
 
 #: The closed set of error codes the facade and gateway emit.  Codes are
 #: contract, not prose: clients branch on them, so adding one is an API
@@ -59,16 +56,6 @@ class ApiError:
         """The CLI's one-line rendering of the error."""
         suffix = f" (field: {self.field})" if self.field else ""
         return f"{self.code}: {self.message}{suffix}"
-
-    def to_dict(self) -> dict[str, Any]:
-        """Plain-dict form returned as JSON by the gateway."""
-        return dataclasses.asdict(self)
-
-    @classmethod
-    def from_dict(cls, payload: Mapping[str, Any]) -> "ApiError":
-        """Rebuild an error from its ``to_dict`` payload."""
-        return cls(code=str(payload["code"]), message=str(payload["message"]),
-                   field=payload.get("field"))
 
 
 class ApiRequestError(Exception):

@@ -39,8 +39,10 @@ from repro.api.responses import (
     SimulateResponse,
     SweepResponse,
 )
+from repro.codec import encode
 from repro.common import Precision
 from repro.sweep.fingerprint import fingerprint
+from repro.sweep.store import StoreView
 
 if TYPE_CHECKING:  # pragma: no cover - type-only imports
     from repro.obs.telemetry import Telemetry
@@ -63,14 +65,14 @@ def _engine_error(error: Exception) -> ApiRequestError:
                                     message=str(error).strip('"')))
 
 
-def _store_counts(store: "ResultStore | None", before: tuple[int, int]):
-    if store is None:
-        return 0, 0
-    return store.stats.hits - before[0], store.stats.misses - before[1]
+def _view(store: "ResultStore | None") -> StoreView | None:
+    """This call's own view of a shared store (exact under concurrency)."""
+    return StoreView(store) if store is not None else None
 
 
-def _snapshot(store: "ResultStore | None") -> tuple[int, int]:
-    return (store.stats.hits, store.stats.misses) if store is not None else (0, 0)
+def _counts(view: StoreView | None) -> tuple[int, int]:
+    """(store hits, store misses) of one call."""
+    return (view.stats.hits, view.stats.misses) if view is not None else (0, 0)
 
 
 # ------------------------------------------------------------------ simulate
@@ -83,48 +85,29 @@ def simulate(request: SimulateRequest, *, store: "ResultStore | None" = None,
     cluster store's row-free convention.  Either way a warm repeat is
     byte-identical to the cold run.
     """
-    from repro.serving.cluster import (
-        STORE_KIND as CLUSTER_STORE_KIND,
-        cluster_run_key,
-        simulate_cluster,
-    )
-    from repro.serving.simulator import (
-        SERVING_STORE_KIND,
-        serving_run_key,
-        simulate_serving,
-    )
+    from repro.serving.cluster import simulate_cluster
+    from repro.serving.simulator import simulate_serving
 
     model, config, settings = request.resolve()
     spec = request.spec()
     fleet_run = spec.replicas > 1 or bool(spec.faults)
-    served = False
-    if store is not None:
-        # Membership, not stats deltas: exact even when concurrent gateway
-        # jobs share this store object.
-        if fleet_run:
-            key = (CLUSTER_STORE_KIND,
-                   cluster_run_key(model, config, spec, settings))
-        else:
-            key = (SERVING_STORE_KIND,
-                   serving_run_key(model, config, spec, settings))
-        served = key in store
+    view = _view(store)
     try:
         if fleet_run:
             report = simulate_cluster(model, config, spec, settings,
-                                      store=store, telemetry=telemetry)
+                                      store=view, telemetry=telemetry)
             payload = report.to_dict(include_requests=False)
         else:
             report = simulate_serving(model, config, spec, settings,
-                                      store=store, telemetry=telemetry)
+                                      store=view, telemetry=telemetry)
             payload = report.to_dict()
     except (ValueError, OSError) as error:
         raise _engine_error(error) from None
+    hits, misses = _counts(view)
     return SimulateResponse(
-        fingerprint=request_fingerprint(request), served_from_store=served,
-        new_simulations=0 if served else 1,
-        store_hits=1 if served else 0,
-        store_misses=0 if served or store is None else 1,
-        fleet=fleet_run, report=payload)
+        fingerprint=request_fingerprint(request), served_from_store=hits > 0,
+        new_simulations=0 if hits else 1, store_hits=hits,
+        store_misses=misses, fleet=fleet_run, report=payload)
 
 
 # --------------------------------------------------------------------- fleet
@@ -135,7 +118,7 @@ def fleet(request: FleetRequest, *, store: "ResultStore | None" = None,
     from repro.serving.trace import request_classes_from_settings
 
     model, config, settings = request.resolve()
-    before = _snapshot(store)
+    view = _view(store)
     try:
         plan = plan_fleet(
             model, config, arrival_rate=request.rate,
@@ -149,22 +132,17 @@ def fleet(request: FleetRequest, *, store: "ResultStore | None" = None,
             precision=Precision(request.precision),
             faults=_parse_faults(request.faults),
             overlay=_parse_overlay(request.overlay),
-            fidelity=request.fidelity, store=store, settings=settings,
+            fidelity=request.fidelity, store=view, settings=settings,
             telemetry=telemetry)
     except (ValueError, OSError) as error:
         raise _engine_error(error) from None
-    hits, misses = _store_counts(store, before)
-    simulated = misses if store is not None else len(plan.evaluations)
-    payload = {"model": plan.model_name, "tpu": plan.tpu_name,
-               "arrival_rate": plan.arrival_rate,
-               "attainment_target": plan.attainment_target,
-               "met": plan.met, "replicas": plan.replicas,
-               "evaluations": [e.to_dict() for e in plan.evaluations]}
+    hits, misses = _counts(view)
+    simulated = misses if view is not None else len(plan.evaluations)
     return FleetResponse(
         fingerprint=request_fingerprint(request),
         served_from_store=simulated == 0 and hits > 0,
         new_simulations=simulated, store_hits=hits, store_misses=misses,
-        plan=payload)
+        plan=FleetResponse.plan_payload(plan))
 
 
 # --------------------------------------------------------------------- sweep
@@ -185,14 +163,8 @@ def sweep(request: SweepRequest, *, store: "ResultStore | None" = None,
         served_from_store=stats.store_hits > 0 and stats.store_misses == 0,
         new_simulations=stats.simulations,
         store_hits=stats.store_hits, store_misses=stats.store_misses,
-        rows=tuple(row.to_dict() for row in rows),
-        stats={"simulations": stats.simulations,
-               "point_hits": stats.point_hits,
-               "point_misses": stats.point_misses,
-               "graph_hits": stats.graph_hits,
-               "graph_misses": stats.graph_misses,
-               "store_hits": stats.store_hits,
-               "store_misses": stats.store_misses})
+        rows=tuple(encode(row) for row in rows),
+        stats={"simulations": stats.simulations, **encode(stats)})
 
 
 # ------------------------------------------------------------------ optimize
@@ -202,7 +174,7 @@ def optimize(request: OptimizeRequest, *, store: "ResultStore | None" = None,
     from repro.optimize import CodesignOptimizer
 
     model = request.resolve_model()
-    before = _snapshot(store)
+    view = _view(store)
     try:
         optimizer = CodesignOptimizer(
             model, request.space(), objectives=request.objective_list(),
@@ -211,14 +183,14 @@ def optimize(request: OptimizeRequest, *, store: "ResultStore | None" = None,
             scenario=request.scenario, input_tokens=request.input_tokens,
             output_tokens=request.output_tokens, trace=request.trace,
             slo=_slo(request.slo_ttft, request.slo_tpot), seed=request.seed,
-            budget=request.budget, store=store,
+            budget=request.budget, store=view,
             use_capacity_bound=request.capacity_bound,
             faults=_parse_faults(request.faults),
             overlay=_parse_overlay(request.overlay), telemetry=telemetry)
         frontier = optimizer.run()
     except (KeyError, ValueError, OSError) as error:
         raise _engine_error(error) from None
-    _, misses = _store_counts(store, before)
+    _, misses = _counts(view)
     simulated = frontier.short_runs + frontier.full_runs
     return OptimizeResponse(
         fingerprint=request_fingerprint(request),

@@ -17,7 +17,8 @@ The contract, stated explicitly:
   naming the field.  Silence never reinterprets a typo as a default.
 * **Exact JSON round-trip.**  ``to_dict`` emits only JSON primitives
   (tuples as lists) and ``from_dict(to_dict(r))`` reconstructs ``r``
-  exactly; floats survive by JSON's ``repr`` round-trip.
+  exactly; floats survive by JSON's ``repr`` round-trip.  Responses share
+  both (:func:`envelope_payload`, :func:`decode_envelope`).
 * **Validation at construction.**  ``__post_init__`` validates every
   field against the live registries (schedulers, routers, autoscalers,
   traces, objectives, search strategies, designs, models, scenarios) and
@@ -148,14 +149,32 @@ def _slo(ttft: float, tpot: float) -> SLO:
         raise invalid_field("slo_ttft", str(error)) from None
 
 
-# ----------------------------------------------------------- strict decoding
-def _decode_request(cls, payload: Mapping[str, Any]):
-    """Strictly decode a payload into a request dataclass."""
+# ------------------------------------------------------------ envelope codec
+def envelope_payload(envelope) -> dict[str, Any]:
+    """A request or response as JSON: kind, schema version, then fields.
+
+    Shallow: a response's report, frontier and rows are codec payloads
+    already, so only tuples become lists.
+    """
+    payload: dict[str, Any] = {"kind": envelope.kind,
+                               "schema_version": SCHEMA_VERSION}
+    for f in dataclasses.fields(envelope):
+        value = getattr(envelope, f.name)
+        payload[f.name] = list(value) if isinstance(value, tuple) else value
+    return payload
+
+
+def _check_object(payload: object, family: str) -> None:
     if not isinstance(payload, Mapping):
         raise ApiRequestError(ApiError(
             code="invalid-json",
-            message=f"request body must be a JSON object, "
+            message=f"{family} body must be a JSON object, "
                     f"got {type(payload).__name__}"))
+
+
+def decode_envelope(cls, payload: Mapping[str, Any]):
+    """Strictly decode ``payload`` into request or response class ``cls``."""
+    _check_object(payload, cls.family)
     data = dict(payload)
     kind = data.pop("kind", cls.kind)
     if kind != cls.kind:
@@ -188,24 +207,28 @@ def _decode_request(cls, payload: Mapping[str, Any]):
     return cls(**data)
 
 
+def decode_by_kind(payload: Mapping[str, Any], types: Mapping[str, type],
+                   family: str):
+    """Strictly decode a request or response payload by its ``kind``."""
+    _check_object(payload, family)
+    kind = payload.get("kind")
+    if kind not in types:
+        known = ", ".join(sorted(types))
+        raise ApiRequestError(ApiError(
+            code="invalid-kind",
+            message=f"unknown {family} kind {kind!r}; choose one of: {known}",
+            field="kind"))
+    return decode_envelope(types[kind], payload)
+
+
 class _Request:
     """Shared encode/decode surface of every request kind."""
 
     kind: ClassVar[str] = ""
+    family: ClassVar[str] = "request"
 
-    def to_dict(self) -> dict[str, Any]:
-        """JSON-primitive payload; ``from_dict`` round-trips it exactly."""
-        payload: dict[str, Any] = {"kind": self.kind,
-                                   "schema_version": SCHEMA_VERSION}
-        for f in dataclasses.fields(self):
-            value = getattr(self, f.name)
-            payload[f.name] = list(value) if isinstance(value, tuple) else value
-        return payload
-
-    @classmethod
-    def from_dict(cls, payload: Mapping[str, Any]):
-        """Strictly decode ``payload`` (see the module contract)."""
-        return _decode_request(cls, payload)
+    to_dict = envelope_payload
+    from_dict = classmethod(decode_envelope)
 
     def _freeze(self, *names: str) -> None:
         """Coerce list-valued fields to tuples (frozen + JSON-friendly)."""
@@ -596,16 +619,4 @@ REQUEST_TYPES: dict[str, type] = {
 
 def request_from_dict(payload: Mapping[str, Any]):
     """Decode any request payload by its ``kind`` field."""
-    if not isinstance(payload, Mapping):
-        raise ApiRequestError(ApiError(
-            code="invalid-json",
-            message=f"request body must be a JSON object, "
-                    f"got {type(payload).__name__}"))
-    kind = payload.get("kind")
-    if kind not in REQUEST_TYPES:
-        known = ", ".join(sorted(REQUEST_TYPES))
-        raise ApiRequestError(ApiError(
-            code="invalid-kind",
-            message=f"unknown request kind {kind!r}; choose one of: {known}",
-            field="kind"))
-    return REQUEST_TYPES[kind].from_dict(payload)
+    return decode_by_kind(payload, REQUEST_TYPES, "request")

@@ -13,12 +13,15 @@ same provenance header:
     ``new_simulations == 0`` and a positive ``store_hits``, which is the
     property the gateway tests and the CI smoke gate assert.
 
-Result payloads are carried as plain JSON dicts (the engines' own
-``to_dict`` forms), so an envelope serialises exactly over HTTP and the
-``*_object`` helpers decode them back into the engines' report
-dataclasses for rich consumers like the CLI printers.  ``to_dict`` /
-``from_dict`` round-trip byte-exactly: a response decoded from the wire
-re-encodes to the same JSON.
+Result payloads are carried as the :func:`repro.codec.encode` forms the
+store persists (reports, sweep rows, frontiers, fleet plans), so an
+envelope serialises exactly over HTTP, and the ``*_object`` helpers
+decode them back into the engines' dataclasses for rich consumers like
+the CLI printers.  Envelopes share the requests' codec
+(:func:`~repro.api.requests.envelope_payload` and the strict
+:func:`~repro.api.requests.decode_envelope`): ``to_dict`` / ``from_dict``
+round-trip byte-exactly, so a response decoded from the wire re-encodes
+to the same JSON.
 """
 
 from __future__ import annotations
@@ -28,38 +31,13 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 from typing import Any, ClassVar
 
-from repro.api.errors import ApiError, ApiRequestError
-from repro.api.requests import SCHEMA_VERSION
+from repro.api.requests import decode_by_kind, decode_envelope, envelope_payload
+from repro.codec import decode, encode
 
-
-def _decode_response(cls, payload: Mapping[str, Any]):
-    if not isinstance(payload, Mapping):
-        raise ApiRequestError(ApiError(
-            code="invalid-json",
-            message=f"response body must be a JSON object, "
-                    f"got {type(payload).__name__}"))
-    data = dict(payload)
-    kind = data.pop("kind", cls.kind)
-    if kind != cls.kind:
-        raise ApiRequestError(ApiError(
-            code="invalid-kind",
-            message=f"payload kind '{kind}' does not match "
-                    f"'{cls.kind}'", field="kind"))
-    version = data.pop("schema_version", SCHEMA_VERSION)
-    if version != SCHEMA_VERSION:
-        raise ApiRequestError(ApiError(
-            code="unsupported-schema-version",
-            message=f"schema_version {version!r} is not supported "
-                    f"(this build speaks {SCHEMA_VERSION})",
-            field="schema_version"))
-    names = {f.name for f in dataclasses.fields(cls)}
-    unknown = [key for key in data if key not in names]
-    if unknown:
-        raise ApiRequestError(ApiError(
-            code="unknown-field",
-            message=f"unknown field '{unknown[0]}' for kind '{cls.kind}'",
-            field=str(unknown[0])))
-    return cls(**data)
+#: :class:`~repro.analysis.capacity.FleetPlan` fields that travel under
+#: other keys (the ``repro-sim fleet --json`` shape).
+_PLAN_WIRE_KEYS = {"model_name": "model", "tpu_name": "tpu"}
+_PLAN_FIELDS = {wire: name for name, wire in _PLAN_WIRE_KEYS.items()}
 
 
 @dataclass(frozen=True)
@@ -67,6 +45,7 @@ class _Response:
     """Provenance header every response kind shares."""
 
     kind: ClassVar[str] = ""
+    family: ClassVar[str] = "response"
 
     fingerprint: str
     served_from_store: bool
@@ -74,20 +53,11 @@ class _Response:
     store_hits: int
     store_misses: int
 
-    def to_dict(self) -> dict[str, Any]:
-        """JSON-primitive payload; ``from_dict`` round-trips it exactly."""
-        payload: dict[str, Any] = {"kind": self.kind,
-                                   "schema_version": SCHEMA_VERSION}
-        for f in dataclasses.fields(self):
-            value = getattr(self, f.name)
-            payload[f.name] = list(value) if isinstance(value, tuple) else value
-        return payload
+    from_dict = classmethod(decode_envelope)
 
-    @classmethod
-    def from_dict(cls, payload: Mapping[str, Any]):
-        """Strictly decode an envelope of this kind."""
-        decoded = _decode_response(cls, payload)
-        return decoded
+    def to_dict(self) -> dict[str, Any]:
+        """:func:`~repro.api.requests.envelope_payload` of the response."""
+        return envelope_payload(self)
 
 
 @dataclass(frozen=True)
@@ -110,8 +80,8 @@ class SimulateResponse(_Response):
         from repro.serving.cluster import cluster_report_from_dict
         from repro.serving.simulator import serving_report_from_dict
 
-        decode = cluster_report_from_dict if self.fleet else serving_report_from_dict
-        return decode(dict(self.report))
+        from_dict = cluster_report_from_dict if self.fleet else serving_report_from_dict
+        return from_dict(self.report)
 
 
 @dataclass(frozen=True)
@@ -122,19 +92,18 @@ class FleetResponse(_Response):
 
     plan: Mapping[str, Any] = dataclasses.field(default_factory=dict)
 
+    @staticmethod
+    def plan_payload(plan) -> dict[str, Any]:
+        """A :class:`~repro.analysis.capacity.FleetPlan` in its wire shape."""
+        return {_PLAN_WIRE_KEYS.get(key, key): value
+                for key, value in encode(plan).items()}
+
     def plan_object(self):
         """The decoded :class:`~repro.analysis.capacity.FleetPlan`."""
-        from repro.analysis.capacity import FleetEvaluation, FleetPlan
-        from repro.sweep.store import decode_dataclass
+        from repro.analysis.capacity import FleetPlan
 
-        data = dict(self.plan)
-        evaluations = tuple(decode_dataclass(FleetEvaluation, dict(row))
-                            for row in data.get("evaluations", ()))
-        return FleetPlan(model_name=data["model"], tpu_name=data["tpu"],
-                         arrival_rate=data["arrival_rate"],
-                         attainment_target=data["attainment_target"],
-                         met=data["met"], replicas=data["replicas"],
-                         evaluations=evaluations)
+        return decode(FleetPlan, {_PLAN_FIELDS.get(key, key): value
+                                  for key, value in self.plan.items()})
 
 
 @dataclass(frozen=True)
@@ -156,7 +125,7 @@ class SweepResponse(_Response):
         """The decoded :class:`~repro.sweep.engine.SweepResult` rows."""
         from repro.sweep.engine import SweepResult
 
-        return [SweepResult.from_dict(dict(row)) for row in self.rows]
+        return [decode(SweepResult, row) for row in self.rows]
 
 
 @dataclass(frozen=True)
@@ -192,16 +161,4 @@ RESPONSE_TYPES: dict[str, type] = {
 
 def response_from_dict(payload: Mapping[str, Any]):
     """Decode any response payload by its ``kind`` field."""
-    if not isinstance(payload, Mapping):
-        raise ApiRequestError(ApiError(
-            code="invalid-json",
-            message=f"response body must be a JSON object, "
-                    f"got {type(payload).__name__}"))
-    kind = payload.get("kind")
-    if kind not in RESPONSE_TYPES:
-        known = ", ".join(sorted(RESPONSE_TYPES))
-        raise ApiRequestError(ApiError(
-            code="invalid-kind",
-            message=f"unknown response kind {kind!r}; "
-                    f"choose one of: {known}", field="kind"))
-    return RESPONSE_TYPES[kind].from_dict(payload)
+    return decode_by_kind(payload, RESPONSE_TYPES, "response")

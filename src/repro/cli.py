@@ -114,6 +114,7 @@ from repro.obs import (
 )
 from repro.analysis.capacity import dit_footprint, llm_footprint, plan_capacity
 from repro.analysis.report import format_table
+from repro.codec import encode
 from repro.common import Precision
 from repro.core.designs import PREDEFINED_DESIGNS, tpuv4i_baseline
 from repro.core.explorer import ArchitectureExplorer
@@ -898,7 +899,7 @@ def cmd_lint(args: argparse.Namespace) -> int:
     for finding in findings:
         print(finding.render())
     if args.json:
-        payload = {"findings": [finding.to_dict() for finding in findings],
+        payload = {"findings": [encode(finding) for finding in findings],
                    "count": len(findings)}
         pathlib.Path(args.json).write_text(json.dumps(payload, indent=2) + "\n",
                                            encoding="utf-8")

@@ -33,6 +33,7 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from repro.api.errors import ApiError, ApiRequestError
+from repro.codec import encode
 
 #: States a job moves through; ``TERMINAL`` ones never change again.
 JOB_STATES = ("queued", "running", "done", "failed", "cancelled")
@@ -78,7 +79,7 @@ class Job:
         if self.telemetry is not None:
             payload["telemetry"] = dict(self.telemetry)
         if self.error is not None:
-            payload["error"] = self.error.to_dict()
+            payload["error"] = encode(self.error)
         return payload
 
 

@@ -39,6 +39,7 @@ from typing import Any
 
 from repro.api import REQUEST_TYPES, request_from_dict
 from repro.api.errors import ApiError, ApiRequestError
+from repro.codec import encode
 from repro.gateway.jobs import JobManager
 
 logger = logging.getLogger("repro.gateway")
@@ -46,6 +47,8 @@ logger = logging.getLogger("repro.gateway")
 #: Largest request body the gateway will read (sweeps are lists of short
 #: strings; anything bigger than this is a mistake, not a workload).
 MAX_BODY_BYTES = 1 << 20
+#: Read size when discarding an oversized body.
+_DRAIN_CHUNK = 1 << 16
 
 #: HTTP status per error code; codes not listed here are client errors (400).
 _ERROR_STATUS = {
@@ -84,11 +87,28 @@ def _make_handler(manager: JobManager) -> type[BaseHTTPRequestHandler]:
             self.wfile.write(body)
 
         def _send_error(self, error: ApiError) -> None:
-            self._send_json(error_status(error), {"error": error.to_dict()})
+            self._send_json(error_status(error), {"error": encode(error)})
 
         def _read_request(self):
-            length = int(self.headers.get("Content-Length") or 0)
+            header = self.headers.get("Content-Length", "0")
+            if not (header.isascii() and header.isdigit()):
+                # The body's end is unknown: nothing after it can be read.
+                self.close_connection = True
+                raise ApiRequestError(ApiError(
+                    code="invalid-json",
+                    message=f"invalid Content-Length {header!r}"))
+            length = int(header)
             if length > MAX_BODY_BYTES:
+                # Read (a bounded part of) the body before answering, so the
+                # client's send cannot fail on a closed socket before it
+                # reads the 400; the connection closes after the reply.
+                self.close_connection = True
+                remaining = min(length, 2 * MAX_BODY_BYTES)
+                while remaining > 0:
+                    chunk = self.rfile.read(min(remaining, _DRAIN_CHUNK))
+                    if not chunk:
+                        break
+                    remaining -= len(chunk)
                 raise ApiRequestError(ApiError(
                     code="invalid-json",
                     message=f"request body exceeds {MAX_BODY_BYTES} bytes"))

@@ -27,7 +27,6 @@ import tokenize
 from collections.abc import Callable, Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any
 
 #: The engine's own rule id: unparsable files and pragmas that suppress
 #: nothing.  RPR000 findings cannot themselves be suppressed.
@@ -54,11 +53,6 @@ class Finding:
         if self.hint:
             text += f" [hint: {self.hint}]"
         return text
-
-    def to_dict(self) -> dict[str, Any]:
-        """Plain-dict form for the ``--json`` findings artifact."""
-        return {"rule": self.rule, "path": self.path, "line": self.line,
-                "col": self.col, "message": self.message, "hint": self.hint}
 
 
 @dataclass(frozen=True)

@@ -8,9 +8,9 @@ every ``ApiError(...)`` construction site whose code is a string literal
 against it; it also checks that the gateway's code→status map only maps
 codes the contract declares.
 
-Constructions with a non-literal code (``ApiError.from_dict`` re-hydrating
-a wire payload) are left to the runtime ``__post_init__`` check, which
-enforces the same table.
+Constructions with a non-literal code (``decode(ApiError, payload)``
+re-hydrating a wire payload) are left to the runtime ``__post_init__``
+check, which enforces the same table.
 """
 
 from __future__ import annotations

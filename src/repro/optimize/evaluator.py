@@ -44,6 +44,7 @@ from repro.serving.cluster import cluster_run_key, simulate_cluster
 from repro.serving.faults import FaultSpec
 from repro.serving.metrics import SLO
 from repro.serving.trace import OverlaySpec, request_classes_from_settings
+from repro.sweep.store import StoreView
 from repro.workloads.llm import LLMConfig
 from repro.workloads.registry import get_scenario
 from repro.workloads.scenario import ScenarioKnobs
@@ -102,10 +103,6 @@ class CandidateResult:
                          autoscaler=self.autoscaler, replicas=self.replicas,
                          max_batch=self.max_batch)
 
-    def to_dict(self) -> dict[str, object]:
-        """Plain-dict form used by the JSON/CSV exporters."""
-        return dataclasses.asdict(self)
-
 
 class CandidateEvaluator:
     """Prices candidates for the search strategies, counting every run."""
@@ -115,7 +112,7 @@ class CandidateEvaluator:
                  input_tokens: int = 1024, output_tokens: int = 512,
                  trace: str = "poisson", slo: SLO = SLO(), seed: int = 0,
                  designs: Mapping[str, TPUConfig] | None = None,
-                 store: "ResultStore | None" = None,
+                 store: "ResultStore | StoreView | None" = None,
                  faults: tuple[FaultSpec, ...] = (),
                  overlay: OverlaySpec | None = None,
                  telemetry: "Telemetry | None" = None) -> None:
@@ -237,10 +234,10 @@ class CandidateEvaluator:
         if fluid:
             spec = dataclasses.replace(spec, fidelity="fluid")
         key = cluster_run_key(self.model, config, spec, settings)
-        misses_before = self.store.stats.misses if self.store is not None else None
+        store = StoreView(self.store) if self.store is not None else None
         try:
             report = simulate_cluster(self.model, config, spec, settings,
-                                      store=self.store)
+                                      store=store)
         except ValueError as error:
             if tel is not None:
                 tel.span("optimize", f"evaluate:{fidelity}", started,
@@ -248,8 +245,7 @@ class CandidateEvaluator:
                                           "feasible": False})
             return self.infeasible(candidate, str(error), fidelity=fidelity,
                                    num_requests=n, cache_key=key)
-        store_hit = (misses_before is not None
-                     and self.store.stats.misses == misses_before)
+        store_hit = store is not None and store.stats.hits > 0
         if store_hit:
             self.store_served += 1
         elif fidelity == "full":

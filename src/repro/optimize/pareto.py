@@ -22,6 +22,7 @@ import dataclasses
 from collections.abc import Sequence
 from dataclasses import dataclass
 
+from repro.codec import decode, encode
 from repro.optimize.evaluator import CandidateResult
 from repro.optimize.objectives import Objective
 
@@ -86,10 +87,8 @@ class ParetoPoint:
     dominated_count: int
 
     def to_dict(self) -> dict[str, object]:
-        """Flat export row: the result's fields plus the frontier columns."""
-        payload = self.result.to_dict()
-        payload["dominated_count"] = self.dominated_count
-        return payload
+        """Flat wire and CSV row: the result's fields plus ``dominated_count``."""
+        return encode(self.result, dominated_count=self.dominated_count)
 
 
 @dataclass(frozen=True)
@@ -138,55 +137,30 @@ class ParetoFrontier:
         return list(self.points)
 
     def to_dict(self) -> dict[str, object]:
-        """Plain-dict form for JSON export."""
-        payload = dataclasses.asdict(self)
-        payload["points"] = [point.to_dict() for point in self.points]
-        payload["extremes"] = [list(entry) for entry in self.extremes]
-        return payload
+        """The codec payload, points in their flat export shape."""
+        return encode(self, points=[point.to_dict() for point in self.points])
 
 
 def frontier_from_dict(payload: dict) -> ParetoFrontier:
     """Rebuild a :class:`ParetoFrontier` from its ``to_dict`` payload.
 
-    The flat point rows carry every :class:`CandidateResult` field plus
-    ``dominated_count``; the raw ``values`` tuples are not exported, so
-    they are recomputed from the decoded results via the named objectives
-    — the same ``Objective.value`` calls that produced them, hence exact.
-
-    Raises
-    ------
-    KeyError, TypeError
-        If the payload does not carry the frontier's required fields —
-        cache-style callers should treat these as a miss.
+    :func:`repro.codec.decode`, except for the flat point rows: each one
+    decodes to its :class:`CandidateResult` (``dominated_count`` aside),
+    and its raw ``values`` are recomputed through the named objectives —
+    the same ``Objective.value`` calls that produced them, hence exact.
     """
     from repro.optimize.objectives import get_objective
-    from repro.sweep.store import decode_dataclass
 
-    data = dict(payload)
-    objectives = tuple(data["objectives"])
-    resolved = [get_objective(name) for name in objectives]
+    objectives = [get_objective(name) for name in payload["objectives"]]
     points = []
-    for row in data["points"]:
-        row = dict(row)
-        dominated_count = row.pop("dominated_count")
-        result = decode_dataclass(CandidateResult, row)
+    for row in payload["points"]:
+        result = decode(CandidateResult, row)
         points.append(ParetoPoint(
             result=result,
-            values=tuple(objective.value(result) for objective in resolved),
-            dominated_count=dominated_count))
-    return ParetoFrontier(
-        model_name=data["model_name"], strategy=data["strategy"],
-        objectives=objectives, constraints=tuple(data["constraints"]),
-        points=tuple(points),
-        extremes=tuple((entry[0], entry[1]) for entry in data["extremes"]),
-        candidates=data["candidates"],
-        capacity_pruned=data["capacity_pruned"],
-        infeasible=data["infeasible"],
-        constraint_filtered=data["constraint_filtered"],
-        dominated=data["dominated"],
-        strategy_pruned=data["strategy_pruned"],
-        short_runs=data["short_runs"], full_runs=data["full_runs"],
-        store_served=data["store_served"])
+            values=tuple(objective.value(result) for objective in objectives),
+            dominated_count=row["dominated_count"]))
+    frontier = decode(ParetoFrontier, {**payload, "points": []})
+    return dataclasses.replace(frontier, points=tuple(points))
 
 
 def build_frontier(results: Sequence[CandidateResult],

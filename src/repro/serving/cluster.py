@@ -69,6 +69,7 @@ from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
+from repro.codec import decode
 from repro.common import Precision
 from repro.serving.autoscaler import AutoscalerPolicy, FleetView, get_autoscaler
 from repro.serving.faults import FaultEvent, FaultSpec, fault_timeline
@@ -86,10 +87,9 @@ from repro.serving.simulator import ServingSimulator, emit_report_summary
 from repro.serving.spec import ServingSpec
 from repro.serving.trace import Request, generate_trace, request_classes_from_settings
 from repro.sweep.fingerprint import fingerprint
-from repro.sweep.store import decode_dataclass
 
 if TYPE_CHECKING:  # pragma: no cover - type-only import
-    from repro.sweep.store import ResultStore
+    from repro.sweep.store import ResultStore, StoreView
 
 #: Store namespace of persisted fleet reports (see repro.sweep.store).
 STORE_KIND = "cluster-report"
@@ -144,10 +144,6 @@ class ReplicaSummary:
     peak_kv_reserved_bytes: int
     cost_cache_hits: int
     cost_cache_misses: int
-
-    def to_dict(self) -> dict[str, object]:
-        """Plain-dict form used by the JSON/CSV exporters."""
-        return dataclasses.asdict(self)
 
 
 @dataclass(frozen=True)
@@ -238,9 +234,7 @@ class ClusterReport:
     def to_dict(self, include_requests: bool = True) -> dict[str, object]:
         """Plain-dict form (nested summaries inlined) for JSON export."""
         return report_payload(
-            self, include_requests,
-            replica_timeline=[list(entry) for entry in self.replica_timeline],
-            utilisation=self.utilisation,
+            self, include_requests, utilisation=self.utilisation,
             cost_cache_hits=self.cost_cache_hits,
             cost_cache_misses=self.cost_cache_misses,
             cost_cache_hit_rate=self.cost_cache_hit_rate)
@@ -864,40 +858,11 @@ def _time_weighted_mean(timeline: Sequence[tuple[float, int]], end_s: float) -> 
 def cluster_report_from_dict(payload: Mapping[str, object]) -> ClusterReport:
     """Rebuild a :class:`ClusterReport` from its ``to_dict`` payload.
 
-    The inverse of :meth:`ClusterReport.to_dict` up to the derived keys the
-    encoder injects (utilisation, cache totals — recomputed from the
-    replica rows) and the per-request tuple when the payload was written
-    with ``include_requests=False`` (restored as empty).  All numeric
-    fields round-trip exactly (JSON preserves IEEE-754 doubles), so every
-    aggregate a stored report serves is bit-for-bit the computed one.
-
-    Raises
-    ------
-    KeyError, TypeError
-        If the payload does not carry the report's required fields —
-        callers treating the store as a cache should catch these and fall
-        back to simulating.
+    The derived keys (utilisation, cache totals) are properties and
+    ignored, and a row-free payload restores no requests; a store-served
+    report is bit for bit the computed one.
     """
-    data = dict(payload)
-    for derived in ("utilisation", "cost_cache_hits", "cost_cache_misses",
-                    "cost_cache_hit_rate"):
-        data.pop(derived, None)
-    for summary in ("ttft", "tpot", "e2e"):
-        data[summary] = decode_dataclass(LatencySummary, data[summary])
-    data["slo"] = decode_dataclass(SLO, data["slo"])
-    data["cost_model"] = decode_dataclass(FleetCostModel, data["cost_model"])
-    data["replica_timeline"] = tuple(
-        (entry[0], entry[1]) for entry in data["replica_timeline"])
-    data["replicas"] = tuple(decode_dataclass(ReplicaSummary, row)
-                             for row in data["replicas"])
-    data["requests"] = tuple(decode_dataclass(RequestMetrics, row)
-                             for row in data.get("requests", ()))
-    if "resilience" in data:
-        data["resilience"] = decode_dataclass(ResilienceSummary,
-                                              data["resilience"])
-    data["fault_events"] = tuple(decode_dataclass(FaultEvent, row)
-                                 for row in data.get("fault_events", ()))
-    return decode_dataclass(ClusterReport, data)
+    return decode(ClusterReport, payload)
 
 
 def cluster_run_key(model, tpu_config, spec: ServingSpec, settings: object) -> str:
@@ -913,7 +878,7 @@ def cluster_run_key(model, tpu_config, spec: ServingSpec, settings: object) -> s
 
 
 def simulate_cluster(model, tpu_config, spec: ServingSpec, settings: object, *,
-                     simulator=None, store: "ResultStore | None" = None,
+                     simulator=None, store: "ResultStore | StoreView | None" = None,
                      telemetry: Telemetry | None = None) -> ClusterReport:
     """Run one fleet-shaped :class:`ServingSpec` end to end (the sweep entry).
 
@@ -932,24 +897,12 @@ def simulate_cluster(model, tpu_config, spec: ServingSpec, settings: object, *,
     """
     key = cluster_run_key(model, tpu_config, spec, settings) if store is not None else ""
     if store is not None:
-        payload = store.get(STORE_KIND, key)
-        if payload is not None:
-            try:
-                report = cluster_report_from_dict(payload)
-                # Store-served runs replay nothing: summary-only telemetry,
-                # exactly like fluid estimates.
-                emit_report_summary(telemetry, "cluster", report,
-                                    fidelity="stored")
-                return report
-            except (KeyError, TypeError):
-                # Same-version schema drift: the payload is unusable, so the
-                # lookup was effectively a miss.  Reclassify it — callers
-                # (the optimizer's "new simulations" accounting, the CI
-                # zero-simulation gates) infer "did this call simulate?"
-                # from the miss counter, and the recompute below is real
-                # simulation work.
-                store.stats.hits -= 1
-                store.stats.misses += 1
+        report = store.load(STORE_KIND, key, cluster_report_from_dict)
+        if report is not None:
+            # Store-served runs replay nothing: summary-only telemetry,
+            # exactly like fluid estimates.
+            emit_report_summary(telemetry, "cluster", report, fidelity="stored")
+            return report
     if spec.fidelity == "fluid":
         report = _fluid_cluster_report(model, tpu_config, spec, settings,
                                        simulator=simulator)

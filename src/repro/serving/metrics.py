@@ -5,16 +5,17 @@ measures: per-request **TTFT** (time to first token), **TPOT** (time per
 output token after the first) and end-to-end latency, aggregated into
 percentile summaries, **goodput** under a latency SLO (the rate of requests
 that met *both* the TTFT and TPOT targets), device utilisation and energy
-per generated token.  Everything is a frozen dataclass with a ``to_dict``
-hook, so reports and per-request rows export through the generic encoders in
-:mod:`repro.sweep.export` exactly like sweep rows do.
+per generated token.  Everything is a frozen dataclass encoded and decoded
+by :mod:`repro.codec`, so reports and per-request rows export through the
+generic encoders in :mod:`repro.sweep.export` exactly like sweep rows do.
 """
 
 from __future__ import annotations
 
-import dataclasses
 from collections.abc import Sequence
 from dataclasses import dataclass
+
+from repro.codec import encode
 
 
 def percentile(values: Sequence[float], q: float) -> float:
@@ -110,10 +111,6 @@ class RequestMetrics:
     def meets(self, slo: SLO) -> bool:
         """Whether the request met both targets of the SLO."""
         return self.ttft_s <= slo.ttft_s and self.tpot_s <= slo.tpot_s
-
-    def to_dict(self) -> dict[str, object]:
-        """Plain-dict form used by the JSON/CSV exporters."""
-        return dataclasses.asdict(self)
 
 
 @dataclass(frozen=True)
@@ -322,17 +319,16 @@ class ServingReport:
 
 def report_payload(report, include_requests: bool,
                    **derived: object) -> dict[str, object]:
-    """``dataclasses.asdict`` of a report with per-request rows, encoded once.
+    """The :func:`~repro.codec.encode` form of a report, derived keys appended.
 
-    ``derived`` keys replace fields in place or are appended in order.  The
+    ``derived`` keys follow the fields in the order given.  The per-request
     rows take the ``requests`` field's position, or are left out entirely
-    when ``include_requests`` is false, so they are never copied only to be
-    dropped or re-encoded.
+    when ``include_requests`` is false, so they are never encoded only to
+    be dropped.
     """
-    payload = dataclasses.asdict(dataclasses.replace(report, requests=()))
-    payload.update(derived)
-    if include_requests:
-        payload["requests"] = [request.to_dict() for request in report.requests]
-    else:
+    rows = ([encode(request) for request in report.requests]
+            if include_requests else None)
+    payload = encode(report, requests=rows, **derived)
+    if rows is None:
         del payload["requests"]
     return payload

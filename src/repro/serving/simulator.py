@@ -65,6 +65,7 @@ from dataclasses import dataclass, field
 from operator import attrgetter
 
 from repro.analysis.capacity import serving_kv_budget
+from repro.codec import decode
 from repro.common import Precision, ceil_div
 from repro.core.config import TPUConfig
 from repro.core.simulator import InferenceSimulator
@@ -84,7 +85,6 @@ from repro.serving.scheduler import (
 from repro.serving.spec import ServingSpec
 from repro.serving.trace import Request, generate_trace, request_classes_from_settings
 from repro.sweep.fingerprint import fingerprint
-from repro.sweep.store import decode_dataclass
 from repro.workloads.llm import LLMConfig
 
 #: Store namespace of single-deployment serving reports (the fleet-shaped
@@ -802,28 +802,10 @@ def emit_report_summary(telemetry: Telemetry | None, track: str,
 def serving_report_from_dict(payload: Mapping[str, object]) -> ServingReport:
     """Rebuild a :class:`ServingReport` from its ``to_dict`` payload.
 
-    The inverse of :meth:`ServingReport.to_dict` up to the derived keys the
-    encoder injects (utilisation, cache hit rate — both recomputed from
-    the restored fields).  All numeric fields round-trip exactly (JSON
-    preserves IEEE-754 doubles), so a store-served report is bit-for-bit
-    the computed one, per-request rows included.
-
-    Raises
-    ------
-    KeyError, TypeError
-        If the payload does not carry the report's required fields —
-        callers treating the store as a cache should catch these and fall
-        back to simulating.
+    The derived keys (utilisation, cache hit rate) are properties and
+    ignored; a store-served report is bit for bit the computed one.
     """
-    data = dict(payload)
-    for derived in ("utilisation", "cost_cache_hit_rate"):
-        data.pop(derived, None)
-    for summary in ("ttft", "tpot", "e2e"):
-        data[summary] = decode_dataclass(LatencySummary, data[summary])
-    data["slo"] = decode_dataclass(SLO, data["slo"])
-    data["requests"] = tuple(decode_dataclass(RequestMetrics, row)
-                             for row in data.get("requests", ()))
-    return decode_dataclass(ServingReport, data)
+    return decode(ServingReport, payload)
 
 
 def serving_run_key(model: LLMConfig, tpu_config: TPUConfig, spec: ServingSpec,
@@ -874,21 +856,12 @@ def simulate_serving(model: LLMConfig, tpu_config: TPUConfig, spec: ServingSpec,
                          "route faulted specs through simulate_cluster")
     key = serving_run_key(model, tpu_config, spec, settings) if store is not None else ""
     if store is not None:
-        payload = store.get(SERVING_STORE_KIND, key)
-        if payload is not None:
-            try:
-                report = serving_report_from_dict(payload)
-                # Store-served runs replay nothing: summary-only telemetry,
-                # exactly like fluid estimates.
-                emit_report_summary(telemetry, "serve", report,
-                                    fidelity="stored")
-                return report
-            except (KeyError, TypeError):
-                # Same-version schema drift: the payload is unusable, so
-                # the lookup was effectively a miss — reclassify it (the
-                # "new simulations" accounting reads the miss counter).
-                store.stats.hits -= 1
-                store.stats.misses += 1
+        report = store.load(SERVING_STORE_KIND, key, serving_report_from_dict)
+        if report is not None:
+            # Store-served runs replay nothing: summary-only telemetry,
+            # exactly like fluid estimates.
+            emit_report_summary(telemetry, "serve", report, fidelity="stored")
+            return report
     if spec.fidelity == "fluid":
         from repro.serving.fluid import estimate_serving
 

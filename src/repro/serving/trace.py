@@ -39,6 +39,7 @@ from collections.abc import Callable, Sequence
 from dataclasses import dataclass, replace
 from typing import Protocol
 
+from repro.codec import encode
 from repro.workloads.chat import RequestClass, mix_fractions
 
 
@@ -447,10 +448,6 @@ def write_trace_jsonl(trace: Sequence[Request],
     bit-for-bit the trace that was written, routing included.
     """
     path = pathlib.Path(path)
-    lines = [json.dumps({"request_id": r.request_id, "arrival_s": r.arrival_s,
-                         "input_tokens": r.input_tokens,
-                         "output_tokens": r.output_tokens,
-                         "session_id": r.session_id})
-             for r in trace]
+    lines = [json.dumps(encode(request)) for request in trace]
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return path

@@ -25,9 +25,11 @@ from __future__ import annotations
 import logging
 import multiprocessing
 from collections.abc import Iterable, Mapping, Sequence
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
+from functools import partial
 from typing import TYPE_CHECKING
 
+from repro.codec import decode, encode
 from repro.core.config import TPUConfig
 from repro.obs.telemetry import Telemetry
 from repro.parallel.multi_device import MultiTPUSystem
@@ -79,21 +81,8 @@ class SweepResult:
         """MXU energy per produced item (J/token or J/image)."""
         return self.mxu_energy_joules / self.items if self.items else 0.0
 
-    def to_dict(self) -> dict[str, object]:
-        """Plain-dict form used by the JSON/CSV exporters."""
-        return asdict(self)
 
-    @classmethod
-    def from_dict(cls, payload: Mapping[str, object]) -> "SweepResult":
-        """Rebuild a row from its ``to_dict`` payload (store round-trip).
-
-        Unknown keys are ignored so a store written by a newer minor schema
-        still loads where possible; missing required fields raise
-        ``TypeError``, which the engine treats as a store miss.
-        """
-        from repro.sweep.store import decode_dataclass
-
-        return decode_dataclass(cls, payload)
+_decode_row = partial(decode, SweepResult)
 
 
 @dataclass
@@ -346,24 +335,19 @@ class SweepEngine:
             row = _compute_result(point, self._simulator_for(point.config), key,
                                   store=self.store)
         if self.store is not None:
-            self.store.put(STORE_KIND, key, row.to_dict())
+            self.store.put(STORE_KIND, key, encode(row))
         return row
 
     def _from_store(self, key: str) -> SweepResult | None:
         """Decode a stored row (``None`` without a store or on a miss)."""
         if self.store is None:
             return None
-        payload = self.store.get(STORE_KIND, key)
-        if payload is not None:
-            try:
-                row = SweepResult.from_dict(payload)
-            except TypeError:  # schema drift inside one store version
-                row = None
-            if row is not None:
-                self._store_hits += 1
-                if self.telemetry is not None:
-                    self.telemetry.count("sweep.store_hits")
-                return row
+        row = self.store.load(STORE_KIND, key, _decode_row)
+        if row is not None:
+            self._store_hits += 1
+            if self.telemetry is not None:
+                self.telemetry.count("sweep.store_hits")
+            return row
         self._store_misses += 1
         if self.telemetry is not None:
             self.telemetry.count("sweep.store_misses")
@@ -423,7 +407,7 @@ class SweepEngine:
             for key, row in rows:
                 prefetched[key] = row
                 if self.store is not None:
-                    self.store.put(STORE_KIND, key, row.to_dict())
+                    self.store.put(STORE_KIND, key, encode(row))
         return prefetched
 
     def _simulator_for(self, config: TPUConfig) -> CachingInferenceSimulator:

@@ -7,8 +7,9 @@ cleanly between runs.
 
 The encoders are *row-type generic*: any iterable of frozen dataclasses
 works (sweep rows, serving reports, per-request metrics...).  Rows encode
-through their ``to_dict`` hook when they define one, falling back to
-``dataclasses.asdict``; CSV column order is the row dataclass's field
+through their ``to_dict`` hook when they define one (a report's derived
+keys, a frontier point's flat shape), otherwise through
+:func:`repro.codec.encode`; CSV column order is the row dataclass's field
 order, exactly as for :class:`~repro.sweep.engine.SweepResult`.
 """
 
@@ -22,6 +23,7 @@ import pathlib
 from collections.abc import Iterable, Sequence
 from typing import Any
 
+from repro.codec import encode
 from repro.sweep.engine import SweepResult
 
 #: Column order of the sweep-row export (that dataclass's field order);
@@ -31,12 +33,12 @@ FIELDNAMES: tuple[str, ...] = tuple(
 
 
 def _row_dict(row: Any) -> dict[str, object]:
-    """A row's export dict: its ``to_dict`` hook, or the dataclass fields."""
+    """A row's export dict: its ``to_dict`` hook, or its codec payload."""
     to_dict = getattr(row, "to_dict", None)
     if callable(to_dict):
         return to_dict()
     if dataclasses.is_dataclass(row) and not isinstance(row, type):
-        return dataclasses.asdict(row)
+        return encode(row)
     raise TypeError(f"cannot export row of type {type(row).__name__}: "
                     "expected a dataclass or a to_dict() hook")
 

@@ -32,25 +32,31 @@ Design points, stated explicitly:
   or interleave partial records.  Separate *processes* appending to one
   file interleave whole lines too (POSIX ``O_APPEND`` semantics for
   single-write lines), which loading already tolerates by design.
-* **JSON round-trip exactness.**  Floats serialise via ``repr`` semantics
-  (Python's ``json``), which round-trips IEEE-754 doubles exactly — a
-  store-served row is bit-for-bit the row that was computed.
+* **JSON round-trip exactness.**  Payloads are :func:`repro.codec.encode`
+  forms, and floats serialise via ``repr`` semantics (Python's ``json``),
+  which round-trips IEEE-754 doubles exactly — a store-served row is
+  bit-for-bit the row that was computed.
+* **One decode policy.**  Readers call :meth:`ResultStore.load` with a
+  decoder (:func:`repro.codec.decode` underneath).  A payload it rejects
+  — a missing field, a value of the wrong shape, a row its constructor
+  refuses — is counted as a miss, under the store lock, and the caller
+  recomputes and overwrites it.
 
-Both :class:`~repro.sweep.engine.SweepEngine` (whole sweep-point rows) and
-:func:`repro.serving.cluster.simulate_cluster` (fleet reports) honour a
-store, which is what makes repeated/resumed co-design searches
-(``repro-sim optimize --store``) perform zero new simulations.
+:class:`~repro.sweep.engine.SweepEngine` (whole sweep-point rows),
+:func:`repro.serving.simulator.simulate_serving` and
+:func:`repro.serving.cluster.simulate_cluster` (reports) honour a store,
+which is what makes repeated/resumed co-design searches (``repro-sim
+optimize --store``) perform zero new simulations.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import logging
 import os
 import pathlib
 import threading
-from collections.abc import Iterator, Mapping
+from collections.abc import Callable, Iterator
 from typing import TYPE_CHECKING, Any
 
 from repro.sweep.cache import CacheStats
@@ -63,18 +69,6 @@ logger = logging.getLogger(__name__)
 #: Schema version of stored payloads.  Bump when stored values change
 #: meaning (not when new kinds are added); older records are then ignored.
 STORE_VERSION = 1
-
-
-def decode_dataclass(cls: type, payload: Mapping[str, Any]) -> Any:
-    """Construct a (flat) dataclass from a stored payload.
-
-    The one decode policy every store kind shares: unknown keys are
-    ignored (a store written by a newer minor schema still loads where
-    possible), missing required fields raise ``TypeError`` — which callers
-    treat as a store miss, not an error.
-    """
-    names = {field.name for field in dataclasses.fields(cls)}
-    return cls(**{key: value for key, value in payload.items() if key in names})
 
 
 class ResultStore:
@@ -138,9 +132,6 @@ class ResultStore:
     def __len__(self) -> int:
         return len(self._entries)
 
-    def __contains__(self, kind_key: tuple[str, str]) -> bool:
-        return tuple(kind_key) in self._entries
-
     def keys(self) -> Iterator[tuple[str, str]]:
         """The stored ``(kind, key)`` pairs."""
         return iter(self._entries)
@@ -158,6 +149,27 @@ class ResultStore:
             if self.telemetry is not None:
                 self.telemetry.count("store.hit")
             return value
+
+    def load(self, kind: str, key: str, decode: Callable[[Any], Any]) -> Any:
+        """The stored payload decoded by ``decode``, or ``None`` on a miss.
+
+        A payload ``decode`` rejects (``KeyError``, ``TypeError``,
+        ``ValueError``) was written under a schema this build no longer
+        reads, so the hit ``get`` counted becomes a miss.
+        """
+        payload = self.get(kind, key)
+        if payload is None:
+            return None
+        try:
+            return decode(payload)
+        except (KeyError, TypeError, ValueError):
+            with self._lock:
+                self.stats.hits -= 1
+                self.stats.misses += 1
+                if self.telemetry is not None:
+                    self.telemetry.count("store.hit", -1)
+                    self.telemetry.count("store.miss")
+            return None
 
     def put(self, kind: str, key: str, value: Any) -> None:
         """Store a JSON-serialisable payload and append it to the file.
@@ -178,3 +190,28 @@ class ResultStore:
             self._entries[(kind, key)] = value
             if self.telemetry is not None:
                 self.telemetry.count("store.put")
+
+
+class StoreView:
+    """One call's view of a shared store: ``stats`` counts its loads only.
+
+    The facade gives each call its own view, so the call's accounting is
+    exact while concurrent gateway jobs share the store.
+    """
+
+    def __init__(self, store: "ResultStore | StoreView") -> None:
+        self.store = store
+        self.stats = CacheStats()
+
+    def load(self, kind: str, key: str, decode: Callable[[Any], Any]) -> Any:
+        """:meth:`ResultStore.load`, counted as this view's hit or miss."""
+        value = self.store.load(kind, key, decode)
+        if value is None:
+            self.stats.misses += 1
+        else:
+            self.stats.hits += 1
+        return value
+
+    def put(self, kind: str, key: str, value: Any) -> None:
+        """:meth:`ResultStore.put`."""
+        self.store.put(kind, key, value)

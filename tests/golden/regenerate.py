@@ -8,13 +8,17 @@ exactly what moved::
     PYTHONPATH=src python tests/golden/regenerate.py
 
 Covers ``table_iv.json`` (the paper reproduction), ``chrome_trace.json``
-(the pinned Chrome trace-event export schema) and ``serving_reports.json``
-(report digests).  The report digests depend on the interpreter's float
-``sum()``, and a run writes only its own interpreter's set, so after an
-intentional report change regenerate them under Python 3.11 and 3.12::
+(the pinned Chrome trace-event export schema), ``serving_reports.json``
+(report digests) and ``payloads.json`` (sweep rows, a frontier, a fleet
+plan and the response envelopes).  The report and payload digests depend
+on the interpreter's float ``sum()``, and a run writes only its own
+interpreter's set, so after an intentional change regenerate them under
+Python 3.11 and 3.12::
 
     PYTHONPATH=src python3.11 tests/golden/regenerate.py serving-reports
     PYTHONPATH=src python3.12 tests/golden/regenerate.py serving-reports
+    PYTHONPATH=src python3.11 tests/golden/regenerate.py payloads
+    PYTHONPATH=src python3.12 tests/golden/regenerate.py payloads
 """
 
 from __future__ import annotations
@@ -30,6 +34,7 @@ from repro.obs.export import chrome_trace_dict
 GOLDEN_PATH = pathlib.Path(__file__).parent / "table_iv.json"
 TRACE_GOLDEN_PATH = pathlib.Path(__file__).parent / "chrome_trace.json"
 REPORTS_GOLDEN_PATH = pathlib.Path(__file__).parent / "serving_reports.json"
+PAYLOADS_GOLDEN_PATH = pathlib.Path(__file__).parent / "payloads.json"
 # The golden tests live one directory up and import no pytest at module level.
 sys.path.insert(0, str(pathlib.Path(__file__).parent.parent))
 
@@ -49,6 +54,24 @@ def write_serving_reports() -> None:
                                    encoding="utf-8")
     print(f"wrote {REPORTS_GOLDEN_PATH} ({summation()} summation, "
           f"{len(golden['digests'][summation()])} reports)")
+
+
+def write_payloads() -> None:
+    """Rewrite this interpreter's payload digest set, keeping the other one."""
+    from test_golden_payloads import payload_digests, summation
+
+    golden = {"description": "sha256 of json.dumps of sweep rows, a Pareto "
+                             "frontier, a fleet plan and one response "
+                             "envelope per kind, per float summation of sum()",
+              "digests": {}}
+    if PAYLOADS_GOLDEN_PATH.exists():
+        golden = json.loads(PAYLOADS_GOLDEN_PATH.read_text(encoding="utf-8"))
+    golden["digests"][summation()] = payload_digests()
+    golden["digests"] = dict(sorted(golden["digests"].items()))
+    PAYLOADS_GOLDEN_PATH.write_text(json.dumps(golden, indent=2) + "\n",
+                                    encoding="utf-8")
+    print(f"wrote {PAYLOADS_GOLDEN_PATH} ({summation()} summation, "
+          f"{len(golden['digests'][summation()])} payloads)")
 
 
 def main() -> None:
@@ -89,10 +112,13 @@ def main() -> None:
     print(f"wrote {TRACE_GOLDEN_PATH} "
           f"({len(trace['traceEvents'])} trace events)")
     write_serving_reports()
+    write_payloads()
 
 
 if __name__ == "__main__":
     if sys.argv[1:] == ["serving-reports"]:
         write_serving_reports()
+    elif sys.argv[1:] == ["payloads"]:
+        write_payloads()
     else:
         main()

@@ -25,6 +25,7 @@ from repro.api import (
     request_from_dict,
     response_from_dict,
 )
+from repro.codec import decode, encode
 from repro.sweep.store import ResultStore
 
 #: Small, fast serving run shared by the facade tests.
@@ -130,7 +131,7 @@ class TestStrictDecoding:
                          field="rate")
         assert error.render() == \
             "invalid-field: rate must be positive (field: rate)"
-        assert ApiError.from_dict(error.to_dict()) == error
+        assert decode(ApiError, encode(error)) == error
 
     def test_unknown_error_code_is_a_bug(self):
         with pytest.raises(ValueError, match="unknown ApiError code"):
@@ -191,6 +192,41 @@ class TestSimulateFacade:
         assert excinfo.value.error.code == "engine-error"
 
 
+class TestUndecodableStoredReport:
+    """A stored payload that no longer decodes is a miss, not a hit."""
+
+    @staticmethod
+    def _corrupt(payload, how):
+        payload = json.loads(json.dumps(payload))
+        if how == "missing-field":
+            del payload["ttft"]
+        elif how == "wrong-type":
+            payload["ttft"] = [0.1, 0.2]
+        else:  # a row whose first token precedes its arrival
+            row = payload["requests"][0]
+            row["first_token_s"] = row["arrival_s"] - 1.0
+        return payload
+
+    @pytest.mark.parametrize("replicas, how", [
+        (1, "missing-field"), (2, "missing-field"), (1, "wrong-type"),
+        (2, "wrong-type"), (1, "unordered-row")])
+    def test_undecodable_record_is_resimulated_and_counted_as_a_miss(
+            self, tmp_path, replicas, how):
+        path = tmp_path / "store.jsonl"
+        request = SimulateRequest(**{**FAST, "requests": 40},
+                                  replicas=replicas)
+        cold = api.simulate(request, store=ResultStore(path))
+        store = ResultStore(path)
+        (kind, key), = store.keys()
+        store.put(kind, key, self._corrupt(cold.report, how))
+        store = ResultStore(path)
+        warm = api.simulate(request, store=store)
+        assert (warm.served_from_store, warm.new_simulations,
+                warm.store_hits, warm.store_misses) == (False, 1, 0, 1)
+        assert (store.stats.hits, store.stats.misses) == (0, 1)
+        assert warm.report == cold.report
+
+
 class TestOtherFacades:
     def test_fleet_warm_repeat_costs_nothing(self, tmp_path):
         store = ResultStore(tmp_path / "store.jsonl")
@@ -214,7 +250,7 @@ class TestOtherFacades:
         cold = api.sweep(request, store=store)
         assert cold.new_simulations > 0
         assert cold.rows
-        assert [r.to_dict() for r in cold.row_objects()] == \
+        assert [encode(r) for r in cold.row_objects()] == \
             [dict(row) for row in cold.rows]
         warm = api.sweep(request, store=store)
         assert warm.new_simulations == 0

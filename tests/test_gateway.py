@@ -15,6 +15,7 @@ import threading
 import time
 import urllib.error
 import urllib.request
+from http.client import HTTPConnection
 
 import pytest
 
@@ -150,10 +151,29 @@ class TestValidationErrors:
     def test_oversized_body_is_400(self, gateway):
         from repro.gateway import MAX_BODY_BYTES
 
-        status, body = http(f"{gateway.url}/v1/simulate", "POST",
-                            raw=b" " * (MAX_BODY_BYTES + 1))
-        assert status == 400
+        # The client sends the whole body before it reads the reply, so a
+        # server that answers without reading it races the client's send:
+        # repeat the POST until a lost race would have shown.
+        for _ in range(20):
+            status, body = http(f"{gateway.url}/v1/simulate", "POST",
+                                raw=b" " * (MAX_BODY_BYTES + 1))
+            assert status == 400
+            assert body["error"]["code"] == "invalid-json"
+
+    @pytest.mark.parametrize("length", ["abc", "-1", "1.5", ""])
+    def test_malformed_content_length_is_400(self, gateway, length):
+        connection = HTTPConnection(gateway.host, gateway.port, timeout=3)
+        try:
+            connection.putrequest("POST", "/v1/simulate")
+            connection.putheader("Content-Length", length)
+            connection.endheaders(b"{}")
+            response = connection.getresponse()
+            assert response.status == 400
+            body = json.loads(response.read())
+        finally:
+            connection.close()
         assert body["error"]["code"] == "invalid-json"
+        assert "Content-Length" in body["error"]["message"]
 
     def test_unknown_field_is_400_with_field_path(self, gateway):
         payload = SimulateRequest(**FAST).to_dict()

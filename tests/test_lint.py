@@ -18,6 +18,7 @@ from pathlib import Path
 import pytest
 
 from repro.cli import main
+from repro.codec import encode
 from repro.lint import (
     META_RULE,
     RULE_REGISTRY,
@@ -64,7 +65,7 @@ class TestEngine:
         assert finding.rule == "RPR001"
         assert finding.render().startswith("src/repro/x.py:5:")
         assert "RPR001" in finding.render()
-        payload = finding.to_dict()
+        payload = encode(finding)
         assert payload["line"] == 5 and payload["rule"] == "RPR001"
 
     def test_line_pragma_suppresses_the_finding(self):
