@@ -22,8 +22,10 @@ deploy (utilisation in [0.5, 0.9], SLO attainment strictly inside (0, 1)),
 timed through ``repro.api.simulate`` on warm step prices, so the routing
 pre-pass, the replica event loops and the report encoding all count.  An
 untimed traced call adds the routing front end's work as exact counts: the
-fleet views it built (none: the fleet never scales) and the times it rebuilt
-the routable replica set (once: nothing changes routability).
+fleet views it built (none: the fleet never scales), the times it rebuilt
+the routable replica set (once: nothing changes routability) and the replica
+views it built (one per load change of a routable replica, not one per
+replica per arrival).
 """
 
 from __future__ import annotations
@@ -137,6 +139,7 @@ def test_cluster_simulator_throughput(benchmark):
             "slo_attainment": realistic["slo_attainment"],
             "fleet_views": realistic_counters["cluster.fleet_views"],
             "routable_rebuilds": realistic_counters["cluster.routable_rebuilds"],
+            "view_builds": realistic_counters["cluster.view_builds"],
         },
     }, indent=2) + "\n", encoding="utf-8")
     print(f"wrote cluster benchmark record to {BENCH_PATH}")

@@ -97,6 +97,7 @@ BENCH_METRICS: dict[str, tuple[Metric, ...]] = {
         Metric("realistic.requests_per_wall_second", "throughput"),
         Metric("realistic.fleet_views", "count"),
         Metric("realistic.routable_rebuilds", "count"),
+        Metric("realistic.view_builds", "count"),
     ),
     "BENCH_optimize.json": (
         Metric("cold_wall_seconds", "wall"),

@@ -67,6 +67,17 @@ def error_status(error: ApiError) -> int:
     return _ERROR_STATUS.get(error.code, 400)
 
 
+def _parse_request(raw: bytes):
+    """The API request a submission body holds."""
+    try:
+        payload = json.loads(raw.decode("utf-8") or "null")
+    except (UnicodeDecodeError, json.JSONDecodeError) as error:
+        raise ApiRequestError(ApiError(
+            code="invalid-json",
+            message=f"request body is not valid JSON: {error}")) from None
+    return request_from_dict(payload)
+
+
 def _make_handler(manager: JobManager) -> type[BaseHTTPRequestHandler]:
     """Build the handler class over a closure (no globals, testable)."""
 
@@ -89,7 +100,7 @@ def _make_handler(manager: JobManager) -> type[BaseHTTPRequestHandler]:
         def _send_error(self, error: ApiError) -> None:
             self._send_json(error_status(error), {"error": encode(error)})
 
-        def _read_request(self):
+        def _read_body(self) -> bytes:
             header = self.headers.get("Content-Length", "0")
             if not (header.isascii() and header.isdigit()):
                 # The body's end is unknown: nothing after it can be read.
@@ -112,19 +123,14 @@ def _make_handler(manager: JobManager) -> type[BaseHTTPRequestHandler]:
                 raise ApiRequestError(ApiError(
                     code="invalid-json",
                     message=f"request body exceeds {MAX_BODY_BYTES} bytes"))
-            raw = self.rfile.read(length) if length else b""
-            try:
-                payload = json.loads(raw.decode("utf-8") or "null")
-            except (UnicodeDecodeError, json.JSONDecodeError) as error:
-                raise ApiRequestError(ApiError(
-                    code="invalid-json",
-                    message=f"request body is not valid JSON: {error}"
-                )) from None
-            return request_from_dict(payload)
+            return self.rfile.read(length) if length else b""
 
         # -------------------------------------------------------------- routes
         def do_POST(self) -> None:  # noqa: N802 - http.server API
             try:
+                # Read the body before any route answers: one left unread
+                # would be parsed as the connection's next request.
+                raw = self._read_body()
                 parts = [p for p in self.path.split("/") if p]
                 if len(parts) == 2 and parts[0] == "v1":
                     kind = parts[1]
@@ -135,7 +141,7 @@ def _make_handler(manager: JobManager) -> type[BaseHTTPRequestHandler]:
                                     "routes; GET /v1/jobs lists them"))
                     if kind not in REQUEST_TYPES:
                         raise self._no_route()
-                    request = self._read_request()
+                    request = _parse_request(raw)
                     if request.kind != kind:
                         raise ApiRequestError(ApiError(
                             code="invalid-kind",

@@ -32,6 +32,14 @@ How the fleet is simulated, stated explicitly:
   full-batch decode steps.  Heterogeneous replicas therefore attract load
   proportional to their actual speed, but the router never peeks at event-
   loop internals a real load balancer could not see.
+* **Routing one arrival is a few integer and heap operations.**  Each
+  replica keeps its router view until its load estimate moves: a drain
+  that retires an estimate, an assignment or a crash drops it, and only a
+  replica with an estimate due is drained.  Each replica also holds an
+  integer token limit (its KV budget over the per-token KV bytes, the
+  limit its own admission applies), and a request within the smallest
+  limit of the routable set fits all of them, so only a larger one is
+  tested view by view.
 * **Autoscaling pays its costs.**  Scale-out suffers the policy's cold-start
   delay before a replica becomes routable; scale-in is hysteresis-guarded
   and always releases the highest-indexed replica, so the fleet never flaps
@@ -67,6 +75,7 @@ import itertools
 import math
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import TYPE_CHECKING
 
 from repro.codec import decode
@@ -93,6 +102,11 @@ if TYPE_CHECKING:  # pragma: no cover - type-only import
 
 #: Store namespace of persisted fleet reports (see repro.sweep.store).
 STORE_KIND = "cluster-report"
+
+# The per-arrival ReplicaView and RouterContext skip the frozen-dataclass
+# __init__, as the replay's RequestMetrics rows do.
+_new_instance = object.__new__
+_set_attribute = object.__setattr__
 
 
 @dataclass(frozen=True)
@@ -250,7 +264,8 @@ class _ReplicaHandle:
         # Plan the deployment against the FULL trace (not the sub-trace the
         # routing produces), so the budget the router sees is the budget the
         # replica's replay prices; run() gets it as a per-run override and
-        # the replica object itself is never mutated.
+        # the replica object itself is never mutated.  Only the largest
+        # request matters, so run() passes just that one.
         self.devices = (replica.devices if replica.devices is not None
                         else replica.plan_devices(trace))
         self.kv_budget = replica.kv_budget(self.devices)
@@ -259,6 +274,10 @@ class _ReplicaHandle:
                 f"replica {index}: {replica.model.name} does not fit "
                 f"{self.devices} x {replica.tpu_config.name}: no KV budget "
                 f"left after weights (use more devices)")
+        # The largest request (prompt + output tokens) the KV budget holds:
+        # t * b <= K exactly when t <= K // b for positive integers, the
+        # limit the replica's own admission applies.
+        self.token_limit = self.kv_budget // replica.kv_bytes_per_token
         step = replica.costs.decode_cost(replica.max_batch,
                                          replica.costs.bucket_tokens)
         self._decode_step_s = step.seconds
@@ -266,12 +285,15 @@ class _ReplicaHandle:
         # Queueing estimate the router acts on: serial prefill occupancy,
         # max_batch decode slots, and the set of requests still in flight
         # (keyed by finish estimate, carrying the request so a crash knows
-        # exactly what to drain back to the router).
+        # exactly what to drain back to the router).  ``next_finish`` is the
+        # earliest estimate in ``_queue`` (inf when it is empty).
         self._queue: list[tuple[float, int, Request]] = []
+        self.next_finish = math.inf
         self._prefill_busy_until = 0.0
         self._slots = [0.0] * replica.max_batch
         self.outstanding_tokens = 0
         self._view: ReplicaView | None = None
+        self.view_builds = 0
         self.subtrace: list[Request] = []
         # Activation bookkeeping.
         self.active = False
@@ -343,7 +365,9 @@ class _ReplicaHandle:
         self.subtrace = [r for r in self.subtrace
                          if r.request_id not in victim_ids]
         self._queue = []
+        self.next_finish = math.inf
         self.outstanding_tokens = 0
+        self._view = None
         # The estimate queues future assignments behind the outage.
         self._prefill_busy_until = up_at
         self._slots = [up_at] * self.replica.max_batch
@@ -362,9 +386,17 @@ class _ReplicaHandle:
 
     # ------------------------------------------------------------ routing
     def drain(self, now: float) -> None:
-        while self._queue and self._queue[0][0] <= now:
-            _, _, request = heapq.heappop(self._queue)
-            self.outstanding_tokens -= request.total_tokens
+        """Retire the estimates finished by ``now`` (dropping the view)."""
+        if self.next_finish > now:
+            return
+        queue = self._queue
+        tokens = self.outstanding_tokens
+        while queue and queue[0][0] <= now:
+            _, _, request = heapq.heappop(queue)
+            tokens -= request.input_tokens + request.output_tokens
+        self.outstanding_tokens = tokens
+        self.next_finish = queue[0][0] if queue else math.inf
+        self._view = None
 
     def assign(self, request: Request, now: float) -> None:
         prefill_s = self.replica.costs.prefill_cost(1, request.input_tokens).seconds
@@ -375,26 +407,35 @@ class _ReplicaHandle:
         finish = decode_start + request.output_tokens * self._decode_step_s
         heapq.heappush(self._slots, finish)
         heapq.heappush(self._queue, (finish, request.request_id, request))
-        self.outstanding_tokens += request.total_tokens
+        if finish < self.next_finish:
+            self.next_finish = finish
+        self.outstanding_tokens += request.input_tokens + request.output_tokens
         self.subtrace.append(request)
+        self._view = None
 
     def view(self) -> ReplicaView:
-        """The router's snapshot, rebuilt only when the load estimate moved.
+        """The router's snapshot of the current load estimate.
 
-        The view's other fields are fixed for the run, so a view whose two
-        load figures still match the estimate is the current one.
+        Only ``drain`` (when it retires an estimate), ``assign`` and
+        ``crash`` move the two load figures, and each drops the view, so a
+        view still held is the current one and is handed out again.  A new
+        one is built without the frozen-dataclass ``__init__`` (the class
+        has no ``__post_init__`` to skip) and counted in ``view_builds``.
+        Whether a request fits is settled by the integer ``token_limit``
+        where it can be, not by the view.
         """
         view = self._view
-        if (view is None or view.outstanding_requests != len(self._queue)
-                or view.outstanding_tokens != self.outstanding_tokens):
-            view = self._view = ReplicaView(
-                index=self.index, tpu_name=self.replica.tpu_config.name,
-                devices=self.devices, max_batch=self.replica.max_batch,
-                outstanding_requests=len(self._queue),
-                outstanding_tokens=self.outstanding_tokens,
-                service_tokens_per_s=self.service_tokens_per_s,
-                kv_budget_bytes=self.kv_budget,
-                kv_bytes_per_token=self.replica.kv_bytes_per_token)
+        if view is None:
+            view = self._view = _new_instance(ReplicaView)
+            _set_attribute(view, "__dict__", {
+                "index": self.index, "tpu_name": self.replica.tpu_config.name,
+                "devices": self.devices, "max_batch": self.replica.max_batch,
+                "outstanding_requests": len(self._queue),
+                "outstanding_tokens": self.outstanding_tokens,
+                "service_tokens_per_s": self.service_tokens_per_s,
+                "kv_budget_bytes": self.kv_budget,
+                "kv_bytes_per_token": self.replica.kv_bytes_per_token})
+            self.view_builds += 1
         return view
 
 
@@ -448,7 +489,12 @@ class ClusterSimulator:
             raise ValueError("cluster serving needs a non-empty trace")
         tel = telemetry if telemetry is not None and telemetry.enabled else None
         ordered = sorted(trace, key=lambda r: (r.arrival_s, r.request_id))
-        handles = [_ReplicaHandle(index, replica, ordered)
+        # A planned deployment admits the trace's largest request: find it
+        # once for the fleet instead of once per replica.
+        plan = ((max(ordered, key=attrgetter("total_tokens")),)
+                if any(replica.devices is None for replica in self.replicas)
+                else ordered)
+        handles = [_ReplicaHandle(index, replica, plan)
                    for index, replica in enumerate(self.replicas)]
         fleet_size = len(handles)
         start_s = ordered[0].arrival_s
@@ -507,17 +553,21 @@ class ClusterSimulator:
         # The replicas dispatch picks from, kept until ``routable_until``:
         # the next cold-start end or stall edge among the active replicas
         # (dispatch times never decrease).  Rescales, crashes and restarts
-        # change the fleet and reset it.
+        # change the fleet and reset it.  A request of at most
+        # ``routable_limit`` tokens fits every one of them.
         routable: list[_ReplicaHandle] = []
         routable_until = -math.inf
+        routable_limit = 0
         routable_rebuilds = 0
+        choose = self.router.choose
 
         def active_handles() -> list[_ReplicaHandle]:
             return [h for h in handles if h.active]
 
         def dispatch(request: Request, now: float, rerouted: bool = False) -> None:
             """Route one request at ``now``."""
-            nonlocal routed, shed, routable, routable_until, routable_rebuilds
+            nonlocal routed, shed, routable, routable_until, routable_limit, \
+                routable_rebuilds
             if now >= routable_until:
                 active = active_handles()
                 warm = [h for h in active if h.ready_at <= now]
@@ -529,20 +579,26 @@ class ClusterSimulator:
                     routable = [min(pool, key=lambda h: (h.ready_at, h.index))]
                 routable_until = min((h.next_edge(now) for h in active),
                                      default=math.inf)
+                routable_limit = min((h.token_limit for h in routable),
+                                     default=0)
                 routable_rebuilds += 1
             if routable:
-                # Only the replicas whose views are read need draining: a
-                # drain pops every estimate finished by its time, so one
-                # left behind reaches the same state when next read.
+                # Only the replicas whose views are read need draining, and
+                # only when an estimate is due: a drain pops every estimate
+                # finished by its time, so one left behind reaches the same
+                # state when next read.
                 for handle in routable:
-                    handle.drain(now)
-                candidates = tuple(h.view() for h in routable)
-                fitting = tuple(v for v in candidates if v.fits(request))
-                chosen = self.router.choose(
-                    request, fitting or candidates,
-                    RouterContext(now_s=now, routed_count=routed,
-                                  fleet_size=fleet_size))
-                handle = handles[chosen.index]
+                    if handle.next_finish <= now:
+                        handle.drain(now)
+                candidates = tuple([handle.view() for handle in routable])
+                if request.input_tokens + request.output_tokens > routable_limit:
+                    candidates = tuple([view for view in candidates
+                                        if view.fits(request)]) or candidates
+                context = _new_instance(RouterContext)
+                _set_attribute(context, "__dict__", {
+                    "now_s": now, "routed_count": routed,
+                    "fleet_size": fleet_size})
+                handle = handles[choose(request, candidates, context).index]
             else:
                 # Mid-outage the whole fleet can be down; queue the request
                 # on the replica that restarts first rather than fail it.
@@ -618,7 +674,8 @@ class ClusterSimulator:
                 continue
             active = active_handles()
             for handle in active:
-                handle.drain(now)
+                if handle.next_finish <= now:
+                    handle.drain(now)
             fleet_views += 1
             target = self._clamp(decide(self._fleet_view(now, fleet_size, active),
                                         scaler_state))
@@ -662,6 +719,8 @@ class ClusterSimulator:
             tel.count("cluster.crashes", len(crash_times))
             tel.count("cluster.fleet_views", fleet_views)
             tel.count("cluster.routable_rebuilds", routable_rebuilds)
+            tel.count("cluster.view_builds",
+                      sum(handle.view_builds for handle in handles))
 
         end_s = ordered[-1].arrival_s
         for report in reports:

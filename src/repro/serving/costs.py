@@ -172,6 +172,16 @@ class StepCostModel:
 
     def prefill_cost(self, batch: int, input_tokens: int) -> StepCost:
         """Cost of prefilling ``batch`` prompts of (bucketed) length."""
+        if batch > 0 and input_tokens > 0:
+            # The fleet front end prices every arrival here: serve a memo
+            # hit with one read, bucketing inline.  Anything else, invalid
+            # arguments included, takes the checked path below.
+            bucket_tokens = self.bucket_tokens
+            cached = self._memo.get(
+                ("prefill", batch, -(-input_tokens // bucket_tokens) * bucket_tokens))
+            if cached is not None:
+                self.stats.hits += 1
+                return cached
         return self._step("prefill", batch, self.bucket(input_tokens))
 
     def decode_cost(self, batch: int, context_tokens: int) -> StepCost:

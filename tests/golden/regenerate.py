@@ -9,8 +9,10 @@ exactly what moved::
 
 Covers ``table_iv.json`` (the paper reproduction), ``chrome_trace.json``
 (the pinned Chrome trace-event export schema), ``serving_reports.json``
-(report digests) and ``payloads.json`` (sweep rows, a frontier, a fleet
-plan and the response envelopes).  The report and payload digests depend
+(report digests), ``payloads.json`` (sweep rows, a frontier, a fleet
+plan and the response envelopes) and ``fleet_routing.json`` (the routing
+of a heterogeneous fleet, integers only, so one digest set serves every
+interpreter).  The report and payload digests depend
 on the interpreter's float ``sum()``, and a run writes only its own
 interpreter's set, so after an intentional change regenerate them under
 Python 3.11 and 3.12::
@@ -19,6 +21,7 @@ Python 3.11 and 3.12::
     PYTHONPATH=src python3.12 tests/golden/regenerate.py serving-reports
     PYTHONPATH=src python3.11 tests/golden/regenerate.py payloads
     PYTHONPATH=src python3.12 tests/golden/regenerate.py payloads
+    PYTHONPATH=src python tests/golden/regenerate.py fleet-routing
 """
 
 from __future__ import annotations
@@ -35,6 +38,7 @@ GOLDEN_PATH = pathlib.Path(__file__).parent / "table_iv.json"
 TRACE_GOLDEN_PATH = pathlib.Path(__file__).parent / "chrome_trace.json"
 REPORTS_GOLDEN_PATH = pathlib.Path(__file__).parent / "serving_reports.json"
 PAYLOADS_GOLDEN_PATH = pathlib.Path(__file__).parent / "payloads.json"
+ROUTING_GOLDEN_PATH = pathlib.Path(__file__).parent / "fleet_routing.json"
 # The golden tests live one directory up and import no pytest at module level.
 sys.path.insert(0, str(pathlib.Path(__file__).parent.parent))
 
@@ -72,6 +76,19 @@ def write_payloads() -> None:
                                     encoding="utf-8")
     print(f"wrote {PAYLOADS_GOLDEN_PATH} ({summation()} summation, "
           f"{len(golden['digests'][summation()])} payloads)")
+
+
+def write_fleet_routing() -> None:
+    """Rewrite the heterogeneous fleet's routing digests."""
+    from test_golden_fleet_routing import routing_digests
+
+    golden = {"description": "sha256 of json.dumps of each case's route and "
+                             "reroute replicas and per-replica "
+                             "requests_routed and cost_cache_* counts",
+              "digests": routing_digests()}
+    ROUTING_GOLDEN_PATH.write_text(json.dumps(golden, indent=2) + "\n",
+                                   encoding="utf-8")
+    print(f"wrote {ROUTING_GOLDEN_PATH} ({len(golden['digests'])} routings)")
 
 
 def main() -> None:
@@ -113,6 +130,7 @@ def main() -> None:
           f"({len(trace['traceEvents'])} trace events)")
     write_serving_reports()
     write_payloads()
+    write_fleet_routing()
 
 
 if __name__ == "__main__":
@@ -120,5 +138,7 @@ if __name__ == "__main__":
         write_serving_reports()
     elif sys.argv[1:] == ["payloads"]:
         write_payloads()
+    elif sys.argv[1:] == ["fleet-routing"]:
+        write_fleet_routing()
     else:
         main()

@@ -174,3 +174,4 @@ class TestMainVerdicts:
         # The routing front end's work is gated exactly, not by wall time.
         assert kinds["realistic.fleet_views"] == "count"
         assert kinds["realistic.routable_rebuilds"] == "count"
+        assert kinds["realistic.view_builds"] == "count"

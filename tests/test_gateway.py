@@ -232,6 +232,27 @@ class TestValidationErrors:
         assert status == 405
         assert body["error"]["code"] == "method-not-allowed"
 
+    @pytest.mark.parametrize("path, status", [
+        ("/v1/nope", 404), ("/v1/jobs", 405), ("/v1/jobs/abc/cancel", 404)])
+    def test_post_answered_without_its_body_keeps_the_connection(
+            self, gateway, path, status):
+        # The reply must not leave the body unread: the server would parse
+        # it as the start of the connection's next request.
+        connection = HTTPConnection(gateway.host, gateway.port, timeout=3)
+        try:
+            connection.request("POST", path,
+                               body=json.dumps(SimulateRequest(**FAST).to_dict()),
+                               headers={"Content-Type": "application/json"})
+            response = connection.getresponse()
+            assert response.status == status
+            assert "error" in json.loads(response.read())
+            connection.request("GET", "/v1/health")
+            response = connection.getresponse()
+            assert response.status == 200
+            assert json.loads(response.read())["status"] == "ok"
+        finally:
+            connection.close()
+
 
 class TestJobLifecycle:
     @pytest.fixture

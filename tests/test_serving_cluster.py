@@ -17,6 +17,7 @@ from repro.serving.cluster import (
 )
 from repro.serving.faults import FaultSpec
 from repro.serving.metrics import SLO
+from repro.serving.router import ReplicaView, RouterContext
 from repro.serving.simulator import ServingSimulator
 from repro.serving.spec import ServingSpec
 from repro.serving.trace import Request, generate_trace
@@ -313,6 +314,91 @@ class TestReplicaViews:
         assert handle.view() is busy
         handle.drain(float("inf"))
         assert handle.view() == idle
+
+    def test_view_is_the_constructed_dataclass(self):
+        # Views and router contexts are built without their constructor,
+        # which is exact only while neither class validates in one.
+        assert not hasattr(ReplicaView, "__post_init__")
+        assert not hasattr(RouterContext, "__post_init__")
+        trace = make_trace(num_requests=4)
+        handle = _ReplicaHandle(0, ServingSimulator(CLUSTER_LLM, tpuv4i_baseline()),
+                                trace)
+        handle.assign(trace[0], trace[0].arrival_s)
+        view = handle.view()
+        rebuilt = dataclasses.replace(view)
+        assert rebuilt == view and hash(rebuilt) == hash(view)
+        assert vars(rebuilt) == vars(view)
+
+    def test_crash_empties_the_view(self):
+        trace = make_trace(num_requests=4)
+        handle = _ReplicaHandle(0, ServingSimulator(CLUSTER_LLM, tpuv4i_baseline()),
+                                trace)
+        for request in trace:
+            handle.assign(request, trace[0].arrival_s)
+        assert handle.view().outstanding_requests == len(trace)
+        handle.crash(trace[0].arrival_s, up_at=trace[0].arrival_s + 1.0)
+        view = handle.view()
+        assert (view.outstanding_requests, view.outstanding_tokens) == (0, 0)
+
+    def test_drain_with_nothing_due_keeps_the_view(self):
+        trace = make_trace(num_requests=4)
+        handle = _ReplicaHandle(0, ServingSimulator(CLUSTER_LLM, tpuv4i_baseline()),
+                                trace)
+        now = trace[0].arrival_s
+        handle.assign(trace[0], now)
+        busy = handle.view()
+        handle.drain(now)
+        assert handle.view() is busy
+        assert handle.view_builds == 1
+
+    def test_views_are_built_per_load_change_not_per_arrival(self):
+        # A view is built once per replica, then only after an assignment
+        # or a drain that retires estimates: at most 3 + 2 x 80 here, where
+        # a rebuild per replica per arrival would be 3 x 80.
+        trace = make_trace()
+        tel = Telemetry()
+        make_cluster(replicas=3, router="least-outstanding-requests",
+                     ).run(trace, telemetry=tel)
+        assert tel.counters["cluster.view_builds"] <= 3 + 2 * len(trace)
+
+    @staticmethod
+    def _route(requests):
+        """Replica of each route decision on a fleet whose replica 0 holds
+        fewer tokens than replica 1 (least-outstanding prefers replica 0)."""
+        engines = [ServingSimulator(CLUSTER_LLM, tpuv4i_baseline(), devices=devices)
+                   for devices in (1, 2)]
+        tel = Telemetry()
+        report = ClusterSimulator(engines, router="least-outstanding-requests",
+                                  ).run(requests, telemetry=tel)
+        routes = [event.args["replica"] for event in tel.events
+                  if event.track == "router" and event.name == "route"]
+        return routes, report
+
+    def test_token_limit_is_the_fit_boundary(self):
+        trace = make_trace(num_requests=1)
+        limit = _ReplicaHandle(
+            0, ServingSimulator(CLUSTER_LLM, tpuv4i_baseline(), devices=1),
+            trace).token_limit
+        # One token over replica 0's limit only fits replica 1; exactly the
+        # limit fits replica 0, idle while replica 1 holds the first.
+        routes, report = self._route((
+            Request(request_id=0, arrival_s=0.0, input_tokens=limit,
+                    output_tokens=1),
+            Request(request_id=1, arrival_s=0.001, input_tokens=limit - 1,
+                    output_tokens=1)))
+        assert routes == [1, 0]
+        assert (report.completed, report.rejected) == (2, 0)
+
+    def test_request_no_replica_fits_falls_back_to_every_candidate(self):
+        # The oversized request sees both replicas and goes to the idle one;
+        # its replica rejects it at admission.
+        routes, report = self._route((
+            Request(request_id=0, arrival_s=0.0, input_tokens=64,
+                    output_tokens=8),
+            Request(request_id=1, arrival_s=0.001, input_tokens=10_000_000,
+                    output_tokens=1)))
+        assert routes == [0, 1]
+        assert (report.completed, report.rejected, report.shed) == (1, 1, 0)
 
 
 class TestRoutableEdges:
