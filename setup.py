@@ -1,8 +1,8 @@
-"""Setup shim for environments whose pip cannot perform PEP 660 editable installs.
+"""Setup shim: the project metadata lives in setup.cfg.
 
-The project metadata lives in pyproject.toml; this file only enables the
-legacy ``pip install -e . --no-use-pep517`` path on machines without the
-``wheel`` package (such as offline evaluation containers).
+``pip install -e .`` installs the ``repro`` package from ``src/`` and the
+``repro-sim`` console script.  On a machine without the ``wheel``
+package, ``python setup.py develop`` does the same.
 """
 
 from setuptools import setup

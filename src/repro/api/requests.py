@@ -15,6 +15,11 @@ The contract, stated explicitly:
   required fields, a mismatched ``kind`` and an unsupported
   ``schema_version`` — each with a structured :class:`~repro.api.errors.ApiError`
   naming the field.  Silence never reinterprets a typo as a default.
+* **Typed fields.**  First, every field is held to its annotation
+  (:func:`field_types`): a list becomes a tuple, an integer in a float
+  field that float (JSON spells ``16.0`` as ``16``), any other type is
+  ``invalid-field`` naming the field (``faults[0]`` for a list item).  One
+  request has one spelling, and one fingerprint, on every surface.
 * **Exact JSON round-trip.**  ``to_dict`` emits only JSON primitives
   (tuples as lists) and ``from_dict(to_dict(r))`` reconstructs ``r``
   exactly; floats survive by JSON's ``repr`` round-trip.  Responses share
@@ -37,9 +42,11 @@ see CONTRIBUTING.md for the stability policy.
 from __future__ import annotations
 
 import dataclasses
+import functools
+import typing
 from collections.abc import Mapping
-from dataclasses import dataclass, field
-from typing import Any, ClassVar
+from dataclasses import dataclass
+from typing import Any, ClassVar, NamedTuple
 
 from repro.api.errors import ApiError, ApiRequestError, invalid_field
 from repro.common import Precision
@@ -74,13 +81,8 @@ def _check_choice(value: object, names, field_name: str, what: str) -> None:
                             f"unknown {what} '{value}'; choose one of: {known}")
 
 
-def _check_positive(value: object, field_name: str) -> None:
-    try:
-        bad = not value > 0  # type: ignore[operator]
-    except TypeError:
-        raise invalid_field(field_name,
-                            f"{field_name} must be a positive number") from None
-    if bad:
+def _check_positive(value: float, field_name: str) -> None:
+    if not value > 0:
         raise invalid_field(field_name, f"{field_name} must be positive")
 
 
@@ -221,6 +223,59 @@ def decode_by_kind(payload: Mapping[str, Any], types: Mapping[str, type],
     return decode_envelope(types[kind], payload)
 
 
+# ------------------------------------------------------------ field types
+#: The scalar types a request field may hold, with the noun an error uses.
+_NOUNS = {int: "an integer", float: "a number", str: "a string",
+          bool: "a boolean"}
+
+
+class FieldType(NamedTuple):
+    """How a request field is annotated: ``scalar``, ``tuple[scalar, ...]``
+    when ``many``, either one ``| None`` when ``optional``."""
+
+    scalar: type
+    many: bool
+    optional: bool
+
+
+@functools.cache
+def field_types(cls: type) -> dict[str, FieldType]:
+    """Field name -> :class:`FieldType` of a request class, in field order.
+
+    The one reader of the request annotations: the construction-time type
+    check and the CLI's flags both follow it.  An annotation outside
+    int/float/str/bool, their tuples and ``| None`` is a schema bug.
+    """
+    hints = typing.get_type_hints(cls)
+    plan = {}
+    for f in dataclasses.fields(cls):
+        annotation, args = hints[f.name], typing.get_args(hints[f.name])
+        optional = type(None) in args
+        if optional:
+            (annotation,) = (arg for arg in args if arg is not type(None))
+        many = typing.get_origin(annotation) is tuple
+        scalar = typing.get_args(annotation)[0] if many else annotation
+        if scalar not in _NOUNS:
+            raise TypeError(f"{cls.__name__}.{f.name}: unsupported request "
+                            f"field annotation {hints[f.name]!r}")
+        plan[f.name] = FieldType(scalar, many, optional)
+    return plan
+
+
+def _held(scalar: type, value: object, name: str, index: int | None = None):
+    """``value`` as a ``scalar`` field holds it, or ``invalid-field``."""
+    if value.__class__ is scalar:
+        return value
+    if not isinstance(value, bool):
+        if isinstance(value, scalar):
+            return value
+        if scalar is float and isinstance(value, int):
+            return float(value)
+    path = name if index is None else f"{name}[{index}]"
+    raise invalid_field(path, f"{path} must be {_NOUNS[scalar]}, "
+                              f"got {type(value).__name__}")
+
+
 class _Request:
     """Shared encode/decode surface of every request kind."""
 
@@ -230,16 +285,23 @@ class _Request:
     to_dict = envelope_payload
     from_dict = classmethod(decode_envelope)
 
-    def _freeze(self, *names: str) -> None:
-        """Coerce list-valued fields to tuples (frozen + JSON-friendly)."""
-        for name in names:
-            value = getattr(self, name)
-            if value is not None and not isinstance(value, tuple):
-                try:
-                    object.__setattr__(self, name, tuple(value))
-                except TypeError:
-                    raise invalid_field(name,
-                                        f"{name} must be a list") from None
+    def _normalise(self) -> None:
+        """Hold every field to its annotation (see :func:`field_types`)."""
+        values = self.__dict__
+        for name, (scalar, many, optional) in field_types(type(self)).items():
+            value = values[name]
+            if value is None and optional:
+                continue
+            if not many:
+                held = _held(scalar, value, name)
+            elif isinstance(value, (list, tuple)):
+                held = tuple([_held(scalar, item, name, index)
+                              for index, item in enumerate(value)])
+            else:
+                raise invalid_field(name, f"{name} must be a list, "
+                                          f"got {type(value).__name__}")
+            if held is not value:
+                object.__setattr__(self, name, held)
 
 
 # ----------------------------------------------------------------- simulate
@@ -278,7 +340,7 @@ class SimulateRequest(_Request):
     overlay: str | None = None
 
     def __post_init__(self) -> None:
-        self._freeze("faults")
+        self._normalise()
         self.resolve()
         self.spec()
 
@@ -348,13 +410,12 @@ class FleetRequest(_Request):
     overlay: str | None = None
 
     def __post_init__(self) -> None:
-        self._freeze("faults")
+        self._normalise()
         self.resolve()
         _check_positive(self.rate, "rate")
         _check_positive(self.max_replicas, "max_replicas")
         _check_positive(self.requests, "requests")
-        if not isinstance(self.attainment, (int, float)) or \
-                not 0 < self.attainment <= 1:
+        if not 0 < self.attainment <= 1:
             raise invalid_field("attainment",
                                 "attainment_target must be in (0, 1]")
         if self.fidelity not in ("exact", "fluid"):
@@ -415,9 +476,7 @@ class SweepRequest(_Request):
     workers: int | None = None
 
     def __post_init__(self) -> None:
-        self._freeze("designs", "models", "scenarios", "precisions",
-                     "batches", "device_counts", "schedulers",
-                     "arrival_rates", "routers", "replica_counts")
+        self._normalise()
         self.grid()
         if self.workers is not None:
             _check_positive(self.workers, "workers")
@@ -493,9 +552,7 @@ class OptimizeRequest(_Request):
     overlay: str | None = None
 
     def __post_init__(self) -> None:
-        self._freeze("designs", "precisions", "schedulers", "routers",
-                     "autoscalers", "replica_counts", "max_batches",
-                     "objectives", "constraints", "faults")
+        self._normalise()
         self.resolve_model()
         self.objective_list()
         self.constraint_list()
@@ -585,6 +642,7 @@ class AutoconfigPreviewRequest(_Request):
     memory_utilisation: float = 0.9
 
     def __post_init__(self) -> None:
+        self._normalise()
         _check_choice(self.design, PREDEFINED_DESIGNS, "design", "design")
         _check_choice(self.precision, _PRECISIONS, "precision", "precision")
         _check_choice(self.scheduler, SCHEDULER_REGISTRY, "scheduler",
@@ -604,8 +662,7 @@ class AutoconfigPreviewRequest(_Request):
         _check_positive(self.max_batch, "max_batch")
         if self.devices is not None:
             _check_positive(self.devices, "devices")
-        if not isinstance(self.memory_utilisation, (int, float)) or \
-                not 0 < self.memory_utilisation <= 1:
+        if not 0 < self.memory_utilisation <= 1:
             raise invalid_field("memory_utilisation",
                                 "memory_utilisation must be in (0, 1]")
 

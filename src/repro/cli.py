@@ -82,6 +82,8 @@ unified :mod:`repro.api` facade: each builds a frozen request from its
 flags, runs it through the same handler the HTTP gateway dispatches to,
 and prints from the response envelope — so the CLI, the gateway and
 direct Python calls produce byte-identical results for the same spec.
+Their request flags are derived from the request's fields (one flag per
+field, named after it), and the request's own validation is theirs.
 Their shared ``--store PATH`` flag points every surface at the same
 persistent result cache.
 
@@ -96,6 +98,7 @@ exports included.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import logging
 import pathlib
@@ -104,6 +107,7 @@ from collections.abc import Sequence
 
 from repro import api as repro_api
 from repro.analysis.breakdown import overall_comparison
+from repro.api.requests import field_types
 from repro.log import configure_logging
 from repro.obs import (
     Telemetry,
@@ -127,7 +131,7 @@ from repro.optimize import (
 from repro.optimize.pareto import frontier_fieldnames
 from repro.serving.autoscaler import AUTOSCALER_REGISTRY
 from repro.serving.cluster import ClusterSimulator, ReplicaSummary
-from repro.serving.faults import FAULT_REGISTRY, parse_fault
+from repro.serving.faults import FAULT_REGISTRY
 from repro.serving.metrics import SLO, RequestMetrics
 from repro.serving.router import ROUTER_REGISTRY
 from repro.serving.scheduler import SCHEDULER_REGISTRY
@@ -137,7 +141,6 @@ from repro.serving.trace import (
     TRACE_REGISTRY,
     apply_overlay,
     load_trace_jsonl,
-    parse_overlay,
 )
 from repro.sweep.engine import SweepEngine
 from repro.sweep.export import fieldnames_of, write_csv, write_json
@@ -152,7 +155,6 @@ from repro.workloads.registry import (
     get_scenario,
     scenario_for,
 )
-from repro.workloads.scenario import ScenarioKnobs
 
 logger = logging.getLogger(__name__)
 
@@ -219,6 +221,29 @@ def _design_config(name: str):
         raise SystemExit(f"unknown design '{name}'; choose one of: {known}") from None
 
 
+def _llm(name: str) -> LLMConfig:
+    """The registered LLM ``name``; an unknown or non-LLM name is a usage error."""
+    try:
+        model = get_model(name)
+    except KeyError as error:
+        raise SystemExit(error.args[0]) from None
+    if not isinstance(model, LLMConfig):
+        raise SystemExit(f"'{name}' is not an LLM")
+    return model
+
+
+def _request(cls, args: argparse.Namespace):
+    """Request ``cls`` from the flags named after its fields.
+
+    The request validates itself; its rejection is the usage error, in
+    the API's own words.
+    """
+    try:
+        return cls(**{name: getattr(args, name) for name in field_types(cls)})
+    except repro_api.ApiRequestError as error:
+        raise SystemExit(error.error.render()) from None
+
+
 def _llm_settings(args: argparse.Namespace) -> LLMInferenceSettings:
     return LLMInferenceSettings(batch=args.batch, input_tokens=args.input_tokens,
                                 output_tokens=args.output_tokens, decode_kv_samples=2)
@@ -234,9 +259,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
     """Compare the baseline against a CIM design on Fig. 6 workloads."""
     baseline = InferenceSimulator(tpuv4i_baseline())
     candidate = InferenceSimulator(_design_config(args.design))
-    llm = get_model(args.llm)
-    if not isinstance(llm, LLMConfig):
-        raise SystemExit(f"'{args.llm}' is not an LLM")
+    llm = _llm(args.llm)
     llm_settings = _llm_settings(args)
     dit_settings = _dit_settings(args)
 
@@ -266,9 +289,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 def cmd_explore(args: argparse.Namespace) -> int:
     """Run the Table IV / Fig. 7 design-space exploration."""
-    llm = get_model(args.llm)
-    if not isinstance(llm, LLMConfig):
-        raise SystemExit(f"'{args.llm}' is not an LLM")
+    llm = _llm(args.llm)
     explorer = ArchitectureExplorer(llm=llm,
                                     llm_settings=_llm_settings(args),
                                     dit_settings=_dit_settings(args),
@@ -287,9 +308,7 @@ def cmd_explore(args: argparse.Namespace) -> int:
 def cmd_multi_device(args: argparse.Namespace) -> int:
     """Simulate multi-TPU serving throughput (a sweep over the device axis)."""
     config = _design_config(args.design)
-    llm = get_model(args.llm)
-    if not isinstance(llm, LLMConfig):
-        raise SystemExit(f"'{args.llm}' is not an LLM")
+    llm = _llm(args.llm)
     settings = _llm_settings(args)
     engine = SweepEngine()
     points = [SweepPoint(design=args.design, config=config, model=llm, settings=settings,
@@ -306,25 +325,18 @@ def cmd_multi_device(args: argparse.Namespace) -> int:
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     """Sweep the generalized scenario grid and optionally export the rows."""
-    for name in args.designs:
-        _design_config(name)  # fail fast with the CLI's exact wording
-    models = list(args.models)
-    resolved = {}
-    for name in models:
-        try:
-            resolved[name] = get_model(name)
-        except KeyError as error:
-            raise SystemExit(error.args[0]) from None
-    scenarios = list(args.scenarios) if args.scenarios else None
-    if args.parallelism == "tensor" and max(args.devices) > 1:
+    request = _request(repro_api.SweepRequest, args)
+    models = list(request.models)
+    resolved = {name: get_model(name) for name in models}
+    scenarios = request.scenarios
+    max_devices = max(request.device_counts)
+    if request.parallelism == "tensor" and max_devices > 1:
         # Tensor parallelism needs a scenario with a sharding model; drop
         # incompatible models/scenarios up front instead of aborting
         # mid-sweep on the first incompatible point.
         if scenarios is not None:
             scenarios = [name for name in scenarios
                          if get_scenario(name).tensor_parallel is not None]
-
-        max_devices = max(args.devices)
 
         def tensor_capable(name: str) -> bool:
             model = resolved[name]
@@ -355,9 +367,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         if not models:
             raise SystemExit("tensor parallelism is only modelled for LLM workloads; "
                              "add an LLM model or use --parallelism pipeline")
-    schedulers = tuple(args.schedulers or ())
-    arrival_rates = tuple(args.arrival_rates or ())
-    if schedulers:
+    if request.schedulers:
         serving_capable = [name for name in models
                            if isinstance(resolved[name], LLMConfig)]
         skipped = [name for name in models if name not in serving_capable]
@@ -371,18 +381,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     telemetry = _telemetry_from_args(args)
     store = _open_store(args.store, telemetry)
     try:
-        request = repro_api.SweepRequest(
-            designs=tuple(args.designs), models=tuple(models),
-            scenarios=tuple(scenarios) if scenarios is not None else None,
-            precisions=tuple(args.precisions), batches=tuple(args.batches),
-            device_counts=tuple(args.devices), parallelism=args.parallelism,
-            input_tokens=args.input_tokens, output_tokens=args.output_tokens,
-            resolution=args.resolution, steps=args.steps,
-            schedulers=schedulers, arrival_rates=arrival_rates,
-            trace=args.trace, trace_requests=args.trace_requests,
-            routers=tuple(args.routers or ()),
-            replica_counts=tuple(args.replica_counts or ()),
-            autoscaler=args.autoscaler, seed=args.seed, workers=args.workers)
+        request = dataclasses.replace(request, models=models,
+                                      scenarios=scenarios)
         response = repro_api.sweep(request, store=store, telemetry=telemetry)
     except repro_api.ApiRequestError as error:
         raise SystemExit(error.error.render()) from None
@@ -448,18 +448,6 @@ def _print_serving_report(report, args: argparse.Namespace, model) -> None:
           f"states priced over {report.prefill_steps + report.decode_steps} steps)")
 
 
-def _parse_chaos(args: argparse.Namespace):
-    """Resolve the ``--faults`` / ``--overlay`` flags into spec objects."""
-    try:
-        faults = tuple(parse_fault(text)
-                       for text in (getattr(args, "faults", None) or ()))
-        overlay = (parse_overlay(args.overlay)
-                   if getattr(args, "overlay", None) else None)
-    except (KeyError, ValueError) as error:
-        raise SystemExit(str(error).strip('"')) from None
-    return faults, overlay
-
-
 def _print_resilience(report) -> None:
     """Chaos outcome lines of a fleet run under injected faults."""
     resilience = report.resilience
@@ -520,91 +508,50 @@ def _print_cluster_report(report, args: argparse.Namespace, model) -> None:
 
 def cmd_serve(args: argparse.Namespace) -> int:
     """Run the discrete-event serving simulator (one deployment or a fleet)."""
-    config = _design_config(args.design)
-    model = get_model(args.llm)
-    if not isinstance(model, LLMConfig):
-        raise SystemExit(f"'{args.llm}' is not an LLM; serving is modelled "
-                         "for LLM workloads")
-    try:
-        scenario = get_scenario(args.scenario)
-    except KeyError as error:
-        raise SystemExit(error.args[0]) from None
-    if not scenario.supports(model):
-        raise SystemExit(f"scenario '{args.scenario}' does not support "
-                         f"model '{model.name}'")
-    if args.replicas < 1:
-        raise SystemExit("--replicas must be positive")
-    faults, overlay = _parse_chaos(args)
-    if args.replicas == 1 and not faults and (args.router != "round-robin"
-                                              or args.autoscaler != "fixed"
-                                              or args.min_replicas != 1):
-        logger.warning("--router/--autoscaler/--min-replicas apply only with "
-                       "--replicas > 1 (or --faults); running a single "
-                       "deployment")
-    precision = Precision(args.precision)
-    settings = scenario.make_settings(ScenarioKnobs(
-        batch=args.batch, precision=precision, input_tokens=args.input_tokens,
-        output_tokens=args.output_tokens))
-    slo = SLO(ttft_s=args.slo_ttft, tpot_s=args.slo_tpot)
-    # Fault injection lives at the routing layer, so a faulted run goes
-    # through the cluster simulator even at --replicas 1.
-    fleet_run = args.replicas > 1 or bool(faults)
-    if args.fidelity == "fluid":
-        if args.trace_file:
-            raise SystemExit("--fidelity fluid prices the scenario's request "
-                             "mix; it cannot replay --trace-file (run exact)")
-        if faults or overlay is not None:
-            raise SystemExit("--fidelity fluid cannot replay --faults or "
-                             "--overlay; chaos runs need the exact event loop")
-
-    telemetry = _telemetry_from_args(args)
+    request = _request(repro_api.SimulateRequest, args)
+    model, config, _ = request.resolve()
+    spec = request.spec()
+    if args.trace_file and spec.fidelity == "fluid":
+        raise SystemExit("--fidelity fluid prices the scenario's request "
+                         "mix; it cannot replay --trace-file (run exact)")
     if args.trace_file and args.store:
         raise SystemExit("--store caches generated-trace runs keyed by their "
                          "spec; --trace-file replays are not stored")
+    if spec.replicas == 1 and not spec.faults and (
+            spec.router != "round-robin" or spec.autoscaler != "fixed"
+            or spec.min_replicas != 1):
+        logger.warning("--router/--autoscaler/--min-replicas apply only with "
+                       "--replicas > 1 (or --faults); running a single "
+                       "deployment")
+    # Fault injection lives at the routing layer, so a faulted run goes
+    # through the cluster simulator even at --replicas 1.
+    fleet_run = spec.replicas > 1 or bool(spec.faults)
+    telemetry = _telemetry_from_args(args)
     store = _open_store(args.store, telemetry)
 
     def run_direct(tel: Telemetry | None = None):
         """JSONL replay: a local trace file is not part of the API schema."""
         trace = load_trace_jsonl(args.trace_file)
-        if overlay is not None:
-            trace = apply_overlay(trace, overlay)
-        if fleet_run:
-            replicas = [ServingSimulator(
-                model, config, scheduler=args.scheduler, precision=precision,
-                max_batch=args.max_batch, bucket_tokens=args.bucket,
-                devices=args.devices)
-                for _ in range(args.replicas)]
-            cluster = ClusterSimulator(replicas, router=args.router,
-                                       autoscaler=args.autoscaler,
-                                       min_replicas=args.min_replicas,
-                                       faults=faults)
-            return cluster.run(trace, slo=slo, telemetry=tel)
-        simulator = ServingSimulator(
-            model, config, scheduler=args.scheduler, precision=precision,
-            max_batch=args.max_batch, bucket_tokens=args.bucket,
-            devices=args.devices)
-        return simulator.run(trace, slo=slo, telemetry=tel)
-
-    def run_api(tel: Telemetry | None = None, api_store=None):
-        request = repro_api.SimulateRequest(
-            design=args.design, llm=args.llm, scenario=args.scenario,
-            trace=args.trace, rate=args.rate, requests=args.requests,
-            scheduler=args.scheduler, replicas=args.replicas,
-            router=args.router, autoscaler=args.autoscaler,
-            min_replicas=args.min_replicas, seed=args.seed,
-            max_batch=args.max_batch, bucket=args.bucket,
-            devices=args.devices, precision=args.precision, batch=args.batch,
-            input_tokens=args.input_tokens, output_tokens=args.output_tokens,
-            slo_ttft=args.slo_ttft, slo_tpot=args.slo_tpot,
-            fidelity=args.fidelity, faults=tuple(args.faults or ()),
-            overlay=args.overlay)
-        return repro_api.simulate(request, store=api_store, telemetry=tel)
+        if spec.overlay is not None:
+            trace = apply_overlay(trace, spec.overlay)
+        replicas = [ServingSimulator(
+            model, config, scheduler=spec.scheduler,
+            precision=Precision(request.precision), max_batch=spec.max_batch,
+            bucket_tokens=spec.bucket_tokens, devices=spec.devices)
+            for _ in range(spec.replicas)]
+        if not fleet_run:
+            return replicas[0].run(trace, slo=spec.slo, telemetry=tel)
+        cluster = ClusterSimulator(replicas, router=spec.router,
+                                   autoscaler=spec.autoscaler,
+                                   min_replicas=spec.min_replicas,
+                                   faults=spec.faults)
+        return cluster.run(trace, slo=spec.slo, telemetry=tel)
 
     def run_once(tel: Telemetry | None = None, api_store=None):
         """One full serve pipeline -> (report object, facade response|None)."""
         if args.trace_file:
             return run_direct(tel), None
-        resp = run_api(tel, api_store)
+        resp = repro_api.simulate(request, store=api_store, telemetry=tel)
         return resp.report_object(), resp
 
     profiler = None
@@ -699,17 +646,8 @@ def cmd_serve(args: argparse.Namespace) -> int:
 def cmd_fleet(args: argparse.Namespace) -> int:
     """Size a replica fleet for an SLO at a target request rate."""
     store = _open_store(args.store)
+    request = _request(repro_api.FleetRequest, args)
     try:
-        request = repro_api.FleetRequest(
-            rate=args.rate, design=args.design, llm=args.llm,
-            scenario=args.scenario, attainment=args.attainment,
-            max_replicas=args.max_replicas, requests=args.requests,
-            trace=args.trace, scheduler=args.scheduler, router=args.router,
-            max_batch=args.max_batch, precision=args.precision,
-            batch=args.batch, input_tokens=args.input_tokens,
-            output_tokens=args.output_tokens, slo_ttft=args.slo_ttft,
-            slo_tpot=args.slo_tpot, seed=args.seed, fidelity=args.fidelity,
-            faults=tuple(args.faults or ()), overlay=args.overlay)
         response = repro_api.fleet(request, store=store)
     except repro_api.ApiRequestError as error:
         raise SystemExit(error.error.render()) from None
@@ -757,24 +695,10 @@ def cmd_optimize(args: argparse.Namespace) -> int:
     """Search the co-design space for Pareto-optimal fleet configurations."""
     telemetry = _telemetry_from_args(args)
     store = _open_store(args.store, telemetry)
+    request = _request(repro_api.OptimizeRequest, args)
+    model = request.resolve_model()
+    objectives = request.objective_list()
     try:
-        request = repro_api.OptimizeRequest(
-            llm=args.llm, designs=tuple(args.designs),
-            precisions=tuple(args.precisions),
-            schedulers=tuple(args.schedulers), routers=tuple(args.routers),
-            autoscalers=tuple(args.autoscalers),
-            replica_counts=tuple(args.replica_counts),
-            max_batches=tuple(args.max_batches),
-            objectives=tuple(args.objectives),
-            constraints=tuple(args.constraints or ()),
-            strategy=args.strategy, budget=args.budget, rate=args.rate,
-            requests=args.requests, trace=args.trace, scenario=args.scenario,
-            input_tokens=args.input_tokens, output_tokens=args.output_tokens,
-            slo_ttft=args.slo_ttft, slo_tpot=args.slo_tpot, seed=args.seed,
-            capacity_bound=not args.no_capacity_bound,
-            faults=tuple(args.faults or ()), overlay=args.overlay)
-        model = request.resolve_model()
-        objectives = request.objective_list()
         response = repro_api.optimize(request, store=store,
                                       telemetry=telemetry)
     except repro_api.ApiRequestError as error:
@@ -970,18 +894,65 @@ def _add_telemetry_flags(parser: argparse.ArgumentParser, *,
                  "batch-occupancy/KV-utilisation gauges (default 1.0)")
 
 
-def _add_chaos_flags(parser: argparse.ArgumentParser) -> None:
-    """Attach the shared ``--faults`` / ``--overlay`` chaos flags."""
-    parser.add_argument(
-        "--faults", action="append", metavar="FAULT", default=None,
-        help="inject a fault source (repeatable): '<kind>[:field=value,...]' "
-             "with kinds " + ", ".join(sorted(FAULT_REGISTRY))
-             + "; e.g. 'replica-crash:at_s=5,duration_s=10,replica=0'")
-    parser.add_argument(
-        "--overlay", metavar="OVERLAY", default=None,
-        help="arrival-drift overlay: '<kind>[:field=value,...]' with kinds "
-             + ", ".join(sorted(OVERLAY_REGISTRY))
-             + "; e.g. 'flash-crowd:start_s=10,duration_s=30,magnitude=3'")
+@dataclasses.dataclass(frozen=True)
+class _Flag:
+    """What a request field's flag says beyond the field itself.
+
+    The field gives the flag its ``dest`` (the field name), ``type`` (the
+    scalar annotation), ``nargs="+"`` (a tuple field), default (a tuple
+    one as a list, for argparse's ``append``) or ``required=True`` (no
+    default).  ``option`` defaults to ``--field-name``.
+    """
+
+    help: str | None
+    choices: Sequence[str] | None = None
+    option: str | None = None
+    action: str | None = None
+    metavar: str | None = None
+
+
+def _add_request_flags(parser: argparse.ArgumentParser, cls,
+                       flags: dict[str, _Flag], global_fields: set[str]) -> None:
+    """One flag per field of request ``cls``, in field order.
+
+    A global field (set by a top-level option) gets a flag only when
+    ``flags`` names it, and that flag overrides the global value only when
+    given.  A field neither ``flags`` nor a global option covers is a bug:
+    the CLI would silently miss it.
+    """
+    types = field_types(cls)
+    defaults = {f.name: f.default for f in dataclasses.fields(cls)}
+    missing = [name for name in types
+               if name not in flags and name not in global_fields]
+    if missing:
+        raise TypeError(f"{cls.__name__} fields without a CLI flag: {missing}")
+    for name, (scalar, many, _) in types.items():
+        flag = flags.get(name)
+        if flag is None:
+            continue
+        options: dict[str, object] = {"dest": name, "help": flag.help}
+        if flag.action is not None:
+            options["action"] = flag.action
+        if flag.action in (None, "append"):
+            options["type"] = scalar
+        if many and flag.action is None:
+            options["nargs"] = "+"
+        if flag.choices is not None:
+            options["choices"] = flag.choices
+        if flag.metavar is not None:
+            options["metavar"] = flag.metavar
+        default = defaults[name]
+        if name in global_fields:
+            options["default"] = argparse.SUPPRESS
+        elif default is dataclasses.MISSING:
+            options["required"] = True
+        else:
+            options["default"] = (list(default) if isinstance(default, tuple)
+                                  else default)
+        parser.add_argument(flag.option or "--" + name.replace("_", "-"),
+                            **options)
+
+
 def build_parser() -> argparse.ArgumentParser:
     """Construct the argument parser for the CLI."""
     parser = argparse.ArgumentParser(prog="repro-sim",
@@ -1022,53 +993,75 @@ def build_parser() -> argparse.ArgumentParser:
                        help="worker processes for the sweep (default: serial)")
     multi.set_defaults(func=cmd_multi_device)
 
+    # Request-backed subcommands: one flag per request field (see
+    # _add_request_flags); the tables say only what a field cannot.
+    global_fields = {action.dest for action in parser._actions}
+    precisions = [p.value for p in Precision]
+    llm_scenarios = sorted(name for name, spec in SCENARIO_REGISTRY.items()
+                           if issubclass(spec.model_type, LLMConfig))
+    serving_flags = {
+        "scenario": _Flag("scenario supplying the request mix (default "
+                          "chat-serving)", choices=llm_scenarios),
+        "trace": _Flag("arrival process (default poisson)",
+                       choices=sorted(TRACE_REGISTRY)),
+        "slo_ttft": _Flag("SLO: time to first token in seconds (default 1.0)"),
+        "slo_tpot": _Flag("SLO: time per output token in seconds "
+                          "(default 0.1)"),
+        "seed": _Flag("override the global --seed after the subcommand"),
+        "faults": _Flag(
+            "inject a fault source (repeatable): '<kind>[:field=value,...]' "
+            "with kinds " + ", ".join(sorted(FAULT_REGISTRY))
+            + "; e.g. 'replica-crash:at_s=5,duration_s=10,replica=0'",
+            action="append", metavar="FAULT"),
+        "overlay": _Flag(
+            "arrival-drift overlay: '<kind>[:field=value,...]' with kinds "
+            + ", ".join(sorted(OVERLAY_REGISTRY))
+            + "; e.g. 'flash-crowd:start_s=10,duration_s=30,magnitude=3'"),
+    }
+    deployment_flags = {
+        "design": _Flag("one of: " + ", ".join(sorted(PREDEFINED_DESIGNS))),
+        "scheduler": _Flag("batching policy (default fcfs)",
+                           choices=sorted(SCHEDULER_REGISTRY)),
+        "max_batch": _Flag("continuous-batching slot limit (default 32)"),
+        "precision": _Flag("numeric precision", choices=precisions),
+    }
+
     sweep = subparsers.add_parser(
         "sweep", help="generalized scenario sweep (designs x models x settings)",
         description="Evaluate a grid of (design x model x precision x batch x devices) "
                     "points with the memoised sweep engine and optionally export the "
                     "structured rows to JSON/CSV.")
-    sweep.add_argument("--designs", nargs="+", default=sorted(PREDEFINED_DESIGNS),
-                       help="designs to sweep (default: all predefined designs)")
-    sweep.add_argument("--models", nargs="+", default=sorted(MODEL_REGISTRY),
-                       help="models to sweep (default: every registered model)")
-    sweep.add_argument("--scenarios", nargs="+", choices=sorted(SCENARIO_REGISTRY),
-                       default=None,
-                       help="scenarios to sweep; incompatible model/scenario pairs are "
-                            "skipped (default: each model's default scenario)")
-    sweep.add_argument("--precisions", nargs="+", choices=[p.value for p in Precision],
-                       default=[p.value for p in Precision],
-                       help="numeric precisions (default: all)")
-    sweep.add_argument("--batches", type=int, nargs="+", default=[1, 8],
-                       help="batch sizes (default: 1 8)")
-    sweep.add_argument("--devices", type=int, nargs="+", default=[1],
-                       help="device counts (default: 1)")
-    sweep.add_argument("--parallelism", choices=("pipeline", "tensor"), default="pipeline")
-    sweep.add_argument("--workers", type=int, default=None,
-                       help="worker processes for the sweep (default: serial)")
-    sweep.add_argument("--schedulers", nargs="+", choices=sorted(SCHEDULER_REGISTRY),
-                       default=None,
-                       help="serving axis: batching policies to sweep (with "
+    _add_request_flags(sweep, repro_api.SweepRequest, {
+        "designs": _Flag("designs to sweep (default: all predefined designs)"),
+        "models": _Flag("models to sweep (default: every registered model)"),
+        "scenarios": _Flag("scenarios to sweep; incompatible model/scenario "
+                           "pairs are skipped (default: each model's default "
+                           "scenario)", choices=sorted(SCENARIO_REGISTRY)),
+        "precisions": _Flag("numeric precisions (default: all)",
+                            choices=precisions),
+        "batches": _Flag("batch sizes (default: 1 8)"),
+        "device_counts": _Flag("device counts (default: 1)",
+                               option="--devices", metavar="DEVICES"),
+        "parallelism": _Flag(None, choices=("pipeline", "tensor")),
+        "schedulers": _Flag("serving axis: batching policies to sweep (with "
                             "--arrival-rates, turns every point into a "
-                            "discrete-event serving run)")
-    sweep.add_argument("--arrival-rates", dest="arrival_rates", type=float, nargs="+",
-                       default=None,
-                       help="serving axis: request arrival rates (requests/s)")
-    sweep.add_argument("--trace", choices=sorted(TRACE_REGISTRY), default="poisson",
-                       help="arrival process of serving sweeps (default poisson)")
-    sweep.add_argument("--trace-requests", dest="trace_requests", type=int, default=200,
-                       help="requests per serving-sweep trace (default 200)")
-    sweep.add_argument("--routers", nargs="+", choices=sorted(ROUTER_REGISTRY),
-                       default=None,
-                       help="fleet axis: routing policies to sweep (serving "
-                            "grids only)")
-    sweep.add_argument("--replica-counts", dest="replica_counts", type=int,
-                       nargs="+", default=None,
-                       help="fleet axis: replica counts to sweep (serving "
-                            "grids only)")
-    sweep.add_argument("--autoscaler", choices=sorted(AUTOSCALER_REGISTRY),
-                       default="fixed",
-                       help="autoscaling policy of fleet sweep points "
-                            "(default fixed)")
+                            "discrete-event serving run)",
+                            choices=sorted(SCHEDULER_REGISTRY)),
+        "arrival_rates": _Flag("serving axis: request arrival rates "
+                               "(requests/s)"),
+        "trace": _Flag("arrival process of serving sweeps (default poisson)",
+                       choices=sorted(TRACE_REGISTRY)),
+        "trace_requests": _Flag("requests per serving-sweep trace "
+                                "(default 200)"),
+        "routers": _Flag("fleet axis: routing policies to sweep (serving "
+                         "grids only)", choices=sorted(ROUTER_REGISTRY)),
+        "replica_counts": _Flag("fleet axis: replica counts to sweep (serving "
+                                "grids only)"),
+        "autoscaler": _Flag("autoscaling policy of fleet sweep points "
+                            "(default fixed)",
+                            choices=sorted(AUTOSCALER_REGISTRY)),
+        "workers": _Flag("worker processes for the sweep (default: serial)"),
+    }, global_fields)
     sweep.add_argument("--store", metavar="PATH", default=None,
                        help="persistent JSONL result store shared with "
                             "serve/optimize and the gateway: repeated points "
@@ -1087,53 +1080,34 @@ def build_parser() -> argparse.ArgumentParser:
                     "SLO goodput, utilisation and energy per token.  Deterministic: "
                     "identical flags (including the global --seed) reproduce the "
                     "run bit for bit.")
-    llm_scenarios = sorted(name for name, spec in SCENARIO_REGISTRY.items()
-                           if issubclass(spec.model_type, LLMConfig))
-    serve.add_argument("--design", default="design-a",
-                       help="one of: " + ", ".join(sorted(PREDEFINED_DESIGNS)))
-    serve.add_argument("--scenario", choices=llm_scenarios, default="chat-serving",
-                       help="scenario supplying the request mix (default chat-serving)")
-    serve.add_argument("--trace", choices=sorted(TRACE_REGISTRY), default="poisson",
-                       help="arrival process (default poisson)")
+    _add_request_flags(serve, repro_api.SimulateRequest, {
+        **serving_flags, **deployment_flags,
+        "rate": _Flag("mean arrival rate in requests/s (default 8)"),
+        "requests": _Flag("trace length in requests (default 200)"),
+        "replicas": _Flag("fleet size: >1 routes the trace across a cluster "
+                          "of identical replicas (default 1)"),
+        "router": _Flag("fleet routing policy (default round-robin)",
+                        choices=sorted(ROUTER_REGISTRY)),
+        "autoscaler": _Flag("fleet autoscaling policy (default fixed)",
+                            choices=sorted(AUTOSCALER_REGISTRY)),
+        "min_replicas": _Flag("autoscaler floor of the fleet (default 1)"),
+        "bucket": _Flag("context-bucket granularity in tokens for step-cost "
+                        "memoisation (default 256)"),
+        "devices": _Flag("pipeline-parallel device count (default: smallest "
+                         "deployment whose KV budget admits the largest "
+                         "request)"),
+        "fidelity": _Flag("'exact' replays the discrete-event engine; "
+                          "'fluid' prices the run with the closed-form "
+                          "estimator — orders of magnitude faster, "
+                          "golden-bounded error (default exact)",
+                          choices=("exact", "fluid")),
+    }, global_fields)
     serve.add_argument("--trace-file", metavar="PATH", default=None,
                        help="replay a JSONL trace instead of generating one")
-    serve.add_argument("--rate", type=float, default=8.0,
-                       help="mean arrival rate in requests/s (default 8)")
-    serve.add_argument("--requests", type=int, default=200,
-                       help="trace length in requests (default 200)")
-    serve.add_argument("--scheduler", choices=sorted(SCHEDULER_REGISTRY),
-                       default="fcfs", help="batching policy (default fcfs)")
-    serve.add_argument("--replicas", type=int, default=1,
-                       help="fleet size: >1 routes the trace across a cluster "
-                            "of identical replicas (default 1)")
-    serve.add_argument("--router", choices=sorted(ROUTER_REGISTRY),
-                       default="round-robin",
-                       help="fleet routing policy (default round-robin)")
-    serve.add_argument("--autoscaler", choices=sorted(AUTOSCALER_REGISTRY),
-                       default="fixed",
-                       help="fleet autoscaling policy (default fixed)")
-    serve.add_argument("--min-replicas", dest="min_replicas", type=int, default=1,
-                       help="autoscaler floor of the fleet (default 1)")
-    serve.add_argument("--seed", type=int, default=argparse.SUPPRESS,
-                       help="override the global --seed after the subcommand")
     serve.add_argument("--check-determinism", dest="check_determinism",
                        action="store_true",
                        help="run the simulation twice, fail unless the reports "
                             "agree bit-for-bit, and print a stable p99 digest")
-    serve.add_argument("--max-batch", dest="max_batch", type=int, default=32,
-                       help="continuous-batching slot limit (default 32)")
-    serve.add_argument("--bucket", type=int, default=256,
-                       help="context-bucket granularity in tokens for step-cost "
-                            "memoisation (default 256)")
-    serve.add_argument("--devices", type=int, default=None,
-                       help="pipeline-parallel device count (default: smallest "
-                            "deployment whose KV budget admits the largest request)")
-    serve.add_argument("--precision", choices=[p.value for p in Precision],
-                       default=Precision.INT8.value, help="numeric precision")
-    serve.add_argument("--slo-ttft", dest="slo_ttft", type=float, default=1.0,
-                       help="SLO: time to first token in seconds (default 1.0)")
-    serve.add_argument("--slo-tpot", dest="slo_tpot", type=float, default=0.1,
-                       help="SLO: time per output token in seconds (default 0.1)")
     serve.add_argument("--store", metavar="PATH", default=None,
                        help="persistent JSONL result store shared with "
                             "sweep/optimize and the gateway: a repeated run "
@@ -1142,12 +1116,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="write the full serving report to PATH as JSON")
     serve.add_argument("--csv", metavar="PATH", default=None,
                        help="write per-request TTFT/TPOT/e2e rows to PATH as CSV")
-    serve.add_argument("--fidelity", choices=("exact", "fluid"),
-                       default="exact",
-                       help="'exact' replays the discrete-event engine; "
-                            "'fluid' prices the run with the closed-form "
-                            "estimator — orders of magnitude faster, "
-                            "golden-bounded error (default exact)")
     serve.add_argument("--profile", action="store_true",
                        help="run under cProfile, print the top cumulative "
                             "functions and dump a .pstats artifact")
@@ -1156,7 +1124,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="where --profile writes the .pstats artifact "
                             "(default serve_profile.pstats)")
     _add_telemetry_flags(serve, gauge_interval=True)
-    _add_chaos_flags(serve)
     serve.set_defaults(func=cmd_serve)
 
     fleet = subparsers.add_parser(
@@ -1166,48 +1133,26 @@ def build_parser() -> argparse.ArgumentParser:
                     "attainment reaches the target, with per-fleet goodput "
                     "and cost per million tokens.  Exits non-zero when even "
                     "the largest fleet falls short.")
-    fleet.add_argument("--design", default="design-a",
-                       help="one of: " + ", ".join(sorted(PREDEFINED_DESIGNS)))
-    fleet.add_argument("--scenario", choices=llm_scenarios, default="chat-serving",
-                       help="scenario supplying the request mix (default chat-serving)")
-    fleet.add_argument("--rate", type=float, required=True,
-                       help="target arrival rate in requests/s")
-    fleet.add_argument("--attainment", type=float, default=0.95,
-                       help="SLO attainment target in (0, 1] (default 0.95)")
-    fleet.add_argument("--max-replicas", dest="max_replicas", type=int, default=16,
-                       help="largest fleet to try (default 16)")
-    fleet.add_argument("--requests", type=int, default=400,
-                       help="trace length in requests (default 400)")
-    fleet.add_argument("--trace", choices=sorted(TRACE_REGISTRY), default="poisson",
-                       help="arrival process (default poisson)")
-    fleet.add_argument("--scheduler", choices=sorted(SCHEDULER_REGISTRY),
-                       default="fcfs", help="batching policy (default fcfs)")
-    fleet.add_argument("--router", choices=sorted(ROUTER_REGISTRY),
-                       default="least-outstanding-requests",
-                       help="fleet routing policy (default "
-                            "least-outstanding-requests)")
-    fleet.add_argument("--max-batch", dest="max_batch", type=int, default=32,
-                       help="continuous-batching slot limit (default 32)")
-    fleet.add_argument("--precision", choices=[p.value for p in Precision],
-                       default=Precision.INT8.value, help="numeric precision")
-    fleet.add_argument("--slo-ttft", dest="slo_ttft", type=float, default=1.0,
-                       help="SLO: time to first token in seconds (default 1.0)")
-    fleet.add_argument("--slo-tpot", dest="slo_tpot", type=float, default=0.1,
-                       help="SLO: time per output token in seconds (default 0.1)")
-    fleet.add_argument("--seed", type=int, default=argparse.SUPPRESS,
-                       help="override the global --seed after the subcommand")
-    fleet.add_argument("--fidelity", choices=("exact", "fluid"),
-                       default="exact",
-                       help="'exact' replays every candidate fleet through "
-                            "the event loop; 'fluid' sizes with the "
-                            "closed-form estimator (default exact)")
+    _add_request_flags(fleet, repro_api.FleetRequest, {
+        **serving_flags, **deployment_flags,
+        "rate": _Flag("target arrival rate in requests/s"),
+        "attainment": _Flag("SLO attainment target in (0, 1] (default 0.95)"),
+        "max_replicas": _Flag("largest fleet to try (default 16)"),
+        "requests": _Flag("trace length in requests (default 400)"),
+        "router": _Flag("fleet routing policy (default "
+                        "least-outstanding-requests)",
+                        choices=sorted(ROUTER_REGISTRY)),
+        "fidelity": _Flag("'exact' replays every candidate fleet through "
+                          "the event loop; 'fluid' sizes with the "
+                          "closed-form estimator (default exact)",
+                          choices=("exact", "fluid")),
+    }, global_fields)
     fleet.add_argument("--store", metavar="PATH", default=None,
                        help="persistent JSONL result store shared with "
                             "serve/optimize and the gateway: already-sized "
                             "fleets replay zero new simulations")
     fleet.add_argument("--json", metavar="PATH", default=None,
                        help="write the fleet plan to PATH as JSON")
-    _add_chaos_flags(fleet)
     fleet.set_defaults(func=cmd_fleet)
 
     optimize = subparsers.add_parser(
@@ -1219,74 +1164,46 @@ def build_parser() -> argparse.ArgumentParser:
                     "persist across runs: a repeated search performs zero "
                     "new simulations and reproduces the frontier bit for "
                     "bit.")
-    optimize.add_argument("--designs", nargs="+",
-                          default=sorted(PREDEFINED_DESIGNS),
-                          help="design axis (default: all predefined designs)")
-    optimize.add_argument("--precisions", nargs="+",
-                          choices=[p.value for p in Precision],
-                          default=[Precision.INT8.value],
-                          help="precision axis (default int8)")
-    optimize.add_argument("--schedulers", nargs="+",
-                          choices=sorted(SCHEDULER_REGISTRY), default=["fcfs"],
-                          help="batching-policy axis (default fcfs)")
-    optimize.add_argument("--routers", nargs="+", choices=sorted(ROUTER_REGISTRY),
-                          default=["round-robin"],
-                          help="routing-policy axis (default round-robin)")
-    optimize.add_argument("--autoscalers", nargs="+",
-                          choices=sorted(AUTOSCALER_REGISTRY), default=["fixed"],
-                          help="autoscaling-policy axis (default fixed)")
-    optimize.add_argument("--replica-counts", dest="replica_counts", type=int,
-                          nargs="+", default=[1, 2, 4],
-                          help="replica-count axis (default 1 2 4)")
-    optimize.add_argument("--max-batches", dest="max_batches", type=int,
-                          nargs="+", default=[32],
-                          help="continuous-batching slot-limit axis (default 32)")
-    optimize.add_argument("--objectives", nargs="+",
-                          choices=sorted(OBJECTIVE_REGISTRY),
-                          default=["cost-per-million-tokens", "p99-ttft"],
-                          help="objectives to minimise/maximise "
-                               "(default: cost-per-million-tokens p99-ttft)")
-    optimize.add_argument("--constraints", nargs="+", default=None,
-                          metavar="CONSTRAINT",
-                          help="feasibility constraints: 'fit', 'slo>=0.95' or "
-                               "'<objective><=value' (default: none)")
-    optimize.add_argument("--strategy", choices=sorted(SEARCH_REGISTRY),
-                          default="successive-halving",
-                          help="search strategy (default successive-halving)")
-    optimize.add_argument("--budget", type=int, default=None,
-                          help="full-fidelity evaluation budget (random sample "
-                               "size / survivor cap; default: unlimited)")
-    optimize.add_argument("--rate", type=float, default=8.0,
-                          help="workload arrival rate in requests/s (default 8)")
-    optimize.add_argument("--requests", type=int, default=200,
-                          help="full-fidelity trace length (default 200)")
-    optimize.add_argument("--trace", choices=sorted(TRACE_REGISTRY),
-                          default="poisson",
-                          help="arrival process (default poisson)")
-    optimize.add_argument("--scenario", choices=llm_scenarios,
-                          default="chat-serving",
-                          help="scenario supplying the request mix "
-                               "(default chat-serving)")
+    _add_request_flags(optimize, repro_api.OptimizeRequest, {
+        **serving_flags,
+        "designs": _Flag("design axis (default: all predefined designs)"),
+        "precisions": _Flag("precision axis (default int8)",
+                            choices=precisions),
+        "schedulers": _Flag("batching-policy axis (default fcfs)",
+                            choices=sorted(SCHEDULER_REGISTRY)),
+        "routers": _Flag("routing-policy axis (default round-robin)",
+                         choices=sorted(ROUTER_REGISTRY)),
+        "autoscalers": _Flag("autoscaling-policy axis (default fixed)",
+                             choices=sorted(AUTOSCALER_REGISTRY)),
+        "replica_counts": _Flag("replica-count axis (default 1 2 4)"),
+        "max_batches": _Flag("continuous-batching slot-limit axis "
+                             "(default 32)"),
+        "objectives": _Flag("objectives to minimise/maximise (default: "
+                            "cost-per-million-tokens p99-ttft)",
+                            choices=sorted(OBJECTIVE_REGISTRY)),
+        "constraints": _Flag("feasibility constraints: 'fit', 'slo>=0.95' or "
+                             "'<objective><=value' (default: none)",
+                             metavar="CONSTRAINT"),
+        "strategy": _Flag("search strategy (default successive-halving)",
+                          choices=sorted(SEARCH_REGISTRY)),
+        "budget": _Flag("full-fidelity evaluation budget (random sample "
+                        "size / survivor cap; default: unlimited)"),
+        "rate": _Flag("workload arrival rate in requests/s (default 8)"),
+        "requests": _Flag("full-fidelity trace length (default 200)"),
+        "capacity_bound": _Flag("do not prune fleets below the capacity "
+                                "lower bound when an SLO constraint is "
+                                "declared", option="--no-capacity-bound",
+                                action="store_false"),
+    }, global_fields)
     optimize.add_argument("--store", metavar="PATH", default=None,
                           help="persistent JSONL result store: repeated "
                                "searches against the same store simulate "
                                "nothing new")
-    optimize.add_argument("--no-capacity-bound", dest="no_capacity_bound",
-                          action="store_true",
-                          help="do not prune fleets below the capacity lower "
-                               "bound when an SLO constraint is declared")
-    optimize.add_argument("--slo-ttft", dest="slo_ttft", type=float, default=1.0,
-                          help="SLO: time to first token in seconds (default 1.0)")
-    optimize.add_argument("--slo-tpot", dest="slo_tpot", type=float, default=0.1,
-                          help="SLO: time per output token in seconds (default 0.1)")
-    optimize.add_argument("--seed", type=int, default=argparse.SUPPRESS,
-                          help="override the global --seed after the subcommand")
     optimize.add_argument("--json", metavar="PATH", default=None,
                           help="write the full frontier report to PATH as JSON")
     optimize.add_argument("--csv", metavar="PATH", default=None,
                           help="write the frontier rows to PATH as CSV")
     _add_telemetry_flags(optimize)
-    _add_chaos_flags(optimize)
     optimize.set_defaults(func=cmd_optimize)
 
     gateway = subparsers.add_parser(

@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import json
 import logging
+import socket
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any
 
@@ -47,8 +48,11 @@ logger = logging.getLogger("repro.gateway")
 #: Largest request body the gateway will read (sweeps are lists of short
 #: strings; anything bigger than this is a mistake, not a workload).
 MAX_BODY_BYTES = 1 << 20
-#: Read size when discarding an oversized body.
+#: Read size when discarding an unread body.
 _DRAIN_CHUNK = 1 << 16
+#: After a reply that left the body unread, the longest wait for the
+#: client's next bytes before the connection closes (``finish``).
+_LINGER_S = 2.0
 
 #: HTTP status per error code; codes not listed here are client errors (400).
 _ERROR_STATUS = {
@@ -84,6 +88,8 @@ def _make_handler(manager: JobManager) -> type[BaseHTTPRequestHandler]:
     class GatewayHandler(BaseHTTPRequestHandler):
         protocol_version = "HTTP/1.1"
         server_version = "repro-gateway/1"
+        #: Set when a reply goes out with the request body unread.
+        body_unread = False
 
         # ------------------------------------------------------------ plumbing
         def log_message(self, format: str, *args) -> None:  # noqa: A002
@@ -100,30 +106,38 @@ def _make_handler(manager: JobManager) -> type[BaseHTTPRequestHandler]:
         def _send_error(self, error: ApiError) -> None:
             self._send_json(error_status(error), {"error": encode(error)})
 
+        def finish(self) -> None:
+            """Flush the reply; then, if the body went unread, linger.
+
+            Closing a socket with unread input resets the connection, and
+            the reset can destroy the reply before the client reads it.  So
+            the write side is shut and the input discarded until the client
+            closes (it has the reply by then) or goes ``_LINGER_S`` silent.
+            """
+            super().finish()
+            if not self.body_unread:
+                return
+            try:  # a client that already left raises ENOTCONN
+                self.connection.shutdown(socket.SHUT_WR)
+                self.connection.settimeout(_LINGER_S)
+                while self.connection.recv(_DRAIN_CHUNK):
+                    pass
+            except OSError:  # timeouts included
+                pass
+
         def _read_body(self) -> bytes:
             header = self.headers.get("Content-Length", "0")
             if not (header.isascii() and header.isdigit()):
-                # The body's end is unknown: nothing after it can be read.
-                self.close_connection = True
-                raise ApiRequestError(ApiError(
-                    code="invalid-json",
-                    message=f"invalid Content-Length {header!r}"))
-            length = int(header)
-            if length > MAX_BODY_BYTES:
-                # Read (a bounded part of) the body before answering, so the
-                # client's send cannot fail on a closed socket before it
-                # reads the 400; the connection closes after the reply.
-                self.close_connection = True
-                remaining = min(length, 2 * MAX_BODY_BYTES)
-                while remaining > 0:
-                    chunk = self.rfile.read(min(remaining, _DRAIN_CHUNK))
-                    if not chunk:
-                        break
-                    remaining -= len(chunk)
-                raise ApiRequestError(ApiError(
-                    code="invalid-json",
-                    message=f"request body exceeds {MAX_BODY_BYTES} bytes"))
-            return self.rfile.read(length) if length else b""
+                problem = f"invalid Content-Length {header!r}"
+            elif int(header) > MAX_BODY_BYTES:
+                problem = f"request body exceeds {MAX_BODY_BYTES} bytes"
+            else:
+                length = int(header)
+                return self.rfile.read(length) if length else b""
+            # Answered unread: nothing after the body can be parsed, so the
+            # connection ends after the reply (see finish()).
+            self.close_connection = self.body_unread = True
+            raise ApiRequestError(ApiError(code="invalid-json", message=problem))
 
         # -------------------------------------------------------------- routes
         def do_POST(self) -> None:  # noqa: N802 - http.server API

@@ -10,9 +10,10 @@ exactly what moved::
 Covers ``table_iv.json`` (the paper reproduction), ``chrome_trace.json``
 (the pinned Chrome trace-event export schema), ``serving_reports.json``
 (report digests), ``payloads.json`` (sweep rows, a frontier, a fleet
-plan and the response envelopes) and ``fleet_routing.json`` (the routing
+plan and the response envelopes), ``fleet_routing.json`` (the routing
 of a heterogeneous fleet, integers only, so one digest set serves every
-interpreter).  The report and payload digests depend
+interpreter) and ``cli_requests.json`` (the request each CLI argv hands
+to ``repro.api`` and the subcommands' option help).  The report and payload digests depend
 on the interpreter's float ``sum()``, and a run writes only its own
 interpreter's set, so after an intentional change regenerate them under
 Python 3.11 and 3.12::
@@ -22,6 +23,7 @@ Python 3.11 and 3.12::
     PYTHONPATH=src python3.11 tests/golden/regenerate.py payloads
     PYTHONPATH=src python3.12 tests/golden/regenerate.py payloads
     PYTHONPATH=src python tests/golden/regenerate.py fleet-routing
+    PYTHONPATH=src python tests/golden/regenerate.py cli-requests
 """
 
 from __future__ import annotations
@@ -39,6 +41,7 @@ TRACE_GOLDEN_PATH = pathlib.Path(__file__).parent / "chrome_trace.json"
 REPORTS_GOLDEN_PATH = pathlib.Path(__file__).parent / "serving_reports.json"
 PAYLOADS_GOLDEN_PATH = pathlib.Path(__file__).parent / "payloads.json"
 ROUTING_GOLDEN_PATH = pathlib.Path(__file__).parent / "fleet_routing.json"
+CLI_GOLDEN_PATH = pathlib.Path(__file__).parent / "cli_requests.json"
 # The golden tests live one directory up and import no pytest at module level.
 sys.path.insert(0, str(pathlib.Path(__file__).parent.parent))
 
@@ -91,6 +94,16 @@ def write_fleet_routing() -> None:
     print(f"wrote {ROUTING_GOLDEN_PATH} ({len(golden['digests'])} routings)")
 
 
+def write_cli_requests() -> None:
+    """Rewrite the CLI argv -> request mapping and the option help."""
+    from test_golden_cli_requests import golden_payload
+
+    golden = golden_payload()
+    CLI_GOLDEN_PATH.write_text(json.dumps(golden, indent=2) + "\n",
+                               encoding="utf-8")
+    print(f"wrote {CLI_GOLDEN_PATH} ({len(golden['requests'])} requests)")
+
+
 def main() -> None:
     explorer = ArchitectureExplorer(
         llm_settings=LLMInferenceSettings(batch=8, input_tokens=1024, output_tokens=512,
@@ -131,6 +144,7 @@ def main() -> None:
     write_serving_reports()
     write_payloads()
     write_fleet_routing()
+    write_cli_requests()
 
 
 if __name__ == "__main__":
@@ -140,5 +154,7 @@ if __name__ == "__main__":
         write_payloads()
     elif sys.argv[1:] == ["fleet-routing"]:
         write_fleet_routing()
+    elif sys.argv[1:] == ["cli-requests"]:
+        write_cli_requests()
     else:
         main()

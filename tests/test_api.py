@@ -119,12 +119,46 @@ class TestStrictDecoding:
         (dict(scheduler="lifo"), "scheduler"),
         (dict(trace="uniform"), "trace"),
         (dict(faults=("bogus:at_s=1",)), "faults[0]"),
+        # Held to the annotations: no JSON type slips past as-is.
+        (dict(overlay=5), "overlay"),
+        (dict(faults=[5]), "faults[0]"),
+        (dict(faults="replica-crash:at_s=1"), "faults"),
+        (dict(requests=40.0), "requests"),
+        (dict(requests=True), "requests"),
+        (dict(rate=True), "rate"),
+        (dict(rate="16"), "rate"),
+        (dict(devices=2.0), "devices"),
     ])
     def test_invalid_field_names_the_field(self, overrides, field):
         with pytest.raises(ApiRequestError) as excinfo:
             SimulateRequest(**{**FAST, **overrides})
         assert excinfo.value.error.code == "invalid-field"
         assert excinfo.value.error.field == field
+
+    @pytest.mark.parametrize("cls, overrides, field", [
+        (OptimizeRequest, dict(capacity_bound="no"), "capacity_bound"),
+        (OptimizeRequest, dict(replica_counts=[1, 2.5]), "replica_counts[1]"),
+        (SweepRequest, dict(designs="baseline"), "designs"),
+        (FleetRequest, dict(rate=8, max_replicas=None), "max_replicas"),
+        (AutoconfigPreviewRequest, dict(memory_utilisation="0.9"),
+         "memory_utilisation"),
+    ])
+    def test_every_kind_holds_fields_to_their_annotations(self, cls, overrides,
+                                                          field):
+        with pytest.raises(ApiRequestError) as excinfo:
+            cls(**overrides)
+        assert excinfo.value.error.code == "invalid-field"
+        assert excinfo.value.error.field == field
+
+    def test_lists_become_tuples_and_integral_floats_floats(self):
+        request = SweepRequest(designs=["baseline"], models=["llama2-7b"],
+                               batches=[2], schedulers=["fcfs"],
+                               arrival_rates=[4], input_tokens=64,
+                               output_tokens=16)
+        assert request.designs == ("baseline",)
+        assert request.arrival_rates == (4.0,)
+        assert type(request.arrival_rates[0]) is float
+        assert request == SweepRequest.from_dict(request.to_dict())
 
     def test_error_render_carries_code_message_and_field(self):
         error = ApiError(code="invalid-field", message="rate must be positive",

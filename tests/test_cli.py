@@ -1,7 +1,10 @@
 """Tests for the repro-sim command-line interface."""
 
+import dataclasses
+
 import pytest
 
+from repro import api
 from repro.cli import build_parser, main
 
 
@@ -32,6 +35,26 @@ class TestParser:
                                           "--parallelism", "tensor"])
         assert args.devices == [1, 2]
         assert args.parallelism == "tensor"
+
+    def test_request_field_without_a_flag_fails_the_parser(self, monkeypatch):
+        @dataclasses.dataclass(frozen=True)
+        class WiderSweep(api.SweepRequest):
+            extra: int = 0
+
+        monkeypatch.setattr(api, "SweepRequest", WiderSweep)
+        with pytest.raises(TypeError, match=r"without a CLI flag: \['extra'\]"):
+            build_parser()
+
+    @pytest.mark.parametrize("subcommand",
+                             ["compare", "explore", "multi-device", "serve"])
+    def test_unknown_llm_is_a_usage_error(self, subcommand):
+        with pytest.raises(SystemExit, match="unknown model 'nope'"):
+            main(["--llm", "nope", subcommand])
+
+    def test_serve_errors_read_like_the_api(self):
+        with pytest.raises(SystemExit, match=r"^invalid-field: unknown design "
+                                             r"'nope'.*\(field: design\)$"):
+            main(["serve", "--design", "nope"])
 
 
 class TestCompare:

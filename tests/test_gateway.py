@@ -160,6 +160,34 @@ class TestValidationErrors:
             assert status == 400
             assert body["error"]["code"] == "invalid-json"
 
+    @pytest.mark.parametrize("size", [5 << 20, 32 << 20])
+    def test_far_oversized_body_keeps_its_400(self, gateway, size):
+        # The server answers without reading such a body; closing the
+        # socket on the unread input would reset the connection and lose
+        # the reply, so the server lingers until the client has read it.
+        body = b" " * size
+        for _ in range(10):
+            status, reply = http(f"{gateway.url}/v1/simulate", "POST",
+                                 raw=body)
+            assert status == 400
+            assert reply["error"]["code"] == "invalid-json"
+
+    @pytest.mark.parametrize("field, value, path", [
+        ("overlay", 5, "overlay"),
+        ("faults", [5], "faults[0]"),
+        ("requests", 40.0, "requests"),
+        ("max_batch", 32.0, "max_batch"),
+        ("requests", True, "requests"),
+    ])
+    def test_mistyped_field_is_400_at_submission(self, gateway, field, value,
+                                                 path):
+        payload = {**SimulateRequest(**FAST).to_dict(), field: value}
+        status, body = http(f"{gateway.url}/v1/simulate", "POST", payload)
+        assert status == 400
+        assert body["error"]["code"] == "invalid-field"
+        assert body["error"]["field"] == path
+        assert http(f"{gateway.url}/v1/jobs")[1]["jobs"] == []
+
     @pytest.mark.parametrize("length", ["abc", "-1", "1.5", ""])
     def test_malformed_content_length_is_400(self, gateway, length):
         connection = HTTPConnection(gateway.host, gateway.port, timeout=3)
