@@ -249,13 +249,14 @@ def plan_fleet(model: LLMConfig, tpu: TPUConfig, *, arrival_rate: float,
     milliseconds regardless of trace length, at the estimator's
     golden-bounded error (chaos plans must stay exact).
 
-    A persistent ``store`` routes every evaluation through
-    :func:`~repro.serving.cluster.simulate_cluster`, so each candidate
-    fleet is keyed by :func:`~repro.serving.cluster.cluster_run_key` and a
-    repeated plan replays nothing.  Store keys fingerprint the scenario
-    ``settings``, so a store-backed plan requires them (the request
-    classes and precision are then derived from the settings rather than
-    passed separately); the plan itself is bit-for-bit the storeless one.
+    Every candidate fleet is one
+    :func:`~repro.serving.cluster.simulate_cluster` call.  With a persistent
+    ``store`` each is keyed by
+    :func:`~repro.serving.cluster.cluster_run_key`, so a repeated plan
+    replays nothing.  Store keys fingerprint the scenario ``settings``, so
+    a store-backed plan requires them (the request classes and precision
+    are then derived from the settings rather than passed separately); the
+    plan itself is bit-for-bit the storeless one.
 
     Raises
     ------
@@ -266,15 +267,10 @@ def plan_fleet(model: LLMConfig, tpu: TPUConfig, *, arrival_rate: float,
     """
     # Imported lazily: repro.serving layers on top of repro.analysis, so a
     # top-level import here would be circular.
-    from repro.serving.cluster import (
-        ClusterSimulator,
-        FleetCostModel,
-        simulate_cluster,
-    )
+    from repro.serving.cluster import FleetCostModel, simulate_cluster
     from repro.serving.metrics import SLO
-    from repro.serving.simulator import ServingSimulator
     from repro.serving.spec import ServingSpec
-    from repro.serving.trace import generate_trace, request_classes_from_settings
+    from repro.serving.trace import request_classes_from_settings
     from repro.workloads.chat import DEFAULT_REQUEST_MIX
 
     if arrival_rate <= 0:
@@ -298,11 +294,9 @@ def plan_fleet(model: LLMConfig, tpu: TPUConfig, *, arrival_rate: float,
         if settings_precision != precision:
             raise ValueError("precision disagrees with the scenario settings "
                              "it would be stored under")
+    else:
+        settings = SimpleNamespace(request_classes=classes, precision=precision)
     cost_model = cost_model if cost_model is not None else FleetCostModel()
-    # A chaos-aware plan sizes the fleet against the degraded trace/fleet:
-    # the overlay warps the arrivals, the faults replay in every evaluation.
-    trace = generate_trace(trace_kind, classes, arrival_rate, num_requests,
-                           seed, overlay=overlay)
 
     # Per-replica sustainable request rate: prefill serialises on the engine
     # while decode shares max_batch slots — the binding one caps the rate.
@@ -329,42 +323,18 @@ def plan_fleet(model: LLMConfig, tpu: TPUConfig, *, arrival_rate: float,
     evaluations: list[FleetEvaluation] = []
     met_at: int | None = None
     for count in range(min(lower_bound, max_replicas), max_replicas + 1):
-        if store is not None:
-            # Store-backed evaluations route through simulate_cluster so
-            # each candidate fleet persists under its cluster_run_key and
-            # warm plans replay nothing.
-            spec = ServingSpec(
-                scheduler=scheduler, trace=trace_kind,
-                arrival_rate=arrival_rate, num_requests=num_requests,
-                seed=seed, max_batch=max_batch, devices=devices,
-                memory_utilisation=memory_utilisation, slo=slo,
-                replicas=count, router=router, autoscaler=autoscaler,
-                faults=tuple(faults), overlay=overlay, fidelity=fidelity)
-            report = repriced(simulate_cluster(
-                model, tpu, spec, settings, store=store,
-                telemetry=telemetry))
-        elif fidelity == "fluid":
-            spec = ServingSpec(
-                scheduler=scheduler, trace=trace_kind,
-                arrival_rate=arrival_rate, num_requests=num_requests,
-                seed=seed, max_batch=max_batch, devices=devices,
-                memory_utilisation=memory_utilisation, slo=slo,
-                replicas=count, router=router, fidelity="fluid")
-            fluid_settings = SimpleNamespace(request_classes=classes,
-                                             precision=precision)
-            report = repriced(simulate_cluster(model, tpu, spec,
-                                               fluid_settings))
-        else:
-            replicas = [ServingSimulator(
-                model, tpu, scheduler=scheduler, precision=precision,
-                max_batch=max_batch, devices=devices,
-                memory_utilisation=memory_utilisation)
-                for _ in range(count)]
-            report = ClusterSimulator(replicas, router=router,
-                                      autoscaler=autoscaler,
-                                      cost_model=cost_model,
-                                      faults=faults).run(trace, slo=slo,
-                                                         telemetry=telemetry)
+        # A chaos-aware plan sizes the fleet against the degraded trace and
+        # fleet: the overlay warps the arrivals, the faults replay in every
+        # evaluation.
+        spec = ServingSpec(
+            scheduler=scheduler, trace=trace_kind,
+            arrival_rate=arrival_rate, num_requests=num_requests,
+            seed=seed, max_batch=max_batch, devices=devices,
+            memory_utilisation=memory_utilisation, slo=slo,
+            replicas=count, router=router, autoscaler=autoscaler,
+            faults=tuple(faults), overlay=overlay, fidelity=fidelity)
+        report = repriced(simulate_cluster(model, tpu, spec, settings,
+                                           store=store, telemetry=telemetry))
         evaluations.append(FleetEvaluation(
             replicas=count, slo_attainment=report.slo_attainment,
             p99_ttft_s=report.ttft.p99_s, p99_tpot_s=report.tpot.p99_s,

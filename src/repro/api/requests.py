@@ -86,6 +86,15 @@ def _check_positive(value: float, field_name: str) -> None:
         raise invalid_field(field_name, f"{field_name} must be positive")
 
 
+def _check_fidelity(fidelity: str, faults, overlay) -> None:
+    if fidelity not in ("exact", "fluid"):
+        raise invalid_field("fidelity", "fidelity must be 'exact' or 'fluid'")
+    if fidelity == "fluid" and (faults or overlay):
+        raise invalid_field("fidelity",
+                            "fluid fidelity cannot replay faults or "
+                            "overlays; chaos runs need the exact event loop")
+
+
 def _parse_faults(texts, field_name: str = "faults"):
     specs = []
     for index, text in enumerate(texts):
@@ -134,6 +143,9 @@ def _resolve_workload(llm: str, design: str, scenario: str, *, batch: int,
                             f"scenario '{scenario}' does not support "
                             f"model '{model.name}'")
     _check_choice(precision, _PRECISIONS, "precision", "precision")
+    _check_positive(batch, "batch")
+    _check_positive(input_tokens, "input_tokens")
+    _check_positive(output_tokens, "output_tokens")
     try:
         settings = spec.make_settings(ScenarioKnobs(
             batch=batch, precision=Precision(precision),
@@ -342,6 +354,17 @@ class SimulateRequest(_Request):
     def __post_init__(self) -> None:
         self._normalise()
         self.resolve()
+        _check_positive(self.rate, "rate")
+        _check_positive(self.requests, "requests")
+        _check_positive(self.replicas, "replicas")
+        _check_positive(self.max_batch, "max_batch")
+        _check_positive(self.bucket, "bucket")
+        if self.devices is not None:
+            _check_positive(self.devices, "devices")
+        if not 1 <= self.min_replicas <= self.replicas:
+            raise invalid_field("min_replicas",
+                                "min_replicas must be in [1, replicas]")
+        _check_fidelity(self.fidelity, self.faults, self.overlay)
         self.spec()
 
     def resolve(self):
@@ -418,14 +441,7 @@ class FleetRequest(_Request):
         if not 0 < self.attainment <= 1:
             raise invalid_field("attainment",
                                 "attainment_target must be in (0, 1]")
-        if self.fidelity not in ("exact", "fluid"):
-            raise invalid_field("fidelity",
-                                "fidelity must be 'exact' or 'fluid'")
-        if self.fidelity == "fluid" and (self.faults or self.overlay):
-            raise invalid_field("fidelity",
-                                "fluid fidelity cannot replay faults or "
-                                "overlays; chaos runs need the exact event "
-                                "loop")
+        _check_fidelity(self.fidelity, self.faults, self.overlay)
         _slo(self.slo_ttft, self.slo_tpot)
         _parse_faults(self.faults)
         _parse_overlay(self.overlay)

@@ -1,23 +1,21 @@
-"""Content-addressed result caches and the caching inference simulator.
+"""The caching inference simulator and its hit/miss-counting graph cache.
 
-Two cache levels back the sweep engine:
+:class:`CachingInferenceSimulator` memoises graph evaluations in a
+:class:`ResultCache` keyed by ``fingerprint(TPUConfig, OperatorGraph)`` —
+the unit of actual simulation work.  The sweep engine builds one per chip
+configuration per sweep, so e.g. the TPUv4i baseline prefill layer is
+simulated once no matter how many of the sweep's points, device counts or
+report tables reference it.  Finished sweep rows are cached by the engine
+itself (:class:`~repro.sweep.engine.SweepEngine`), keyed on the whole
+point, so re-running a sweep does no simulation at all.
 
-* a **graph cache** mapping ``fingerprint(TPUConfig, OperatorGraph)`` to the
-  simulated :class:`~repro.core.results.GraphResult` — the unit of actual
-  simulation work.  Every graph evaluation in a sweep flows through it, so
-  e.g. the TPUv4i baseline prefill layer is simulated once no matter how many
-  sweep points, device counts or report tables reference it;
-* a **point cache** mapping a whole sweep point's fingerprint to its finished
-  :class:`~repro.sweep.engine.SweepResult` row, so re-running a sweep (or a
-  sweep whose grid repeats a point) does no simulation at all.
-
-Both are instances of :class:`ResultCache`, which counts hits and misses so
-tests and benchmarks can assert "the cached re-sweep simulated nothing".
+:class:`ResultCache` counts hits and misses so tests and benchmarks can
+assert "the cached re-run simulated nothing".
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable
+from collections.abc import Callable
 from dataclasses import dataclass
 from typing import Any
 
@@ -62,16 +60,6 @@ class ResultCache:
         self._entries: dict[str, Any] = {}
         self.stats = CacheStats()
 
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def __contains__(self, key: str) -> bool:
-        return key in self._entries
-
-    def get(self, key: str) -> Any:
-        """Return the cached value for ``key`` (KeyError if absent)."""
-        return self._entries[key]
-
     def get_or_compute(self, key: str, compute: Callable[[], Any]) -> Any:
         """Return the cached value, computing and storing it on a miss."""
         if key in self._entries:
@@ -81,28 +69,6 @@ class ResultCache:
         value = compute()
         self._entries[key] = value
         return value
-
-    def put(self, key: str, value: Any) -> None:
-        """Store a value without touching the hit/miss counters.
-
-        Used to merge entries computed elsewhere (e.g. in a worker process);
-        those simulations are accounted for by the worker, not re-counted here.
-        """
-        self._entries[key] = value
-
-    def merge(self, entries: Iterable[tuple[str, Any]]) -> None:
-        """Merge externally computed ``(key, value)`` entries into the cache."""
-        for key, value in entries:
-            self._entries[key] = value
-
-    def entries(self) -> dict[str, Any]:
-        """A shallow copy of the stored entries (for shipping to a merger)."""
-        return dict(self._entries)
-
-    def clear(self) -> None:
-        """Drop all entries and reset the counters."""
-        self._entries.clear()
-        self.stats = CacheStats()
 
 
 class CachingInferenceSimulator(InferenceSimulator):

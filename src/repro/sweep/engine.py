@@ -7,15 +7,17 @@ the substrate for every sweep-shaped study in the repository (Table IV /
 Fig. 7 exploration, Fig. 8 multi-TPU scaling, the widened ``repro-sim sweep``
 scenario space):
 
-* **content-addressed caching** — graph simulations are memoised on a
-  deterministic hash of the chip configuration plus the operator graph, and
-  whole points on a hash of the full point description, so repeated points
-  (e.g. the shared TPUv4i baseline) simulate once and a re-sweep simulates
-  nothing;
-* **parallel fan-out** — ``workers > 1`` distributes uncached points over a
-  ``multiprocessing`` pool, grouped by chip configuration so graph sharing
-  survives the process boundary; results are re-assembled in input order and
-  are identical (bit-for-bit) to a serial sweep;
+* **content-addressed caching** — whole points are memoised on a hash of
+  the full point description, in the engine and (with a persistent store)
+  across runs, so repeated points (e.g. the shared TPUv4i baseline)
+  simulate once and a re-sweep simulates nothing; within one sweep, the
+  points of one chip configuration share a graph cache keyed on the chip
+  plus the operator graph;
+* **one evaluation path** — uncached points are grouped by chip
+  configuration and each group is evaluated by one function, in this
+  process or, with ``workers > 1``, in a ``multiprocessing`` pool; either
+  way the groups run in the same order, so rows, statistics and store
+  files are identical (bit-for-bit) for every worker count;
 * **structured results** — rows are plain frozen dataclasses exportable to
   JSON/CSV via :mod:`repro.sweep.export`.
 """
@@ -24,16 +26,16 @@ from __future__ import annotations
 
 import logging
 import multiprocessing
-from collections.abc import Iterable, Mapping, Sequence
-from dataclasses import dataclass
+from collections.abc import Iterable, Sequence
+from contextlib import nullcontext
+from dataclasses import dataclass, replace
 from functools import partial
 from typing import TYPE_CHECKING
 
 from repro.codec import decode, encode
-from repro.core.config import TPUConfig
 from repro.obs.telemetry import Telemetry
 from repro.parallel.multi_device import MultiTPUSystem
-from repro.sweep.cache import CachingInferenceSimulator, ResultCache
+from repro.sweep.cache import CachingInferenceSimulator
 from repro.sweep.fingerprint import fingerprint
 from repro.sweep.grid import SweepGrid, SweepPoint
 
@@ -119,7 +121,7 @@ def point_key(point: SweepPoint) -> str:
 
 
 def _compute_result(point: SweepPoint, simulator: CachingInferenceSimulator,
-                    key: str, store: "ResultStore | None" = None) -> SweepResult:
+                    key: str) -> SweepResult:
     """Simulate one point with the given (caching) simulator.
 
     The point's registered scenario drives the whole evaluation, so any
@@ -144,8 +146,7 @@ def _compute_result(point: SweepPoint, simulator: CachingInferenceSimulator,
             from repro.serving.cluster import simulate_cluster
 
             report = simulate_cluster(point.model, point.config, point.serving,
-                                      point.settings, simulator=simulator,
-                                      store=store)
+                                      point.settings, simulator=simulator)
             devices = report.total_devices
         else:
             from repro.serving.simulator import simulate_serving
@@ -198,68 +199,42 @@ def _compute_result(point: SweepPoint, simulator: CachingInferenceSimulator,
         communication_seconds=communication, cache_key=key)
 
 
-#: Per-worker-process snapshot of the parent's graph cache, installed once
-#: by :func:`_seed_worker_cache` when the pool spins the process up (not
-#: re-pickled per task, which would cost O(groups × cache size)).
-_WORKER_SEED_ENTRIES: dict[str, object] = {}
+def _evaluate_group(tasks: Sequence[tuple[str, SweepPoint]],
+                    telemetry: Telemetry | None = None,
+                    ) -> tuple[list[SweepResult], int, int]:
+    """Simulate the points of one chip configuration on one caching simulator.
 
+    The engine groups points by chip configuration, so the graphs that
+    points share (per-layer graphs across a device axis, repeated settings
+    on one design) are simulated once per group.  Graph keys include the
+    chip, so one cache per group gives the hits and misses one cache per
+    sweep would.  The engine calls this in its own process, where
+    ``telemetry`` records one ``point:`` span per point, or in a pool
+    worker.
 
-def _seed_worker_cache(entries: Mapping[str, object]) -> None:
-    """Pool initializer: install the parent's graph-cache snapshot."""
-    _WORKER_SEED_ENTRIES.clear()
-    _WORKER_SEED_ENTRIES.update(entries)
-
-
-def _worker_evaluate_group(tasks: Sequence[tuple[str, SweepPoint]],
-                           seed_entries: Mapping[str, object] | None = None,
-                           ) -> tuple[list[tuple[str, SweepResult]],
-                                      list[tuple[str, object]], int, int]:
-    """Pool worker: simulate a group of points sharing one local graph cache.
-
-    The engine groups points by chip configuration before dispatch, so the
-    graphs that points share (per-layer graphs across a device axis, repeated
-    settings on one design) are simulated once per worker task rather than
-    once per point.  The parent engine's existing graph-cache entries seed
-    the worker's cache (via the pool initializer, or the explicit
-    ``seed_entries`` override for direct calls): without them a warm parent
-    cache is invisible across the process boundary, so workers would
-    re-simulate graphs the parent already holds *and* count them as misses
-    — the classic "cache stats lost under multiprocessing fan-out" bug,
-    which made parallel runs under-report the hit rate (and over-simulate)
-    relative to an identical serial sweep.
-
-    Returns the result rows, the *new* graph-cache entries produced (so the
-    parent engine can absorb them without re-shipping what it sent) and the
-    worker's graph hit/miss deltas (so the parent's statistics reflect work
-    done remotely and parallel stats equal serial stats exactly).
+    Returns the rows in task order and the group's graph hit/miss counts.
     """
-    cache = ResultCache()
-    seed_entries = (dict(seed_entries) if seed_entries is not None
-                    else dict(_WORKER_SEED_ENTRIES))
-    cache.merge(seed_entries.items())
-    simulators: dict[str, CachingInferenceSimulator] = {}
-    rows: list[tuple[str, SweepResult]] = []
+    simulator = CachingInferenceSimulator(tasks[0][1].config)
+    rows: list[SweepResult] = []
     for key, point in tasks:
-        config_key = fingerprint(point.config)
-        simulator = simulators.get(config_key)
-        if simulator is None:
-            simulator = CachingInferenceSimulator(point.config, cache)
-            simulators[config_key] = simulator
-        rows.append((key, _compute_result(point, simulator, key)))
-    produced = [(graph_key, result) for graph_key, result in cache.entries().items()
-                if graph_key not in seed_entries]
-    return rows, produced, cache.stats.hits, cache.stats.misses
+        span = (telemetry.wall_span("sweep", f"point:{point.design}/{point.workload}",
+                                    {"scenario": point.scenario,
+                                     "devices": point.devices, "key": key[:12]})
+                if telemetry is not None else nullcontext())
+        with span:
+            rows.append(_compute_result(point, simulator, key))
+    stats = simulator.cache.stats
+    return rows, stats.hits, stats.misses
 
 
 class SweepEngine:
     """Evaluates sweep grids with content-addressed caching and fan-out.
 
     An optional persistent :class:`~repro.sweep.store.ResultStore` extends
-    the in-memory point cache across processes and runs: rows computed here
+    the in-memory row cache across processes and runs: rows computed here
     are written through to the store, rows another run already computed are
-    decoded from it without simulating anything.  Fleet-shaped points
-    additionally pass the store down to the cluster simulator, so warm
-    searches skip the event loop too.
+    decoded from it without simulating anything.  A sweep stores rows only,
+    never the cluster reports behind its fleet points.
     """
 
     def __init__(self, workers: int | None = None, *,
@@ -275,172 +250,101 @@ class SweepEngine:
         self.telemetry = (telemetry
                           if telemetry is not None and telemetry.enabled
                           else None)
-        self.graph_cache = ResultCache()
-        self.point_cache = ResultCache()
-        self._simulators: dict[str, CachingInferenceSimulator] = {}
-        self._remote_graph_hits = 0
-        self._remote_graph_misses = 0
-        self._store_hits = 0
-        self._store_misses = 0
+        #: Finished rows by point key, so a repeated point simulates once.
+        self._rows: dict[str, SweepResult] = {}
+        self._stats = SweepStats()
 
     # -------------------------------------------------------------- evaluate
     def evaluate(self, point: SweepPoint) -> SweepResult:
         """Evaluate one sweep point (served from the caches on repeats)."""
-        key = point_key(point)
-        return self.point_cache.get_or_compute(
-            key, lambda: self._restore_or_compute(point, key))
+        return self.sweep([point], workers=1)[0]
 
     def sweep(self, points: SweepGrid | Iterable[SweepPoint],
               workers: int | None = None) -> list[SweepResult]:
         """Evaluate every point; rows come back in input order.
 
-        With ``workers > 1`` the uncached points are distributed over a
-        process pool (one task per distinct chip configuration); the result
-        rows are nevertheless identical to a serial sweep, point for point.
+        Each new point is looked up in the store, in input order.  The rest
+        are grouped by chip configuration and the groups evaluated in order
+        of first appearance: in this process when ``workers`` is at most 1,
+        over a process pool (one task per group) otherwise.  A group's rows
+        enter the row cache and the store as soon as the group finishes, so
+        rows, statistics and store file are the same for any worker count.
         """
         resolved = list(points)
         keys = [point_key(point) for point in resolved]
         workers = workers if workers is not None else self.workers
-        prefetched: dict[str, SweepResult] = {}
-        if workers is not None and workers > 1:
-            prefetched = self._parallel_prefetch(resolved, keys, workers)
-
-        rows: list[SweepResult] = []
-        for point, key in zip(resolved, keys):
-            if key in prefetched:
-                rows.append(self.point_cache.get_or_compute(
-                    key, lambda key=key: prefetched[key]))
+        new: dict[str, SweepPoint] = {}
+        for key, point in zip(keys, resolved):
+            if key not in self._rows:
+                new.setdefault(key, point)
+        self._stats.point_hits += len(keys) - len(new)
+        self._stats.point_misses += len(new)
+        groups: dict[str, list[tuple[str, SweepPoint]]] = {}
+        for key, point in new.items():
+            restored = self._from_store(key)
+            if restored is not None:
+                self._rows[key] = restored
             else:
-                rows.append(self.point_cache.get_or_compute(
-                    key, lambda point=point, key=key: self._restore_or_compute(
-                        point, key)))
-        return rows
+                groups.setdefault(fingerprint(point.config), []).append((key, point))
+        if groups:
+            self._compute(list(groups.values()), workers)
+        return [self._rows[key] for key in keys]
 
     # --------------------------------------------------------------- helpers
-    def _restore_or_compute(self, point: SweepPoint, key: str) -> SweepResult:
-        """Serve a point from the persistent store, or simulate and persist."""
-        restored = self._from_store(key)
-        if restored is not None:
-            return restored
-        tel = self.telemetry
-        if tel is not None:
-            tel.count("sweep.computed")
-            with tel.wall_span("sweep", f"point:{point.design}/{point.workload}",
-                               {"scenario": point.scenario,
-                                "devices": point.devices,
-                                "key": key[:12]}):
-                row = _compute_result(point, self._simulator_for(point.config),
-                                      key, store=self.store)
-        else:
-            row = _compute_result(point, self._simulator_for(point.config), key,
-                                  store=self.store)
-        if self.store is not None:
-            self.store.put(STORE_KIND, key, encode(row))
-        return row
-
     def _from_store(self, key: str) -> SweepResult | None:
         """Decode a stored row (``None`` without a store or on a miss)."""
         if self.store is None:
             return None
         row = self.store.load(STORE_KIND, key, _decode_row)
         if row is not None:
-            self._store_hits += 1
+            self._stats.store_hits += 1
             if self.telemetry is not None:
                 self.telemetry.count("sweep.store_hits")
             return row
-        self._store_misses += 1
+        self._stats.store_misses += 1
         if self.telemetry is not None:
             self.telemetry.count("sweep.store_misses")
         return None
 
-    def _parallel_prefetch(self, points: Sequence[SweepPoint], keys: Sequence[str],
-                           workers: int) -> dict[str, SweepResult]:
-        """Simulate the unique uncached points in a process pool.
-
-        Points are grouped by chip configuration and each group is one pool
-        task: every group ships with a snapshot of the parent's graph cache
-        (workers cannot see it otherwise) so graphs the parent — or an
-        earlier sweep — already simulated are cache hits in the worker too,
-        and the merged statistics equal a serial sweep's exactly.  Points
-        the persistent store already holds are decoded here and never
-        dispatched.  The fan-out is across distinct designs — the axis the
-        exploration grids are widest in.
-        """
-        pending: dict[str, SweepPoint] = {}
-        prefetched: dict[str, SweepResult] = {}
-        for key, point in zip(keys, points):
-            if key in self.point_cache or key in pending or key in prefetched:
-                continue
-            restored = self._from_store(key)
-            if restored is not None:
-                prefetched[key] = restored
-            else:
-                pending[key] = point
-        if not pending:
-            return prefetched
-        groups: dict[str, list[tuple[str, SweepPoint]]] = {}
-        for key, point in pending.items():
-            groups.setdefault(fingerprint(point.config), []).append((key, point))
-        seed_entries = self.graph_cache.entries()
-        logger.debug("parallel prefetch: %d point(s) in %d group(s) over "
-                     "up to %d worker(s)", len(pending), len(groups), workers)
+    def _compute(self, groups: list[list[tuple[str, SweepPoint]]],
+                 workers: int | None) -> None:
+        """Evaluate the groups in order, keeping each group's rows as it ends."""
         tel = self.telemetry
+        if workers is None or workers <= 1:
+            self._keep(_evaluate_group(group, tel) for group in groups)
+            return
+        points = sum(len(group) for group in groups)
+        logger.debug("sweep fan-out: %d point(s) in %d group(s) over up to "
+                     "%d worker(s)", points, len(groups), workers)
         span = (tel.wall_span("sweep", "parallel-fanout",
-                              {"points": len(pending), "groups": len(groups)})
-                if tel is not None else None)
-        with multiprocessing.Pool(processes=min(workers, len(groups)),
-                                  initializer=_seed_worker_cache,
-                                  initargs=(seed_entries,)) as pool:
-            if span is not None:
-                with span:
-                    outcomes = pool.map(_worker_evaluate_group,
-                                        list(groups.values()))
-            else:
-                outcomes = pool.map(_worker_evaluate_group,
-                                    list(groups.values()))
-            if tel is not None:
-                tel.count("sweep.computed", len(pending))
-        for rows, graph_entries, graph_hits, graph_misses in outcomes:
-            self.graph_cache.merge(graph_entries)
-            self._remote_graph_hits += graph_hits
-            self._remote_graph_misses += graph_misses
-            for key, row in rows:
-                prefetched[key] = row
-                if self.store is not None:
-                    self.store.put(STORE_KIND, key, encode(row))
-        return prefetched
+                              {"points": points, "groups": len(groups)})
+                if tel is not None else nullcontext())
+        with multiprocessing.Pool(processes=min(workers, len(groups))) as pool, span:
+            self._keep(pool.imap(_evaluate_group, groups))
 
-    def _simulator_for(self, config: TPUConfig) -> CachingInferenceSimulator:
-        """A caching simulator for the chip, shared across points."""
-        key = fingerprint(config)
-        simulator = self._simulators.get(key)
-        if simulator is None:
-            simulator = CachingInferenceSimulator(config, self.graph_cache)
-            self._simulators[key] = simulator
-        return simulator
+    def _keep(self, outcomes: Iterable[tuple[list[SweepResult], int, int]]) -> None:
+        """Add each finished group's rows and graph counts to the engine."""
+        for rows, graph_hits, graph_misses in outcomes:
+            self._stats.graph_hits += graph_hits
+            self._stats.graph_misses += graph_misses
+            if self.telemetry is not None:
+                self.telemetry.count("sweep.computed", len(rows))
+            for row in rows:
+                self._rows[row.cache_key] = row
+                if self.store is not None:
+                    self.store.put(STORE_KIND, row.cache_key, encode(row))
 
     # ------------------------------------------------------------ statistics
     @property
     def stats(self) -> SweepStats:
-        """Combined local + worker cache statistics of the engine."""
-        return SweepStats(
-            point_hits=self.point_cache.stats.hits,
-            point_misses=self.point_cache.stats.misses,
-            graph_hits=self.graph_cache.stats.hits + self._remote_graph_hits,
-            graph_misses=self.graph_cache.stats.misses + self._remote_graph_misses,
-            store_hits=self._store_hits,
-            store_misses=self._store_misses)
+        """Cache and store statistics of every sweep so far (a copy)."""
+        return replace(self._stats)
 
     def clear_caches(self) -> None:
-        """Drop every cached simulation and reset the statistics.
+        """Drop every cached row and reset the statistics.
 
         The persistent store (if any) is left untouched: it is the
         cross-run memory this method must not erase.
         """
-        self.graph_cache.clear()
-        self.point_cache.clear()
-        self._simulators.clear()
-        self._remote_graph_hits = 0
-        self._remote_graph_misses = 0
-        self._store_hits = 0
-        self._store_misses = 0
+        self._rows.clear()
+        self._stats = SweepStats()

@@ -1,6 +1,6 @@
 """Persistent on-disk result store: fingerprint-keyed JSONL memoisation.
 
-The in-process caches of :mod:`repro.sweep.cache` make repeated points free
+The sweep engine's in-process row cache makes repeated points free
 *within* one engine; this module makes them ~free *across* processes and
 runs.  A :class:`ResultStore` is an append-only JSONL file mapping
 ``(kind, fingerprint)`` to a JSON payload — one record per line::

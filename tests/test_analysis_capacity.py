@@ -14,9 +14,15 @@ from repro.analysis.capacity import (
 )
 from repro.common import Precision
 from repro.core.designs import tpuv4i_baseline
+from repro.serving.cluster import FleetCostModel
+from repro.serving.faults import parse_fault
+from repro.serving.metrics import SLO
+from repro.serving.trace import parse_overlay
+from repro.sweep.store import ResultStore
 from repro.workloads.chat import RequestClass
 from repro.workloads.dit import DIT_XL_2
 from repro.workloads.llm import GPT3_30B, LLAMA2_7B, LLMConfig
+from repro.workloads.scenario import LLMInferenceSettings
 
 
 class TestFootprints:
@@ -235,6 +241,25 @@ class TestPlanFleet:
         bound = fleet_lower_bound(self.MODEL, tpuv4i_baseline(),
                                   arrival_rate=2000.0, request_classes=self.MIX)
         assert plan.evaluations[0].replicas == min(bound, 10)
+
+    @pytest.mark.parametrize("overrides", [
+        {},
+        dict(fidelity="fluid"),
+        dict(faults=(parse_fault("replica-crash:at_s=0.02,duration_s=0.02,replica=0"),),
+             overlay=parse_overlay("flash-crowd:start_s=0.01,duration_s=0.03,magnitude=3")),
+        dict(cost_model=FleetCostModel(chip_hour_dollars=4.0, energy_dollars_per_kwh=0.3)),
+    ], ids=["exact", "fluid", "faults-overlay", "cost-model"])
+    def test_fresh_store_gives_the_storeless_plan(self, tmp_path, overrides):
+        # A load the smallest fleet misses, so every plan tries several sizes.
+        overrides = dict(overrides, arrival_rate=1000.0,
+                         slo=SLO(ttft_s=0.01, tpot_s=0.002))
+        storeless = self.plan(**overrides)
+        stored = self.plan(**overrides,
+                           settings=LLMInferenceSettings(batch=1, input_tokens=64,
+                                                         output_tokens=16),
+                           store=ResultStore(tmp_path / "store.jsonl"))
+        assert stored == storeless
+        assert len(stored.evaluations) > 1
 
     def test_validation(self):
         with pytest.raises(ValueError, match="arrival_rate"):

@@ -128,6 +128,19 @@ class TestStrictDecoding:
         (dict(rate=True), "rate"),
         (dict(rate="16"), "rate"),
         (dict(devices=2.0), "devices"),
+        # Range checks name the request's field, not the spec's.
+        (dict(rate=0), "rate"),
+        (dict(requests=0), "requests"),
+        (dict(replicas=0), "replicas"),
+        (dict(replicas=3, min_replicas=5), "min_replicas"),
+        (dict(max_batch=0), "max_batch"),
+        (dict(bucket=0), "bucket"),
+        (dict(devices=0), "devices"),
+        (dict(fidelity="nope"), "fidelity"),
+        (dict(fidelity="fluid", faults=("replica-crash:at_s=1",)), "fidelity"),
+        (dict(batch=0), "batch"),
+        (dict(input_tokens=0), "input_tokens"),
+        (dict(output_tokens=0), "output_tokens"),
     ])
     def test_invalid_field_names_the_field(self, overrides, field):
         with pytest.raises(ApiRequestError) as excinfo:

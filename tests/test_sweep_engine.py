@@ -177,17 +177,18 @@ class TestParallelSweep:
         assert SweepEngine().sweep(points, workers=1) == SweepEngine().sweep(points)
 
     def test_warm_cache_parallel_stats_equal_serial(self):
-        # Regression for cache stats lost across the process boundary: a
-        # parallel sweep on an engine whose graph cache is already warm
-        # (an earlier sweep sharing graphs) must neither re-simulate those
-        # graphs in the workers nor count them as misses — its statistics
-        # must equal a serial engine's exactly.
+        # Regression for cache stats lost across the process boundary: on
+        # an engine that has already swept, a parallel sweep must add the
+        # workers' graph hits and misses to the engine, so its statistics
+        # equal a serial engine's exactly.  Graph caches last one chip
+        # group of one sweep, so the hits come from the 2- and 4-device
+        # points of a design sharing their per-layer graphs.
         first = tiny_points()
         second = [make_point(label, config, TINY_LLM, batch=2, input_tokens=64,
                              output_tokens=16, decode_kv_samples=2, devices=devices)
                   for label, config in (("baseline", tpuv4i_baseline()),
                                         ("design-a", design_a()))
-                  for devices in (2, 4)]  # shares per-layer graphs with `first`
+                  for devices in (2, 4)]  # per-layer graphs shared across devices
         serial = SweepEngine()
         serial.sweep(first)
         serial_rows = serial.sweep(second)
@@ -198,7 +199,7 @@ class TestParallelSweep:
 
         assert rows == serial_rows
         assert parallel.stats == serial.stats
-        assert parallel.stats.graph_hits > 0  # the warm graphs were hits
+        assert parallel.stats.graph_hits > 0  # graphs shared within a chip group
 
     def test_engine_default_workers_used(self):
         points = tiny_points()[:2]

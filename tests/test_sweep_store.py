@@ -6,8 +6,9 @@ import pytest
 
 from repro.core.designs import PREDEFINED_DESIGNS, design_a, tpuv4i_baseline
 from repro.serving.cluster import cluster_report_from_dict, simulate_cluster
+from repro.serving.costs import STEP_PRICES
 from repro.serving.spec import ServingSpec
-from repro.sweep.engine import SweepEngine
+from repro.sweep.engine import STORE_KIND, SweepEngine
 from repro.sweep.grid import SweepGrid
 from repro.sweep.store import STORE_VERSION, ResultStore
 from repro.workloads.llm import LLAMA2_7B
@@ -195,6 +196,43 @@ class TestEngineStoreIntegration:
         warm = SweepEngine(store=ResultStore(path))
         assert warm.sweep(grid) == cold_rows
         assert warm.stats.simulations == 0
+
+    def test_serial_and_fanout_sweeps_write_the_same_store(self, tmp_path):
+        # Both evaluate the same chip groups in the same order and store
+        # rows only, never the cluster reports behind fleet points.
+        grid = small_grid(
+            models=["llama2-7b"], schedulers=("fcfs",), arrival_rates=(16.0,),
+            routers=("round-robin",), replica_counts=(1, 2),
+            serving_requests=40)
+        stats = {}
+        for workers in (1, 2):
+            STEP_PRICES.clear()  # each run prices its step states cold
+            engine = SweepEngine(store=ResultStore(tmp_path / f"w{workers}.jsonl"))
+            engine.sweep(grid, workers=workers)
+            stats[workers] = engine.stats
+        serial = (tmp_path / "w1.jsonl").read_bytes()
+        assert serial == (tmp_path / "w2.jsonl").read_bytes()
+        assert stats[1] == stats[2]
+        assert len(serial.splitlines()) == len(grid)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_finished_groups_are_stored_when_a_later_group_raises(
+            self, tmp_path, workers):
+        from repro.sweep.engine import point_key
+        from repro.sweep.grid import make_point
+        from repro.workloads.dit import DIT_XL_2
+
+        good = make_point("baseline", tpuv4i_baseline(), LLAMA2_7B, batch=1,
+                          input_tokens=32, output_tokens=4, decode_kv_samples=1)
+        # Tensor parallelism has no DiT sharding model: this group raises.
+        bad = make_point("design-a", design_a(), DIT_XL_2, batch=1,
+                         image_resolution=256, sampling_steps=1, devices=2,
+                         parallelism="tensor")
+        path = tmp_path / "store.jsonl"
+        with pytest.raises(ValueError):
+            SweepEngine(store=ResultStore(path)).sweep([good, bad],
+                                                       workers=workers)
+        assert ResultStore(path).get(STORE_KIND, point_key(good)) is not None
 
 
 class TestClusterStoreIntegration:
