@@ -108,7 +108,12 @@ class FleetResponse(_Response):
 
 @dataclass(frozen=True)
 class SweepResponse(_Response):
-    """A sweep's result rows plus the engine's cache accounting."""
+    """A sweep's result rows plus the engine's cache accounting.
+
+    ``new_simulations`` is the engine's graph-simulation count, not the
+    number of computed points: a serving point that misses the store but
+    finds every step price in the process-wide step-price table adds 0.
+    """
 
     kind: ClassVar[str] = "sweep"
 

@@ -21,8 +21,9 @@ RPR006    telemetry-discipline  defer on the hot path; guarded emission
 Suppress a finding with ``# repro-lint: disable=RPR001`` on its line (or
 ``disable-file=`` near the top) and a comment saying why; unused pragmas
 are themselves findings.  New rules register through
-:func:`register_rule`, the same open-registry idiom as every other policy
-surface (see CONTRIBUTING.md: "machine-checked invariants").
+:func:`register_rule` into :data:`RULE_REGISTRY`, a
+:class:`~repro.registry.Registry` like every other policy surface (see
+CONTRIBUTING.md: "machine-checked invariants").
 """
 
 from __future__ import annotations

@@ -14,8 +14,9 @@ comment suppresses that rule's findings on its own line, and
 Every pragma must pay its way — one that suppresses nothing is itself a
 finding (rule ``RPR000``), so stale escapes cannot accumulate.
 
-Rules register through the same open-registry idiom as every other policy
-surface in the repo (:data:`RULE_REGISTRY` / :func:`register_rule`).
+Rules register through :func:`register_rule` into :data:`RULE_REGISTRY`,
+a :class:`~repro.registry.Registry` like every other policy surface in the
+repo.
 """
 
 from __future__ import annotations
@@ -27,6 +28,8 @@ import tokenize
 from collections.abc import Callable, Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from pathlib import Path
+
+from repro.registry import Registry
 
 #: The engine's own rule id: unparsable files and pragmas that suppress
 #: nothing.  RPR000 findings cannot themselves be suppressed.
@@ -79,36 +82,15 @@ class Rule:
 
 
 #: Registered lint rules, addressable by id.
-RULE_REGISTRY: dict[str, Rule] = {}
+RULE_REGISTRY: Registry[Rule] = Registry("lint rule", "rules")
+
+#: Look up a rule by id (``KeyError`` lists the registered ids).
+get_rule = RULE_REGISTRY.__getitem__
 
 
 def register_rule(rule: Rule, overwrite: bool = False) -> None:
-    """Add a rule to the registry.
-
-    Raises
-    ------
-    ValueError
-        If the id is taken and ``overwrite`` is not set.
-    """
-    if rule.id in RULE_REGISTRY and not overwrite:
-        raise ValueError(f"lint rule '{rule.id}' is already registered")
-    RULE_REGISTRY[rule.id] = rule
-
-
-def get_rule(rule_id: str) -> Rule:
-    """Look up a rule by id.
-
-    Raises
-    ------
-    KeyError
-        If the rule is unknown; the error lists the registered ids.
-    """
-    try:
-        return RULE_REGISTRY[rule_id]
-    except KeyError:
-        known = ", ".join(sorted(RULE_REGISTRY))
-        raise KeyError(
-            f"unknown lint rule '{rule_id}'; registered rules: {known}") from None
+    """Add a rule under its id (see :meth:`Registry.add`)."""
+    RULE_REGISTRY.add(rule.id, rule, overwrite)
 
 
 def _comments(text: str) -> Iterable[tuple[int, str]]:

@@ -4,10 +4,10 @@ An :class:`Objective` names one scalar a fleet run produces (an attribute
 of :class:`~repro.optimize.evaluator.CandidateResult`) and the direction
 that improves it; the optimizer minimises the induced *score* (maximised
 objectives contribute their negation), so Pareto dominance is uniformly
-"every score <= , some score <".  Objectives live in an open
-``OBJECTIVE_REGISTRY`` — registering a new one makes it addressable from
-``repro-sim optimize --objectives`` with no optimizer changes, the same
-contract as every other registry in the repository.
+"every score <= , some score <".  Objectives live in
+``OBJECTIVE_REGISTRY``, a :class:`~repro.registry.Registry` like every other
+registry in the repository — registering a new one makes it addressable
+from ``repro-sim optimize --objectives`` with no optimizer changes.
 
 A :class:`Constraint` is a feasibility predicate applied *after* full-trace
 scoring: SLO attainment at least a target, a bound on any registered
@@ -21,6 +21,8 @@ import re
 from collections.abc import Callable
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
+
+from repro.registry import Registry
 
 if TYPE_CHECKING:  # pragma: no cover - type-only import
     from repro.optimize.evaluator import CandidateResult
@@ -54,36 +56,15 @@ class Objective:
 
 
 #: Registered objectives, addressable by name from the CLI and strategies.
-OBJECTIVE_REGISTRY: dict[str, Objective] = {}
+OBJECTIVE_REGISTRY: Registry[Objective] = Registry("objective", "objectives")
+
+#: Look up an objective by name (``KeyError`` lists the registered ones).
+get_objective = OBJECTIVE_REGISTRY.__getitem__
 
 
 def register_objective(objective: Objective, overwrite: bool = False) -> None:
-    """Add an objective to the registry.
-
-    Raises
-    ------
-    ValueError
-        If the name is taken and ``overwrite`` is not set.
-    """
-    if objective.name in OBJECTIVE_REGISTRY and not overwrite:
-        raise ValueError(f"objective '{objective.name}' is already registered")
-    OBJECTIVE_REGISTRY[objective.name] = objective
-
-
-def get_objective(name: str) -> Objective:
-    """Look up an objective by name.
-
-    Raises
-    ------
-    KeyError
-        If the objective is unknown; the error lists the registered names.
-    """
-    try:
-        return OBJECTIVE_REGISTRY[name]
-    except KeyError:
-        known = ", ".join(sorted(OBJECTIVE_REGISTRY))
-        raise KeyError(
-            f"unknown objective '{name}'; registered objectives: {known}") from None
+    """Add an objective under its name (see :meth:`Registry.add`)."""
+    OBJECTIVE_REGISTRY.add(objective.name, objective, overwrite)
 
 
 register_objective(Objective(

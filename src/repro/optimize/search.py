@@ -23,9 +23,10 @@ built-in:
   successive halving / Hyperband, applied to Pareto dominance instead of a
   scalar loss.
 
-Strategies are plain frozen dataclasses in ``SEARCH_REGISTRY``; registering
-a new one (Bayesian, evolutionary, ...) makes it addressable from
-``repro-sim optimize --strategy`` without touching the optimizer.
+Strategies are plain frozen dataclasses in ``SEARCH_REGISTRY`` (a
+:class:`~repro.registry.Registry`); registering a new one (Bayesian,
+evolutionary, ...) makes it addressable from ``repro-sim optimize
+--strategy`` without touching the optimizer.
 """
 
 from __future__ import annotations
@@ -39,6 +40,7 @@ from repro.optimize.evaluator import CandidateEvaluator, CandidateResult
 from repro.optimize.objectives import Objective
 from repro.optimize.pareto import non_dominated
 from repro.optimize.space import Candidate
+from repro.registry import Registry
 
 if TYPE_CHECKING:  # pragma: no cover - type-only import
     from repro.obs.telemetry import Telemetry
@@ -91,36 +93,15 @@ class SearchStrategy:
 
 
 #: Registered search strategies, addressable by name.
-SEARCH_REGISTRY: dict[str, SearchStrategy] = {}
+SEARCH_REGISTRY: Registry[SearchStrategy] = Registry("search strategy", "strategies")
+
+#: Look up a search strategy by name (``KeyError`` lists the registered ones).
+get_search = SEARCH_REGISTRY.__getitem__
 
 
 def register_search(strategy: SearchStrategy, overwrite: bool = False) -> None:
-    """Add a search strategy to the registry.
-
-    Raises
-    ------
-    ValueError
-        If the name is taken and ``overwrite`` is not set.
-    """
-    if strategy.name in SEARCH_REGISTRY and not overwrite:
-        raise ValueError(f"search strategy '{strategy.name}' is already registered")
-    SEARCH_REGISTRY[strategy.name] = strategy
-
-
-def get_search(name: str) -> SearchStrategy:
-    """Look up a search strategy by name.
-
-    Raises
-    ------
-    KeyError
-        If the strategy is unknown; the error lists the registered names.
-    """
-    try:
-        return SEARCH_REGISTRY[name]
-    except KeyError:
-        known = ", ".join(sorted(SEARCH_REGISTRY))
-        raise KeyError(
-            f"unknown search strategy '{name}'; registered strategies: {known}") from None
+    """Add a search strategy under its name (see :meth:`Registry.add`)."""
+    SEARCH_REGISTRY.add(strategy.name, strategy, overwrite)
 
 
 def _exhaustive(context: SearchContext) -> tuple[CandidateResult, ...]:

@@ -18,8 +18,9 @@ modelled:
   a noisy load curve does not flap the fleet (policies keep their timer in
   the per-run ``state`` dict the cluster passes back on every call).
 
-Policies are frozen dataclasses in an open ``AUTOSCALER_REGISTRY`` — the
-same pattern as the router/scheduler registries.  Built-ins:
+Policies are frozen dataclasses in ``AUTOSCALER_REGISTRY``, a
+:class:`~repro.registry.Registry` like every other policy surface.
+Built-ins:
 
 * ``fixed`` — the whole configured fleet, always (``decide=None``: no
   autoscaling, so no decision);
@@ -44,6 +45,8 @@ import math
 from bisect import bisect_left, bisect_right
 from collections.abc import Callable
 from dataclasses import dataclass
+
+from repro.registry import Registry
 
 
 @dataclass(frozen=True)
@@ -97,36 +100,15 @@ class AutoscalerPolicy:
 
 
 #: Registered autoscaling policies, addressable by name.
-AUTOSCALER_REGISTRY: dict[str, AutoscalerPolicy] = {}
+AUTOSCALER_REGISTRY: Registry[AutoscalerPolicy] = Registry("autoscaler", "autoscalers")
+
+#: Look up an autoscaling policy by name (``KeyError`` lists the registered ones).
+get_autoscaler = AUTOSCALER_REGISTRY.__getitem__
 
 
 def register_autoscaler(policy: AutoscalerPolicy, overwrite: bool = False) -> None:
-    """Add an autoscaling policy to the registry.
-
-    Raises
-    ------
-    ValueError
-        If the name is taken and ``overwrite`` is not set.
-    """
-    if policy.name in AUTOSCALER_REGISTRY and not overwrite:
-        raise ValueError(f"autoscaler '{policy.name}' is already registered")
-    AUTOSCALER_REGISTRY[policy.name] = policy
-
-
-def get_autoscaler(name: str) -> AutoscalerPolicy:
-    """Look up an autoscaling policy by name.
-
-    Raises
-    ------
-    KeyError
-        If the policy is unknown; the error lists the registered names.
-    """
-    try:
-        return AUTOSCALER_REGISTRY[name]
-    except KeyError:
-        known = ", ".join(sorted(AUTOSCALER_REGISTRY))
-        raise KeyError(
-            f"unknown autoscaler '{name}'; registered autoscalers: {known}") from None
+    """Add an autoscaling policy under its name (see :meth:`Registry.add`)."""
+    AUTOSCALER_REGISTRY.add(policy.name, policy, overwrite)
 
 
 def _scale_in_with_hold(view: FleetView, state: dict, hold_s: float) -> int:

@@ -28,10 +28,10 @@ Design points, stated explicitly:
   ``magnitude`` for ``duration_s`` — a throttling model, energy per step
   unchanged), and ``stall`` (the replica refuses new admissions for
   ``duration_s`` while in-flight work continues).
-* **Open registry.**  Models live in ``FAULT_REGISTRY`` under the same
-  register/get contract as schedulers, routers and autoscalers; registering
-  a new model makes it addressable from specs, grids and ``--faults`` with
-  no simulator changes.
+* **Open registry.**  Models live in ``FAULT_REGISTRY``, a
+  :class:`~repro.registry.Registry` like every other policy surface;
+  registering a new model makes it addressable from specs, grids and
+  ``--faults`` with no simulator changes.
 
 Built-in models: ``replica-crash``, ``slow-node``, ``admission-stall``.
 Each draws Poisson onsets at rate ``1 / mttf_s`` per targeted replica, or —
@@ -45,6 +45,8 @@ from __future__ import annotations
 import random
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
+
+from repro.registry import Registry
 
 #: Effects a fault event can have on a replica (see module docstring).
 FAULT_EFFECTS = ("crash", "slow", "stall")
@@ -130,36 +132,15 @@ class FaultModel:
 
 
 #: Registered fault models, addressable by name from specs, grids and CLI.
-FAULT_REGISTRY: dict[str, FaultModel] = {}
+FAULT_REGISTRY: Registry[FaultModel] = Registry("fault model", "models")
+
+#: Look up a fault model by name (``KeyError`` lists the registered ones).
+get_fault = FAULT_REGISTRY.__getitem__
 
 
 def register_fault(model: FaultModel, overwrite: bool = False) -> None:
-    """Add a fault model to the registry.
-
-    Raises
-    ------
-    ValueError
-        If the name is taken and ``overwrite`` is not set.
-    """
-    if model.name in FAULT_REGISTRY and not overwrite:
-        raise ValueError(f"fault model '{model.name}' is already registered")
-    FAULT_REGISTRY[model.name] = model
-
-
-def get_fault(name: str) -> FaultModel:
-    """Look up a fault model by name.
-
-    Raises
-    ------
-    KeyError
-        If the model is unknown; the error lists the registered names.
-    """
-    try:
-        return FAULT_REGISTRY[name]
-    except KeyError:
-        known = ", ".join(sorted(FAULT_REGISTRY))
-        raise KeyError(
-            f"unknown fault model '{name}'; registered models: {known}") from None
+    """Add a fault model under its name (see :meth:`Registry.add`)."""
+    FAULT_REGISTRY.add(model.name, model, overwrite)
 
 
 def _onsets(spec: FaultSpec, replica: int, span_s: float) -> list[float]:

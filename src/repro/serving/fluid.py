@@ -130,17 +130,7 @@ def estimate_serving(model: LLMConfig, tpu_config: TPUConfig,
     costs = engine.costs
     kv_per_token = engine.kv_bytes_per_token
 
-    if spec.devices is not None:
-        devices = spec.devices
-    else:
-        largest = max(c.input_tokens + c.output_tokens for c in classes)
-        shortfall = largest * kv_per_token - engine.kv_budget(1)
-        if shortfall <= 0:
-            devices = 1
-        else:
-            per_device = int(tpu_config.main_memory_bytes
-                             * spec.memory_utilisation)
-            devices = 1 + ceil_div(shortfall, per_device)
+    devices = spec.devices if spec.devices is not None else engine.plan_devices(classes)
     budget = engine.kv_budget(devices)
     if budget <= 0:
         raise ValueError(
@@ -152,7 +142,7 @@ def estimate_serving(model: LLMConfig, tpu_config: TPUConfig,
     fractions = mix_fractions(classes)
     admitted: list[tuple[RequestClass, float]] = [
         (cls, frac) for cls, frac in zip(classes, fractions)
-        if cls.input_tokens + cls.output_tokens <= token_limit]
+        if cls.total_tokens <= token_limit]
     n = spec.num_requests
     rate = spec.arrival_rate
     slo = spec.slo
@@ -172,9 +162,8 @@ def estimate_serving(model: LLMConfig, tpu_config: TPUConfig,
     # a heavy long-context class both raises the step price *and* shrinks
     # the batch that shares it, exactly the squeeze the exact engine's
     # admission control produces.
-    mean_total_tokens = sum(w * (c.input_tokens + c.output_tokens)
-                            for c, w in zip(mix, weights))
-    contexts = [c.input_tokens + c.output_tokens for c in mix]
+    mean_total_tokens = sum(w * c.total_tokens for c, w in zip(mix, weights))
+    contexts = [c.total_tokens for c in mix]
     decode_steps_per = [c.output_tokens - 1 for c in mix]
 
     def kv_batch(context: int) -> int:

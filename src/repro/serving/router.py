@@ -6,9 +6,9 @@ for it before the replica's own scheduler ever runs.  The
 arrival it hands the active :class:`RouterPolicy` the request, a snapshot of
 every routable replica (:class:`ReplicaView`) and a :class:`RouterContext`,
 and routes wherever the policy points.  Policies are plain frozen dataclasses
-registered in an open ``ROUTER_REGISTRY`` — the same pattern as the
-scheduler, execution-unit and scenario registries — so new disciplines plug
-in without touching the cluster loop.
+registered in ``ROUTER_REGISTRY``, a :class:`~repro.registry.Registry`
+like every other policy surface, so new disciplines plug in without
+touching the cluster loop.
 
 Built-in policies:
 
@@ -33,6 +33,7 @@ import hashlib
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
+from repro.registry import Registry
 from repro.serving.trace import Request
 
 
@@ -131,36 +132,15 @@ class RouterPolicy:
 
 
 #: Registered routing policies, addressable by name.
-ROUTER_REGISTRY: dict[str, RouterPolicy] = {}
+ROUTER_REGISTRY: Registry[RouterPolicy] = Registry("router", "routers")
+
+#: Look up a routing policy by name (``KeyError`` lists the registered ones).
+get_router = ROUTER_REGISTRY.__getitem__
 
 
 def register_router(policy: RouterPolicy, overwrite: bool = False) -> None:
-    """Add a routing policy to the registry.
-
-    Raises
-    ------
-    ValueError
-        If the name is taken and ``overwrite`` is not set.
-    """
-    if policy.name in ROUTER_REGISTRY and not overwrite:
-        raise ValueError(f"router '{policy.name}' is already registered")
-    ROUTER_REGISTRY[policy.name] = policy
-
-
-def get_router(name: str) -> RouterPolicy:
-    """Look up a routing policy by name.
-
-    Raises
-    ------
-    KeyError
-        If the policy is unknown; the error lists the registered names.
-    """
-    try:
-        return ROUTER_REGISTRY[name]
-    except KeyError:
-        known = ", ".join(sorted(ROUTER_REGISTRY))
-        raise KeyError(
-            f"unknown router '{name}'; registered routers: {known}") from None
+    """Add a routing policy under its name (see :meth:`Registry.add`)."""
+    ROUTER_REGISTRY.add(policy.name, policy, overwrite)
 
 
 register_router(RouterPolicy(

@@ -4,9 +4,9 @@ The continuous-batching engine (:mod:`repro.serving.simulator`) is policy-
 agnostic: at every scheduling point it asks the active
 :class:`SchedulerPolicy` how to order the waiting queue for admission and
 whether admission may interrupt in-flight decodes.  Policies are plain
-frozen dataclasses registered in an open ``SCHEDULER_REGISTRY`` — the same
-pattern as the execution-unit and scenario registries — so new disciplines
-plug in without touching the event loop.
+frozen dataclasses registered in ``SCHEDULER_REGISTRY``, a
+:class:`~repro.registry.Registry` like every other policy surface, so new
+disciplines plug in without touching the event loop.
 
 Built-in policies:
 
@@ -24,6 +24,8 @@ from __future__ import annotations
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
+
+from repro.registry import Registry
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers
     from repro.serving.simulator import LiveRequest
@@ -57,36 +59,15 @@ class SchedulerPolicy:
 
 
 #: Registered batching policies, addressable by name.
-SCHEDULER_REGISTRY: dict[str, SchedulerPolicy] = {}
+SCHEDULER_REGISTRY: Registry[SchedulerPolicy] = Registry("scheduler", "schedulers")
+
+#: Look up a batching policy by name (``KeyError`` lists the registered ones).
+get_scheduler = SCHEDULER_REGISTRY.__getitem__
 
 
 def register_scheduler(policy: SchedulerPolicy, overwrite: bool = False) -> None:
-    """Add a batching policy to the registry.
-
-    Raises
-    ------
-    ValueError
-        If the name is taken and ``overwrite`` is not set.
-    """
-    if policy.name in SCHEDULER_REGISTRY and not overwrite:
-        raise ValueError(f"scheduler '{policy.name}' is already registered")
-    SCHEDULER_REGISTRY[policy.name] = policy
-
-
-def get_scheduler(name: str) -> SchedulerPolicy:
-    """Look up a batching policy by name.
-
-    Raises
-    ------
-    KeyError
-        If the policy is unknown; the error lists the registered names.
-    """
-    try:
-        return SCHEDULER_REGISTRY[name]
-    except KeyError:
-        known = ", ".join(sorted(SCHEDULER_REGISTRY))
-        raise KeyError(
-            f"unknown scheduler '{name}'; registered schedulers: {known}") from None
+    """Add a batching policy under its name (see :meth:`Registry.add`)."""
+    SCHEDULER_REGISTRY.add(policy.name, policy, overwrite)
 
 
 register_scheduler(SchedulerPolicy(

@@ -85,6 +85,7 @@ from repro.serving.scheduler import (
 from repro.serving.spec import ServingSpec
 from repro.serving.trace import Request, generate_trace, request_classes_from_settings
 from repro.sweep.fingerprint import fingerprint
+from repro.workloads.chat import RequestClass
 from repro.workloads.llm import LLMConfig
 
 #: Store namespace of single-deployment serving reports (the fleet-shaped
@@ -209,8 +210,11 @@ class ServingSimulator:
                                  max_batch=self.max_batch, precision=self.precision,
                                  memory_utilisation=self.memory_utilisation)
 
-    def plan_devices(self, trace: Sequence[Request]) -> int:
-        """Smallest device count whose KV budget admits the largest request."""
+    def plan_devices(self, trace: Sequence[Request] | Sequence[RequestClass]) -> int:
+        """Smallest device count whose KV budget admits the largest request.
+
+        ``trace`` is a trace or a request mix: only ``total_tokens`` is read.
+        """
         largest = max(request.total_tokens for request in trace) * self.kv_bytes_per_token
         shortfall = largest - self.kv_budget(1)
         if shortfall <= 0:

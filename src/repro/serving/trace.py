@@ -40,6 +40,7 @@ from dataclasses import dataclass, replace
 from typing import Protocol
 
 from repro.codec import encode
+from repro.registry import Registry
 from repro.workloads.chat import RequestClass, mix_fractions
 
 
@@ -172,21 +173,13 @@ def diurnal_trace(classes: Sequence[RequestClass], rate: float,
 
 
 #: Registered arrival processes, addressable by name from the CLI and grids.
-TRACE_REGISTRY: dict[str, TraceGenerator] = {}
+TRACE_REGISTRY: Registry[TraceGenerator] = Registry("trace kind", "kinds")
 
 
 def register_trace(name: str, generator: TraceGenerator,
                    overwrite: bool = False) -> None:
-    """Add an arrival-process generator to the registry.
-
-    Raises
-    ------
-    ValueError
-        If the name is taken and ``overwrite`` is not set.
-    """
-    if name in TRACE_REGISTRY and not overwrite:
-        raise ValueError(f"trace generator '{name}' is already registered")
-    TRACE_REGISTRY[name] = generator
+    """Add an arrival-process generator (see :meth:`Registry.add`)."""
+    TRACE_REGISTRY.add(name, generator, overwrite)
 
 
 def generate_trace(kind: str, classes: Sequence[RequestClass], rate: float,
@@ -204,12 +197,7 @@ def generate_trace(kind: str, classes: Sequence[RequestClass], rate: float,
         If the arrival process (or the overlay kind) is unknown; the error
         lists the registered names.
     """
-    try:
-        generator = TRACE_REGISTRY[kind]
-    except KeyError:
-        known = ", ".join(sorted(TRACE_REGISTRY))
-        raise KeyError(f"unknown trace kind '{kind}'; registered kinds: {known}") from None
-    trace = generator(classes, rate, num_requests, random.Random(seed))
+    trace = TRACE_REGISTRY[kind](classes, rate, num_requests, random.Random(seed))
     return apply_overlay(trace, overlay) if overlay is not None else trace
 
 
@@ -253,36 +241,17 @@ class OverlaySpec:
 
 #: Registered overlay warps: name -> monotone map of base arrival time to
 #: overlaid arrival time (non-decreasing in ``t`` for any valid spec).
-OVERLAY_REGISTRY: dict[str, Callable[[OverlaySpec, float], float]] = {}
+OVERLAY_REGISTRY: Registry[Callable[[OverlaySpec, float], float]] = Registry(
+    "overlay", "overlays")
+
+#: Look up an overlay warp by name (``KeyError`` lists the registered ones).
+get_overlay = OVERLAY_REGISTRY.__getitem__
 
 
 def register_overlay(name: str, warp: Callable[[OverlaySpec, float], float],
                      overwrite: bool = False) -> None:
-    """Add an overlay warp to the registry.
-
-    Raises
-    ------
-    ValueError
-        If the name is taken and ``overwrite`` is not set.
-    """
-    if name in OVERLAY_REGISTRY and not overwrite:
-        raise ValueError(f"overlay '{name}' is already registered")
-    OVERLAY_REGISTRY[name] = warp
-
-
-def get_overlay(name: str) -> Callable[[OverlaySpec, float], float]:
-    """Look up an overlay warp by name.
-
-    Raises
-    ------
-    KeyError
-        If the overlay is unknown; the error lists the registered names.
-    """
-    try:
-        return OVERLAY_REGISTRY[name]
-    except KeyError:
-        known = ", ".join(sorted(OVERLAY_REGISTRY))
-        raise KeyError(f"unknown overlay '{name}'; registered overlays: {known}") from None
+    """Add an overlay warp (see :meth:`Registry.add`)."""
+    OVERLAY_REGISTRY.add(name, warp, overwrite)
 
 
 def _flash_crowd_warp(spec: OverlaySpec, t: float) -> float:

@@ -15,9 +15,10 @@ scenario space):
   plus the operator graph;
 * **one evaluation path** — uncached points are grouped by chip
   configuration and each group is evaluated by one function, in this
-  process or, with ``workers > 1``, in a ``multiprocessing`` pool; either
-  way the groups run in the same order, so rows, statistics and store
-  files are identical (bit-for-bit) for every worker count;
+  process or, with ``workers > 1`` and more than one group, in a
+  ``multiprocessing`` pool; either way the groups run in the same order, so
+  rows, statistics and store files are identical (bit-for-bit) for every
+  worker count;
 * **structured results** — rows are plain frozen dataclasses exportable to
   JSON/CSV via :mod:`repro.sweep.export`.
 """
@@ -257,7 +258,7 @@ class SweepEngine:
     # -------------------------------------------------------------- evaluate
     def evaluate(self, point: SweepPoint) -> SweepResult:
         """Evaluate one sweep point (served from the caches on repeats)."""
-        return self.sweep([point], workers=1)[0]
+        return self.sweep([point])[0]
 
     def sweep(self, points: SweepGrid | Iterable[SweepPoint],
               workers: int | None = None) -> list[SweepResult]:
@@ -265,10 +266,11 @@ class SweepEngine:
 
         Each new point is looked up in the store, in input order.  The rest
         are grouped by chip configuration and the groups evaluated in order
-        of first appearance: in this process when ``workers`` is at most 1,
-        over a process pool (one task per group) otherwise.  A group's rows
-        enter the row cache and the store as soon as the group finishes, so
-        rows, statistics and store file are the same for any worker count.
+        of first appearance: in this process when ``workers`` is at most 1
+        or there is only one group, over a process pool (one task per group)
+        otherwise.  A group's rows enter the row cache and the store as soon
+        as the group finishes, so rows, statistics and store file are the
+        same for any worker count.
         """
         resolved = list(points)
         keys = [point_key(point) for point in resolved]
@@ -310,7 +312,7 @@ class SweepEngine:
                  workers: int | None) -> None:
         """Evaluate the groups in order, keeping each group's rows as it ends."""
         tel = self.telemetry
-        if workers is None or workers <= 1:
+        if workers is None or workers <= 1 or len(groups) == 1:
             self._keep(_evaluate_group(group, tel) for group in groups)
             return
         points = sum(len(group) for group in groups)

@@ -47,6 +47,11 @@ class RequestClass:
         if self.weight <= 0:
             raise ValueError("weight must be positive")
 
+    @property
+    def total_tokens(self) -> int:
+        """Full context length of a finished request (prompt + output)."""
+        return self.input_tokens + self.output_tokens
+
 
 #: Default mix: mostly interactive chat, some document work, a long-context tail.
 DEFAULT_REQUEST_MIX: tuple[RequestClass, ...] = (

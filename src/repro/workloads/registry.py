@@ -1,7 +1,7 @@
 """Registries of the models and scenarios known to the simulator.
 
-Two open registries make the workload space extensible without touching the
-simulation core:
+Two open registries (each a :class:`~repro.registry.Registry`) make the
+workload space extensible without touching the simulation core:
 
 * the **model registry** maps names to architecture configurations
   (:class:`~repro.workloads.llm.LLMConfig`,
@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from typing import Any
 
+from repro.registry import Registry
 from repro.workloads.chat import CHAT_SERVING_SCENARIO
 from repro.workloads.dit import DIT_SAMPLING_SCENARIO, DIT_XL_2, DiTConfig
 from repro.workloads.llm import (
@@ -33,47 +34,23 @@ from repro.workloads.moe import MIXTRAL_8X7B, MOE_SERVING_SCENARIO, MoEConfig
 from repro.workloads.scenario import ScenarioSpec
 
 #: All model configurations addressable by name.
-MODEL_REGISTRY: dict[str, LLMConfig | DiTConfig] = {
-    GPT3_30B.name: GPT3_30B,
-    GPT3_175B.name: GPT3_175B,
-    LLAMA2_7B.name: LLAMA2_7B,
-    LLAMA2_13B.name: LLAMA2_13B,
-    DIT_XL_2.name: DIT_XL_2,
-    MIXTRAL_8X7B.name: MIXTRAL_8X7B,
-}
+MODEL_REGISTRY: Registry[LLMConfig | DiTConfig] = Registry("model", "models")
 
-
-def get_model(name: str) -> LLMConfig | DiTConfig:
-    """Look up a model configuration by name.
-
-    Raises
-    ------
-    KeyError
-        If the model is unknown; the error lists the registered names.
-    """
-    try:
-        return MODEL_REGISTRY[name]
-    except KeyError:
-        known = ", ".join(sorted(MODEL_REGISTRY))
-        raise KeyError(f"unknown model '{name}'; registered models: {known}") from None
+#: Look up a model configuration by name (``KeyError`` lists the registered ones).
+get_model = MODEL_REGISTRY.__getitem__
 
 
 def register_model(config: LLMConfig | DiTConfig, overwrite: bool = False) -> None:
-    """Add a model configuration to the registry.
-
-    Raises
-    ------
-    ValueError
-        If a model of the same name exists and ``overwrite`` is not set.
-    """
-    if config.name in MODEL_REGISTRY and not overwrite:
-        raise ValueError(f"model '{config.name}' is already registered")
-    MODEL_REGISTRY[config.name] = config
+    """Add a model configuration under its name (see :meth:`Registry.add`)."""
+    MODEL_REGISTRY.add(config.name, config, overwrite)
 
 
 # ------------------------------------------------------------------ scenarios
 #: All scenario specs addressable by name.
-SCENARIO_REGISTRY: dict[str, ScenarioSpec] = {}
+SCENARIO_REGISTRY: Registry[ScenarioSpec] = Registry("scenario", "scenarios")
+
+#: Look up a scenario spec by name (``KeyError`` lists the registered ones).
+get_scenario = SCENARIO_REGISTRY.__getitem__
 
 #: Model type -> name of its default scenario (most specific type wins).
 _DEFAULT_SCENARIOS: dict[type, str] = {}
@@ -86,36 +63,18 @@ def register_scenario(spec: ScenarioSpec, default_for: tuple[type, ...] = (),
     Raises
     ------
     ValueError
-        If a scenario of the same name (or a default for one of the given
-        types) exists and ``overwrite`` is not set.
+        If another scenario is the default for one of the given types, or
+        a scenario of the same name exists, and ``overwrite`` is not set.
     """
-    if spec.name in SCENARIO_REGISTRY and not overwrite:
-        raise ValueError(f"scenario '{spec.name}' is already registered")
     for model_type in default_for:
         existing = _DEFAULT_SCENARIOS.get(model_type)
         if existing is not None and existing != spec.name and not overwrite:
             raise ValueError(
                 f"model type '{model_type.__name__}' already defaults to "
                 f"scenario '{existing}'")
-    SCENARIO_REGISTRY[spec.name] = spec
+    SCENARIO_REGISTRY.add(spec.name, spec, overwrite)
     for model_type in default_for:
         _DEFAULT_SCENARIOS[model_type] = spec.name
-
-
-def get_scenario(name: str) -> ScenarioSpec:
-    """Look up a scenario spec by name.
-
-    Raises
-    ------
-    KeyError
-        If the scenario is unknown; the error lists the registered names.
-    """
-    try:
-        return SCENARIO_REGISTRY[name]
-    except KeyError:
-        known = ", ".join(sorted(SCENARIO_REGISTRY))
-        raise KeyError(
-            f"unknown scenario '{name}'; registered scenarios: {known}") from None
 
 
 def scenario_for(model: Any) -> ScenarioSpec:
@@ -169,6 +128,13 @@ def model_kind(model: Any) -> str:
     raise TypeError(f"no workload family for model type "
                     f"'{type(model).__name__}' (families: {known})")
 
+
+register_model(GPT3_30B)
+register_model(GPT3_175B)
+register_model(LLAMA2_7B)
+register_model(LLAMA2_13B)
+register_model(DIT_XL_2)
+register_model(MIXTRAL_8X7B)
 
 register_scenario(LLM_SERVING_SCENARIO, default_for=(LLMConfig,))
 register_scenario(DIT_SAMPLING_SCENARIO, default_for=(DiTConfig,))

@@ -423,9 +423,10 @@ def chaos_run_args(faults=(), overlay=None):
     return LLAMA2_7B, design_a(), spec, settings
 
 
-def chaos_grid():
+def chaos_grid(designs=None):
     return SweepGrid(
-        designs={"design-a": design_a()}, models=["llama2-7b"],
+        designs=designs if designs is not None else {"design-a": design_a()},
+        models=["llama2-7b"],
         input_tokens=64, output_tokens=16,
         schedulers=("fcfs",), arrival_rates=(16.0,),
         routers=("round-robin",), replica_counts=(2,), serving_requests=40,
@@ -449,6 +450,14 @@ class TestChaosDeterminism:
         serial = SweepEngine().sweep(grid)
         parallel = SweepEngine().sweep(grid, workers=2)
         assert len(serial) == 4  # healthy x crash x overlay axes
+        assert parallel == serial
+
+    def test_two_design_chaos_sweep_fans_out_like_serial(self):
+        # Two chip groups, so workers=2 evaluates them in a process pool.
+        grid = chaos_grid({"baseline": tpuv4i_baseline(), "design-a": design_a()})
+        serial = SweepEngine().sweep(grid)
+        parallel = SweepEngine().sweep(grid, workers=2)
+        assert len(serial) == 8
         assert parallel == serial
 
     def test_warm_store_serves_identical_chaos_report(self, tmp_path):

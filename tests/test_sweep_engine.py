@@ -270,6 +270,20 @@ class TestMultiDevicePoints:
         assert parallel_rows == serial_rows
         assert parallel_engine.stats.simulations == serial_engine.stats.simulations == 3
 
+    def test_one_chip_group_starts_no_pool(self, monkeypatch):
+        """A device-axis sweep is one chip group: workers > 1 stays in-process."""
+        settings = LLMInferenceSettings(batch=2, input_tokens=64, output_tokens=16,
+                                        decode_kv_samples=2)
+        points = [SweepPoint(design="design-a", config=design_a(), model=TINY_LLM,
+                             settings=settings, devices=n) for n in (1, 2, 4, 8)]
+        serial = SweepEngine().sweep(points)
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a one-group sweep started a process pool")
+
+        monkeypatch.setattr("repro.sweep.engine.multiprocessing.Pool", no_pool)
+        assert SweepEngine().sweep(points, workers=2) == serial
+
     def test_injected_simulator_config_mismatch_rejected(self):
         with pytest.raises(ValueError):
             MultiTPUSystem(design_a(), 2,
