@@ -51,7 +51,7 @@ from typing import Any, ClassVar, NamedTuple
 from repro.api.errors import ApiError, ApiRequestError, invalid_field
 from repro.common import Precision
 from repro.core.designs import PREDEFINED_DESIGNS
-from repro.optimize import DesignSpace, get_objective, parse_constraint
+from repro.optimize import OBJECTIVE_REGISTRY, DesignSpace, parse_constraint
 from repro.optimize.search import SEARCH_REGISTRY
 from repro.serving.autoscaler import AUTOSCALER_REGISTRY
 from repro.serving.faults import parse_fault
@@ -62,7 +62,7 @@ from repro.serving.spec import ServingSpec
 from repro.serving.trace import TRACE_REGISTRY, parse_overlay
 from repro.sweep.grid import SweepGrid
 from repro.workloads.llm import GPT3_30B, LLMConfig
-from repro.workloads.registry import MODEL_REGISTRY, get_model, get_scenario
+from repro.workloads.registry import MODEL_REGISTRY, SCENARIO_REGISTRY
 from repro.workloads.scenario import ScenarioKnobs
 
 #: Version of the request/response schemas.  Payloads carrying a different
@@ -79,6 +79,15 @@ def _check_choice(value: object, names, field_name: str, what: str) -> None:
         known = ", ".join(sorted(names))
         raise invalid_field(field_name,
                             f"unknown {what} '{value}'; choose one of: {known}")
+
+
+def _registered(registry, name: str, field_name: str):
+    """``registry[name]``, or ``invalid-field`` worded as the registry words
+    an unknown name."""
+    try:
+        return registry[name]
+    except KeyError as error:
+        raise invalid_field(field_name, error.args[0]) from None
 
 
 def _check_positive(value: float, field_name: str) -> None:
@@ -126,18 +135,12 @@ def _resolve_workload(llm: str, design: str, scenario: str, *, batch: int,
     same on every surface.
     """
     _check_choice(design, PREDEFINED_DESIGNS, "design", "design")
-    try:
-        model = get_model(llm)
-    except KeyError as error:
-        raise invalid_field("llm", str(error.args[0])) from None
+    model = _registered(MODEL_REGISTRY, llm, "llm")
     if not isinstance(model, LLMConfig):
         raise invalid_field(
             "llm", f"'{llm}' is not an LLM; serving is modelled "
                    "for LLM workloads")
-    try:
-        spec = get_scenario(scenario)
-    except KeyError as error:
-        raise invalid_field("scenario", str(error.args[0])) from None
+    spec = _registered(SCENARIO_REGISTRY, scenario, "scenario")
     if not spec.supports(model):
         raise invalid_field("scenario",
                             f"scenario '{scenario}' does not support "
@@ -369,12 +372,10 @@ class SimulateRequest(_Request):
 
     def resolve(self):
         """(model, chip config, scenario settings) of this run."""
-        _check_choice(self.scheduler, SCHEDULER_REGISTRY, "scheduler",
-                      "scheduler")
-        _check_choice(self.router, ROUTER_REGISTRY, "router", "router")
-        _check_choice(self.autoscaler, AUTOSCALER_REGISTRY, "autoscaler",
-                      "autoscaler")
-        _check_choice(self.trace, TRACE_REGISTRY, "trace", "trace kind")
+        _registered(SCHEDULER_REGISTRY, self.scheduler, "scheduler")
+        _registered(ROUTER_REGISTRY, self.router, "router")
+        _registered(AUTOSCALER_REGISTRY, self.autoscaler, "autoscaler")
+        _registered(TRACE_REGISTRY, self.trace, "trace")
         return _resolve_workload(self.llm, self.design, self.scenario,
                                  batch=self.batch, precision=self.precision,
                                  input_tokens=self.input_tokens,
@@ -448,10 +449,9 @@ class FleetRequest(_Request):
 
     def resolve(self):
         """(model, chip config, scenario settings) of this plan."""
-        _check_choice(self.scheduler, SCHEDULER_REGISTRY, "scheduler",
-                      "scheduler")
-        _check_choice(self.router, ROUTER_REGISTRY, "router", "router")
-        _check_choice(self.trace, TRACE_REGISTRY, "trace", "trace kind")
+        _registered(SCHEDULER_REGISTRY, self.scheduler, "scheduler")
+        _registered(ROUTER_REGISTRY, self.router, "router")
+        _registered(TRACE_REGISTRY, self.trace, "trace")
         return _resolve_workload(self.llm, self.design, self.scenario,
                                  batch=self.batch, precision=self.precision,
                                  input_tokens=self.input_tokens,
@@ -504,10 +504,7 @@ class SweepRequest(_Request):
             _check_choice(name, PREDEFINED_DESIGNS, "designs", "design")
             designs[name] = PREDEFINED_DESIGNS[name]
         for name in self.models:
-            try:
-                get_model(name)
-            except KeyError as error:
-                raise invalid_field("models", str(error.args[0])) from None
+            _registered(MODEL_REGISTRY, name, "models")
         for name in self.precisions:
             _check_choice(name, _PRECISIONS, "precisions", "precision")
         try:
@@ -573,17 +570,13 @@ class OptimizeRequest(_Request):
         self.objective_list()
         self.constraint_list()
         self.space()
-        _check_choice(self.strategy, SEARCH_REGISTRY, "strategy",
-                      "search strategy")
-        _check_choice(self.trace, TRACE_REGISTRY, "trace", "trace kind")
+        _registered(SEARCH_REGISTRY, self.strategy, "strategy")
+        _registered(TRACE_REGISTRY, self.trace, "trace")
         _check_positive(self.rate, "rate")
         _check_positive(self.requests, "requests")
         if self.budget is not None:
             _check_positive(self.budget, "budget")
-        try:
-            scenario = get_scenario(self.scenario)
-        except KeyError as error:
-            raise invalid_field("scenario", str(error.args[0])) from None
+        scenario = _registered(SCENARIO_REGISTRY, self.scenario, "scenario")
         if not scenario.supports(self.resolve_model()):
             raise invalid_field("scenario",
                                 f"scenario '{self.scenario}' does not "
@@ -594,10 +587,7 @@ class OptimizeRequest(_Request):
 
     def resolve_model(self) -> LLMConfig:
         """The search's LLM (optimisation prices serving fleets)."""
-        try:
-            model = get_model(self.llm)
-        except KeyError as error:
-            raise invalid_field("llm", str(error.args[0])) from None
+        model = _registered(MODEL_REGISTRY, self.llm, "llm")
         if not isinstance(model, LLMConfig):
             raise invalid_field(
                 "llm", f"'{self.llm}' is not an LLM; co-design optimisation "
@@ -605,11 +595,8 @@ class OptimizeRequest(_Request):
         return model
 
     def objective_list(self):
-        try:
-            return [get_objective(name) for name in self.objectives]
-        except KeyError as error:
-            raise invalid_field("objectives",
-                                str(error.args[0]).strip('"')) from None
+        return [_registered(OBJECTIVE_REGISTRY, name, "objectives")
+                for name in self.objectives]
 
     def constraint_list(self):
         try:
@@ -661,12 +648,8 @@ class AutoconfigPreviewRequest(_Request):
         self._normalise()
         _check_choice(self.design, PREDEFINED_DESIGNS, "design", "design")
         _check_choice(self.precision, _PRECISIONS, "precision", "precision")
-        _check_choice(self.scheduler, SCHEDULER_REGISTRY, "scheduler",
-                      "scheduler")
-        try:
-            model = get_model(self.llm)
-        except KeyError as error:
-            raise invalid_field("llm", str(error.args[0])) from None
+        _registered(SCHEDULER_REGISTRY, self.scheduler, "scheduler")
+        model = _registered(MODEL_REGISTRY, self.llm, "llm")
         if not isinstance(model, LLMConfig):
             raise invalid_field(
                 "llm", f"'{self.llm}' is not an LLM; deployment sizing is "

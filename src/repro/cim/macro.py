@@ -88,11 +88,6 @@ class CIMMacroConfig:
         """Storage capacity of the macro in bits."""
         return self.weight_capacity * self.weight_bits_per_cell
 
-    @property
-    def columns_per_bank(self) -> int:
-        """Output channels handled by one bank."""
-        return ceil_div(self.output_channels, self.banks)
-
 
 @dataclass
 class CIMMacro:

@@ -155,9 +155,6 @@ class CIMMXU:
         return self._core.leakage_power_w * self.config.core_count
 
     # ------------------------------------------------------------------ timing
-    def _fold_geometry(self, k: int, n: int) -> tuple[int, int]:
-        return ceil_div(k, self.config.k_extent), ceil_div(n, self.config.n_extent)
-
     def instance_packing(self, k: int, n: int) -> int:
         """How many independent GEMM instances fit on the grid concurrently.
 

@@ -57,8 +57,8 @@ Python:
     autoscaler/fault action log, span totals and counters.
 ``repro-sim lint``
     The repro-lint contract checker: AST rules that machine-enforce the
-    repo's determinism, fingerprint-bump, frozen-dataclass, registry-sync,
-    error-contract and telemetry-discipline invariants, with structured
+    repo's determinism, fingerprint-bump, error-contract and
+    telemetry-discipline invariants, with structured
     ``file:line`` findings and ``--json`` export.  ``--diff-base REF``
     additionally checks that any change to fingerprinted definitions
     relative to the merge base bumped the matching version string.
@@ -1246,8 +1246,7 @@ def build_parser() -> argparse.ArgumentParser:
                      "registry contracts",
         description="Run the repro-lint AST contract checker: RPR001 "
                     "determinism, RPR002 fingerprint-bump (needs "
-                    "--diff-base), RPR003 frozen dataclasses, RPR004 "
-                    "registry sync, RPR005 closed error contract, RPR006 "
+                    "--diff-base), RPR005 closed error contract, RPR006 "
                     "telemetry discipline.  Exits non-zero on any finding; "
                     "suppress a justified one with a "
                     "'# repro-lint: disable=RULE' comment.")

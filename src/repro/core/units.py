@@ -151,10 +151,6 @@ class ExecutionUnitRegistry:
         """Look up a unit by name (KeyError if absent)."""
         return self._units[name]
 
-    def registered_operator_types(self) -> tuple[type, ...]:
-        """Explicitly pinned operator types (capability scans add more)."""
-        return tuple(self._dispatch)
-
     def known_operator_types(self) -> tuple[type, ...]:
         """Every operator type reachable: pins plus unit capability declarations."""
         types = dict.fromkeys(self._dispatch)

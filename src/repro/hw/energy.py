@@ -199,10 +199,6 @@ class EnergyModel:
         # logic node, so it is left unscaled.
         return self.hbm_pj_per_byte * 1e-12 * num_bytes
 
-    def ici_transfer_energy(self, num_bytes: float) -> float:
-        """Energy (J) of moving ``num_bytes`` across one ICI link."""
-        return self.ici_pj_per_byte * 1e-12 * num_bytes
-
     def vpu_op_energy(self, num_ops: float) -> float:
         """Energy (J) of ``num_ops`` scalar operations on the vector unit."""
         return self._scaled_pj(self.vpu_pj_per_op) * num_ops

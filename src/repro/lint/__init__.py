@@ -1,10 +1,9 @@
 """repro-lint: AST-based enforcement of the repo's correctness contracts.
 
 The conventions that keep this codebase's caches honest — explicit seeded
-randomness, version-bumped fingerprints, frozen contract payloads, synced
-registries, the closed error table, telemetry discipline — used to live
-in CONTRIBUTING.md and reviewers' heads.  This package turns each into a
-machine-checked gate behind ``repro-sim lint``:
+randomness, version-bumped fingerprints, the closed error table, telemetry
+discipline — used to live in CONTRIBUTING.md and reviewers' heads.  This
+package turns each into a machine-checked gate behind ``repro-sim lint``:
 
 ========  ====================  ==================================================
 rule      name                  enforces
@@ -12,11 +11,13 @@ rule      name                  enforces
 RPR000    lint                  files parse; every pragma suppresses something
 RPR001    determinism           no wall clocks outside obs/; no ambient RNG
 RPR002    fingerprint-bump      changed key inputs ⇒ bumped version string
-RPR003    frozen-dataclass      frozen contract payloads; no mutable defaults
-RPR004    registry-sync         registered names CLI-reachable and test-covered
 RPR005    closed-error-contract literal ApiError codes come from ERROR_CODES
 RPR006    telemetry-discipline  defer on the hot path; guarded emission
 ========  ====================  ==================================================
+
+Frozen payload dataclasses and registry coverage are not lint rules: tier-1
+tests check them on the live program (``tests/test_codec.py``,
+``tests/test_registry.py``).
 
 Suppress a finding with ``# repro-lint: disable=RPR001`` on its line (or
 ``disable-file=`` near the top) and a comment saying why; unused pragmas
@@ -47,8 +48,6 @@ from repro.lint.engine import (
 # Importing the rule modules populates RULE_REGISTRY.
 from repro.lint import rules_determinism  # noqa: F401
 from repro.lint import rules_fingerprint  # noqa: F401
-from repro.lint import rules_dataclass  # noqa: F401
-from repro.lint import rules_registry  # noqa: F401
 from repro.lint import rules_api  # noqa: F401
 from repro.lint import rules_telemetry  # noqa: F401
 

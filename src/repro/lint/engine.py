@@ -4,7 +4,7 @@ The engine parses every linted file exactly once into a :class:`SourceFile`
 (source text, line table, AST, pragma table) and hands the shared trees to
 every registered :class:`Rule`.  Rules come in two shapes — per-file
 visitors (``check_file``) and whole-project passes (``check_project``, for
-contracts that span files: registry/CLI/test sync, git-diff-aware version
+contracts that span files: the closed error table, git-diff-aware version
 bumps) — and emit :class:`Finding` records with an exact ``file:line:col``
 location, the rule id, a message and a fix hint.
 
@@ -147,12 +147,12 @@ class SourceFile:
 class Project:
     """Everything a lint run can see: linted files plus lazy project context.
 
-    Rules may pull in files outside the linted set (``cli.py`` for the
-    registry-sync check, ``tests/`` for coverage references, the merge-base
-    blob for diff-aware rules) through :meth:`source` / :meth:`read_text`;
-    those loads are cached and parsed once.  ``overlay`` maps relative
-    paths to in-memory text and takes precedence over the filesystem — the
-    fixture tests build whole synthetic projects from it.
+    Rules may pull in files outside the linted set (``api/errors.py`` for
+    the error-contract check, the merge-base blob for diff-aware rules)
+    through :meth:`source` / :meth:`read_text`; those loads are cached and
+    parsed once.  ``overlay`` maps relative paths to in-memory text and
+    takes precedence over the filesystem — the fixture tests build whole
+    synthetic projects from it.
     """
 
     def __init__(self, root: Path | str | None = None, *,
@@ -203,16 +203,6 @@ class Project:
         if rel not in self._base_cache:
             self._base_cache[rel] = self._base_reader(rel)
         return self._base_cache[rel]
-
-    def python_files(self, prefix: str) -> list[str]:
-        """Every known ``.py`` path under ``prefix`` (overlay + filesystem)."""
-        prefix = _normalize(prefix).rstrip("/") + "/"
-        found = {rel for rel in self.overlay
-                 if rel.startswith(prefix) and rel.endswith(".py")}
-        if self.root is not None and (self.root / prefix).is_dir():
-            for path in (self.root / prefix).rglob("*.py"):
-                found.add(path.relative_to(self.root).as_posix())
-        return sorted(found)
 
 
 def _normalize(rel: str) -> str:
@@ -298,17 +288,3 @@ def dotted_name(node: ast.AST) -> str | None:
         return ".".join(reversed(parts))
     return None
 
-
-def is_dataclass_decorator(node: ast.AST) -> bool:
-    """True for ``@dataclass`` / ``@dataclasses.dataclass`` (bare or called)."""
-    if isinstance(node, ast.Call):
-        node = node.func
-    return dotted_name(node) in ("dataclass", "dataclasses.dataclass")
-
-
-def dataclass_frozen(decorator: ast.AST) -> bool:
-    """True when a dataclass decorator passes ``frozen=True``."""
-    if not isinstance(decorator, ast.Call):
-        return False
-    return any(kw.arg == "frozen" and isinstance(kw.value, ast.Constant)
-               and kw.value.value is True for kw in decorator.keywords)

@@ -26,7 +26,6 @@ from typing import Any
 
 from repro.common import ceil_div
 from repro.core.config import TPUConfig
-from repro.core.results import GraphResult
 from repro.core.simulator import DiTInferenceSettings, InferenceSimulator, LLMInferenceSettings
 from repro.memory.interconnect import ICILink, RingTopology
 from repro.workloads.dit import DiTConfig
@@ -213,7 +212,3 @@ class MultiTPUSystem:
     def _all_reduce_seconds(self, num_bytes: float) -> float:
         cycles = self.topology.all_reduce_cycles(num_bytes)
         return cycles / (self.link.frequency_ghz * 1e9)
-
-    def per_layer_results(self, graph_result: GraphResult) -> GraphResult:
-        """Expose the underlying per-layer result (for tests and reports)."""
-        return graph_result

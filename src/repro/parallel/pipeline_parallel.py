@@ -68,10 +68,6 @@ class PipelineSchedule:
         plan = self.plan
         return (plan.micro_batches + plan.num_stages - 1) * self.stage_with_hop_seconds
 
-    def steady_state_interval(self) -> float:
-        """Time between successive micro-batch completions at steady state."""
-        return self.stage_with_hop_seconds
-
     def sequential_traversal_latency(self) -> float:
         """Latency of one micro-batch traversing every stage (decode step)."""
         return self.plan.num_stages * self.stage_with_hop_seconds

@@ -49,7 +49,7 @@ import math
 from repro.common import Precision, ceil_div
 from repro.core.config import TPUConfig
 from repro.core.simulator import InferenceSimulator
-from repro.serving.metrics import SLO, LatencySummary, ServingReport
+from repro.serving.metrics import LatencySummary, ServingReport
 from repro.serving.simulator import ServingSimulator
 from repro.serving.spec import ServingSpec
 from repro.serving.trace import request_classes_from_settings

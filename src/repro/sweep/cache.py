@@ -33,16 +33,6 @@ class CacheStats:
     hits: int = 0
     misses: int = 0
 
-    @property
-    def lookups(self) -> int:
-        """Total number of lookups served."""
-        return self.hits + self.misses
-
-    @property
-    def hit_rate(self) -> float:
-        """Fraction of lookups served from the cache."""
-        return self.hits / self.lookups if self.lookups else 0.0
-
     def snapshot(self) -> "CacheStats":
         """An independent copy of the current counters."""
         return CacheStats(hits=self.hits, misses=self.misses)

@@ -341,12 +341,3 @@ class SweepEngine:
     def stats(self) -> SweepStats:
         """Cache and store statistics of every sweep so far (a copy)."""
         return replace(self._stats)
-
-    def clear_caches(self) -> None:
-        """Drop every cached row and reset the statistics.
-
-        The persistent store (if any) is left untouched: it is the
-        cross-run memory this method must not erase.
-        """
-        self._rows.clear()
-        self._stats = SweepStats()

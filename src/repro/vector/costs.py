@@ -67,11 +67,6 @@ def registered_vector_operator_types() -> tuple[type, ...]:
     return tuple(_COST_MODELS)
 
 
-def has_vector_cost(operator_type: type) -> bool:
-    """Whether the type (or one of its bases) has a cost model."""
-    return any(base in _COST_MODELS for base in operator_type.__mro__)
-
-
 def vector_cost(op: Operator) -> VectorOpCost:
     """Evaluate the registered cost model of ``op``.
 

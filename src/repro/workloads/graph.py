@@ -77,11 +77,6 @@ class OperatorGraph:
         """Total MACs across all matmul operators."""
         return sum(op.macs for op in self.matmul_operators)
 
-    @property
-    def total_weight_bytes(self) -> int:
-        """Total weight bytes across all operators."""
-        return sum(op.weight_bytes for op in self.operators)
-
     def categories(self) -> list[LayerCategory]:
         """Distinct layer categories present, in first-appearance order."""
         seen: list[LayerCategory] = []

@@ -26,7 +26,13 @@ from repro.api import (
     response_from_dict,
 )
 from repro.codec import decode, encode
+from repro.optimize import OBJECTIVE_REGISTRY, SEARCH_REGISTRY
+from repro.serving.autoscaler import AUTOSCALER_REGISTRY
+from repro.serving.router import ROUTER_REGISTRY
+from repro.serving.scheduler import SCHEDULER_REGISTRY
+from repro.serving.trace import TRACE_REGISTRY
 from repro.sweep.store import ResultStore
+from repro.workloads.registry import MODEL_REGISTRY, SCENARIO_REGISTRY
 
 #: Small, fast serving run shared by the facade tests.
 FAST = dict(llm="llama2-7b", input_tokens=64, output_tokens=16,
@@ -162,6 +168,32 @@ class TestStrictDecoding:
             cls(**overrides)
         assert excinfo.value.error.code == "invalid-field"
         assert excinfo.value.error.field == field
+
+    @pytest.mark.parametrize("cls, field", [
+        *[(SimulateRequest, field) for field in (
+            "scheduler", "router", "autoscaler", "trace", "llm", "scenario")],
+        *[(FleetRequest, field) for field in (
+            "scheduler", "router", "trace", "llm", "scenario")],
+        (SweepRequest, "models"),
+        *[(OptimizeRequest, field) for field in (
+            "strategy", "trace", "llm", "scenario", "objectives")],
+        (AutoconfigPreviewRequest, "scheduler"),
+        (AutoconfigPreviewRequest, "llm"),
+    ])
+    def test_unknown_name_reads_as_its_registry_says(self, cls, field):
+        registry = {"scheduler": SCHEDULER_REGISTRY, "router": ROUTER_REGISTRY,
+                    "autoscaler": AUTOSCALER_REGISTRY, "trace": TRACE_REGISTRY,
+                    "llm": MODEL_REGISTRY, "models": MODEL_REGISTRY,
+                    "scenario": SCENARIO_REGISTRY, "strategy": SEARCH_REGISTRY,
+                    "objectives": OBJECTIVE_REGISTRY}[field]
+        value = ("x",) if field in ("models", "objectives") else "x"
+        required = {"rate": 8.0} if cls is FleetRequest else {}
+        with pytest.raises(ApiRequestError) as excinfo:
+            cls(**required, **{field: value})
+        with pytest.raises(KeyError) as unknown:
+            registry["x"]
+        assert excinfo.value.error == ApiError(
+            code="invalid-field", message=unknown.value.args[0], field=field)
 
     def test_lists_become_tuples_and_integral_floats_floats(self):
         request = SweepRequest(designs=["baseline"], models=["llama2-7b"],

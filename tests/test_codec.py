@@ -7,11 +7,14 @@ arbitrary values of each, through the same entry points the program uses
 ``FleetResponse.plan_object``, the API envelopes).  Values are generated
 from each dataclass's own annotations, so a new field is covered without
 touching this file.  The decode policy is pinned separately, including
-what :meth:`ResultStore.load` counts as a miss.
+what :meth:`ResultStore.load` counts as a miss, and so is what every
+payload type must be: frozen, with no default shared between instances.
 """
 
 import dataclasses
+import importlib
 import json
+import pkgutil
 import sys
 import threading
 import types
@@ -20,6 +23,7 @@ import typing
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+import repro
 from repro.analysis.capacity import FleetPlan
 from repro.api import (
     AutoconfigPreviewRequest,
@@ -278,6 +282,29 @@ class TestDecodePolicy:
     def test_wrong_shape_for_a_tuple_is_a_type_error(self):
         with pytest.raises(TypeError):
             decode(ServingReport, {**REPORT_PAYLOAD, "requests": {}})
+
+
+#: Modules whose dataclasses are stored or wire payloads.
+FROZEN_MODULES = ("repro.api", "repro.serving.metrics", "repro.serving.spec",
+                  "repro.serving.cluster", "repro.optimize.pareto",
+                  "repro.obs.telemetry")
+
+
+def test_payload_dataclasses_are_frozen_and_share_no_default():
+    """Every module-level dataclass of ``repro``: those of the payload
+    modules are frozen, and none holds an unhashable class-level value (a
+    list or dict default would be one object shared by every instance)."""
+    classes = [value for info in pkgutil.walk_packages(repro.__path__, "repro.")
+               for value in vars(importlib.import_module(info.name)).values()
+               if isinstance(value, type) and dataclasses.is_dataclass(value)
+               and value.__module__ == info.name]
+    thawed = [f"{cls.__module__}.{cls.__qualname__}" for cls in classes
+              if cls.__module__.startswith(FROZEN_MODULES)
+              and not cls.__dataclass_params__.frozen]
+    shared = [f"{cls.__module__}.{cls.__qualname__}.{name}" for cls in classes
+              for name, value in vars(cls).items()
+              if not name.startswith("__") and type(value).__hash__ is None]
+    assert (thawed, shared) == ([], [])
 
 
 def _unordered_row(payload):

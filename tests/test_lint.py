@@ -22,7 +22,6 @@ from repro.codec import encode
 from repro.lint import (
     META_RULE,
     RULE_REGISTRY,
-    Finding,
     Project,
     Rule,
     get_rule,
@@ -304,173 +303,6 @@ class TestFingerprintRule:
         assert "api-schema" in findings[0].message
 
 
-class TestFrozenDataclassRule:
-    def test_unfrozen_dataclass_in_contract_module_flagged(self):
-        files = {"src/repro/api/payloads.py": src("""
-            from dataclasses import dataclass
-
-
-            @dataclass
-            class Envelope:
-                kind: str
-        """)}
-        findings = lint(files, "RPR003")
-        assert len(findings) == 1 and findings[0].line == 5
-        assert "Envelope" in findings[0].message
-
-    def test_frozen_dataclass_in_contract_module_is_clean(self):
-        files = {"src/repro/serving/metrics.py": src("""
-            from dataclasses import dataclass
-
-
-            @dataclass(frozen=True)
-            class Report:
-                p99_s: float
-        """)}
-        assert lint(files, "RPR003") == []
-
-    def test_mutable_state_dataclass_outside_contract_modules_allowed(self):
-        files = {"src/repro/serving/simulator.py": src("""
-            from dataclasses import dataclass
-
-
-            @dataclass
-            class _RunState:
-                clock_s: float = 0.0
-        """)}
-        assert lint(files, "RPR003") == []
-
-    def test_mutable_default_flagged_everywhere(self):
-        files = {"src/repro/core/results.py": src("""
-            from dataclasses import dataclass, field
-
-
-            @dataclass
-            class Accumulator:
-                rows: list = field(default=[])
-        """)}
-        findings = lint(files, "RPR003")
-        assert len(findings) == 1 and findings[0].line == 6
-        assert "mutable default" in findings[0].message
-
-    def test_default_factory_is_the_blessed_spelling(self):
-        files = {"src/repro/core/results.py": src("""
-            from dataclasses import dataclass, field
-
-
-            @dataclass
-            class Accumulator:
-                rows: list = field(default_factory=list)
-        """)}
-        assert lint(files, "RPR003") == []
-
-
-ROUTER_MODULE = src("""
-    ROUTER_REGISTRY = {}
-
-
-    def register_router(policy, overwrite=False):
-        ROUTER_REGISTRY[policy.name] = policy
-
-
-    class RouterPolicy:
-        def __init__(self, name):
-            self.name = name
-
-
-    register_router(RouterPolicy(name="zigzag"))
-""")
-CLI_WITH_REGISTRY = 'from x import ROUTER_REGISTRY\nCHOICES = sorted(ROUTER_REGISTRY)\n'
-
-
-class TestRegistrySyncRule:
-    def test_registered_name_without_test_reference_flagged(self):
-        files = {"src/repro/serving/router.py": ROUTER_MODULE,
-                 "src/repro/cli.py": CLI_WITH_REGISTRY,
-                 "tests/test_router.py": "def test_nothing():\n    pass\n"}
-        findings = lint(files, "RPR004")
-        assert len(findings) == 1
-        assert findings[0].path == "src/repro/serving/router.py"
-        assert findings[0].line == 13
-        assert "'zigzag'" in findings[0].message
-
-    def test_tested_and_cli_wired_registration_is_clean(self):
-        files = {"src/repro/serving/router.py": ROUTER_MODULE,
-                 "src/repro/cli.py": CLI_WITH_REGISTRY,
-                 "tests/test_router.py": 'NAME = "zigzag"\n'}
-        assert lint(files, "RPR004") == []
-
-    def test_registry_unreachable_from_cli_flagged(self):
-        files = {"src/repro/serving/router.py": ROUTER_MODULE,
-                 "src/repro/cli.py": "CHOICES = []\n",
-                 "tests/test_router.py": 'NAME = "zigzag"\n'}
-        findings = lint(files, "RPR004")
-        assert len(findings) == 1
-        assert "ROUTER_REGISTRY" in findings[0].message
-        assert "unreachable" in findings[0].message
-
-    def test_helper_default_name_resolves(self):
-        module = src("""
-            def register_autoscaler(policy):
-                pass
-
-
-            def fixed_autoscaler(name="fixed"):
-                return name
-
-
-            register_autoscaler(fixed_autoscaler())
-        """)
-        files = {"src/repro/serving/autoscaler.py": module,
-                 "src/repro/cli.py": "import x\nAUTOSCALER_REGISTRY\n",
-                 "tests/test_a.py": 'NAME = "fixed"\n'}
-        assert lint(files, "RPR004") == []
-
-    def test_helper_first_argument_name_resolves(self):
-        module = src("""
-            def register_fault(model):
-                pass
-
-
-            register_fault(_effect_model("replica-crash", "crash"))
-        """)
-        files = {"src/repro/serving/faults.py": module,
-                 "src/repro/cli.py": "FAULT_REGISTRY\n",
-                 "tests/test_f.py": 'NAME = "replica-crash"\n'}
-        assert lint(files, "RPR004") == []
-
-    def test_module_constant_name_resolves_across_files(self):
-        files = {
-            "src/repro/workloads/llm.py":
-                'LLM_SCENARIO = ScenarioSpec(name="llm-serving")\n',
-            "src/repro/workloads/registry.py": src("""
-                def register_scenario(spec):
-                    pass
-
-
-                register_scenario(LLM_SCENARIO)
-            """),
-            "src/repro/cli.py": "SCENARIO_REGISTRY\n",
-            "tests/test_s.py": 'NAME = "llm-serving"\n',
-        }
-        assert lint(files, "RPR004") == []
-
-    def test_statically_unresolvable_name_flagged(self):
-        module = src("""
-            def register_search(strategy):
-                pass
-
-
-            register_search(make_strategy())
-        """)
-        files = {"src/repro/optimize/search.py": module,
-                 "src/repro/cli.py": "SEARCH_REGISTRY\n",
-                 "tests/test_s.py": "pass\n"}
-        findings = lint(files, "RPR004")
-        assert len(findings) == 1
-        assert "cannot statically resolve" in findings[0].message
-
-
 ERRORS_MODULE = src("""
     ERROR_CODES = (
         "invalid-field",
@@ -665,8 +497,7 @@ class TestCliAndAcceptance:
     def test_cli_list_rules_names_every_rule(self, capsys):
         assert main(["lint", "--list-rules"]) == 0
         output = capsys.readouterr().out
-        for rule_id in ("RPR000", "RPR001", "RPR002", "RPR003",
-                        "RPR004", "RPR005", "RPR006"):
+        for rule_id in (META_RULE, *RULE_REGISTRY):
             assert rule_id in output
 
     def test_cli_warns_and_passes_on_unresolvable_diff_base(self, capsys):

@@ -1,16 +1,28 @@
 """One contract for every name registry: duplicates, overwrites, unknown names.
 
-Each case is one open registry with its ``register_*`` function, its lookup
-and one built-in entry.  The nouns are spelled out here so a registry's
-error wording cannot drift from the others unnoticed.
+Each case is one open registry with its ``register_*`` function, its lookup,
+one built-in entry and the CLI surface that shows its names.  The nouns are
+spelled out here so a registry's error wording cannot drift from the others
+unnoticed.  The checks read the live program: every ``Registry`` a
+``repro`` module holds must be a case, its CLI surface must show every
+registered name, and some test must quote each name.
 """
 
 from __future__ import annotations
 
+import argparse
+import contextlib
 import dataclasses
+import importlib
+import io
+import pkgutil
+import re
+from pathlib import Path
 
 import pytest
 
+import repro
+from repro.cli import build_parser, main
 from repro.lint import RULE_REGISTRY, get_rule, register_rule
 from repro.optimize.objectives import OBJECTIVE_REGISTRY, get_objective, register_objective
 from repro.optimize.search import SEARCH_REGISTRY, get_search, register_search
@@ -57,32 +69,86 @@ def _by_attribute(register):
     return add
 
 
+def _option(command, option):
+    """The ``argparse`` action of ``repro-sim <command> <option>``."""
+    (commands,) = [action for action in build_parser()._actions
+                   if isinstance(action, argparse._SubParsersAction)]
+    (action,) = [action for action in commands.choices[command]._actions
+                 if option in action.option_strings]
+    return action
+
+
+def _assert_names_every_entry(text, registry):
+    """Each registered name occurs in ``text`` as a whole (hyphenated) word."""
+    missing = [name for name in registry
+               if not re.search(rf"(?<![\w-]){re.escape(name)}(?![\w-])", text)]
+    assert missing == []
+
+
+def _choices(command, option):
+    """The option's ``choices`` are exactly the registered names."""
+    def check(registry):
+        assert list(_option(command, option).choices) == sorted(registry)
+    return check
+
+
+def _help(command, option):
+    """The option's help names every registered entry."""
+    def check(registry):
+        _assert_names_every_entry(_option(command, option).help, registry)
+    return check
+
+
+def _listing(*argv):
+    """``repro-sim <argv>`` prints every registered name."""
+    def check(registry):
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            assert main(list(argv)) == 0
+        _assert_names_every_entry(out.getvalue(), registry)
+    return check
+
+
 CASES = [
     pytest.param(ROUTER_REGISTRY, _by_attribute(register_router), get_router,
-                 "round-robin", "router", "routers", id="router"),
+                 "round-robin", "router", "routers",
+                 _choices("serve", "--router"), id="router"),
     pytest.param(SCHEDULER_REGISTRY, _by_attribute(register_scheduler), get_scheduler,
-                 "fcfs", "scheduler", "schedulers", id="scheduler"),
+                 "fcfs", "scheduler", "schedulers",
+                 _choices("serve", "--scheduler"), id="scheduler"),
     pytest.param(AUTOSCALER_REGISTRY, _by_attribute(register_autoscaler), get_autoscaler,
-                 "queue-depth", "autoscaler", "autoscalers", id="autoscaler"),
+                 "queue-depth", "autoscaler", "autoscalers",
+                 _choices("serve", "--autoscaler"), id="autoscaler"),
     pytest.param(FAULT_REGISTRY, _by_attribute(register_fault), get_fault,
-                 "replica-crash", "fault model", "models", id="fault"),
+                 "replica-crash", "fault model", "models",
+                 _help("serve", "--faults"), id="fault"),
     pytest.param(TRACE_REGISTRY, _named(register_trace), _trace_lookup,
-                 "poisson", "trace kind", "kinds", id="trace"),
+                 "poisson", "trace kind", "kinds",
+                 _choices("serve", "--trace"), id="trace"),
     pytest.param(OVERLAY_REGISTRY, _named(register_overlay), get_overlay,
-                 "flash-crowd", "overlay", "overlays", id="overlay"),
+                 "flash-crowd", "overlay", "overlays",
+                 _help("serve", "--overlay"), id="overlay"),
     pytest.param(OBJECTIVE_REGISTRY, _by_attribute(register_objective), get_objective,
-                 "p99-ttft", "objective", "objectives", id="objective"),
+                 "p99-ttft", "objective", "objectives",
+                 _choices("optimize", "--objectives"), id="objective"),
     pytest.param(SEARCH_REGISTRY, _by_attribute(register_search), get_search,
-                 "exhaustive", "search strategy", "strategies", id="search"),
+                 "exhaustive", "search strategy", "strategies",
+                 _choices("optimize", "--strategy"), id="search"),
     pytest.param(MODEL_REGISTRY, _by_attribute(register_model), get_model,
-                 "llama2-7b", "model", "models", id="model"),
+                 "llama2-7b", "model", "models",
+                 _listing("models"), id="model"),
     pytest.param(SCENARIO_REGISTRY, _by_attribute(register_scenario), get_scenario,
-                 "chat-serving", "scenario", "scenarios", id="scenario"),
+                 "chat-serving", "scenario", "scenarios",
+                 _listing("scenarios"), id="scenario"),
     pytest.param(RULE_REGISTRY, _by_attribute(register_rule), get_rule,
-                 "RPR004", "lint rule", "rules", id="lint-rule"),
+                 "RPR001", "lint rule", "rules",
+                 _listing("lint", "--list-rules"), id="lint-rule"),
 ]
 
-ARGS = "registry, register, lookup, name, noun, plural"
+ARGS = "registry, register, lookup, name, noun, plural, surface"
+
+#: The text of every test module: each registered name is quoted in one.
+TEST_TEXT = "\n".join(path.read_text(encoding="utf-8")
+                      for path in Path(__file__).parent.rglob("*.py"))
 
 
 def _copy(entry):
@@ -93,14 +159,16 @@ def _copy(entry):
 
 
 @pytest.mark.parametrize(ARGS, CASES)
-def test_duplicate_name_is_rejected(registry, register, lookup, name, noun, plural):
+def test_duplicate_name_is_rejected(registry, register, lookup, name, noun, plural,
+                                    surface):
     with pytest.raises(ValueError) as error:
         register(name, registry[name])
     assert error.value.args[0] == f"{noun} '{name}' is already registered"
 
 
 @pytest.mark.parametrize(ARGS, CASES)
-def test_overwrite_replaces_the_entry(registry, register, lookup, name, noun, plural):
+def test_overwrite_replaces_the_entry(registry, register, lookup, name, noun, plural,
+                                      surface):
     original = registry[name]
     replacement = _copy(original)
     try:
@@ -113,7 +181,7 @@ def test_overwrite_replaces_the_entry(registry, register, lookup, name, noun, pl
 
 @pytest.mark.parametrize(ARGS, CASES)
 def test_unknown_name_lists_the_registered_ones(registry, register, lookup, name,
-                                                noun, plural):
+                                                noun, plural, surface):
     with pytest.raises(KeyError) as error:
         lookup("x")
     known = ", ".join(sorted(registry))
@@ -121,7 +189,8 @@ def test_unknown_name_lists_the_registered_ones(registry, register, lookup, name
 
 
 @pytest.mark.parametrize(ARGS, CASES)
-def test_registry_behaves_as_a_dict(registry, register, lookup, name, noun, plural):
+def test_registry_behaves_as_a_dict(registry, register, lookup, name, noun, plural,
+                                    surface):
     assert isinstance(registry, Registry)
     assert sorted(registry) == sorted(dict(registry))
     assert name in registry and "x" not in registry
@@ -129,3 +198,28 @@ def test_registry_behaves_as_a_dict(registry, register, lookup, name, noun, plur
     assert registry.get("x") is None
     if lookup is not _trace_lookup:
         assert lookup(name) is registry[name]
+
+
+def test_every_live_registry_is_a_case():
+    """A ``Registry`` held by any ``repro`` module is held to these contracts."""
+    cases = [case.values[0] for case in CASES]
+    for info in pkgutil.walk_packages(repro.__path__, "repro."):
+        module = importlib.import_module(info.name)
+        for attr, value in vars(module).items():
+            if isinstance(value, Registry):
+                assert any(value is case for case in cases), \
+                    f"{info.name}.{attr} is not a case of tests/test_registry.py"
+
+
+@pytest.mark.parametrize(ARGS, CASES)
+def test_the_cli_shows_every_name(registry, register, lookup, name, noun, plural,
+                                  surface):
+    surface(registry)
+
+
+@pytest.mark.parametrize(ARGS, CASES)
+def test_every_name_is_quoted_in_a_test(registry, register, lookup, name, noun,
+                                        plural, surface):
+    unquoted = [entry for entry in registry
+                if f'"{entry}"' not in TEST_TEXT and f"'{entry}'" not in TEST_TEXT]
+    assert unquoted == []
