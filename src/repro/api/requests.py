@@ -505,6 +505,14 @@ class SweepRequest(_Request):
             designs[name] = PREDEFINED_DESIGNS[name]
         for name in self.models:
             _registered(MODEL_REGISTRY, name, "models")
+        for name in self.scenarios or ():
+            _registered(SCENARIO_REGISTRY, name, "scenarios")
+        for name in self.schedulers:
+            _registered(SCHEDULER_REGISTRY, name, "schedulers")
+        for name in self.routers:
+            _registered(ROUTER_REGISTRY, name, "routers")
+        _registered(TRACE_REGISTRY, self.trace, "trace")
+        _registered(AUTOSCALER_REGISTRY, self.autoscaler, "autoscaler")
         for name in self.precisions:
             _check_choice(name, _PRECISIONS, "precisions", "precision")
         try:

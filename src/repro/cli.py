@@ -57,11 +57,9 @@ Python:
     autoscaler/fault action log, span totals and counters.
 ``repro-sim lint``
     The repro-lint contract checker: AST rules that machine-enforce the
-    repo's determinism, fingerprint-bump, error-contract and
-    telemetry-discipline invariants, with structured
-    ``file:line`` findings and ``--json`` export.  ``--diff-base REF``
-    additionally checks that any change to fingerprinted definitions
-    relative to the merge base bumped the matching version string.
+    repo's determinism (RPR001), closed error contract (RPR005) and
+    telemetry-discipline (RPR006) invariants, with structured
+    ``file:line`` findings and ``--json`` export.
 ``repro-sim models``
     List the registered model configurations and their memory footprints.
 ``repro-sim scenarios``
@@ -816,10 +814,8 @@ def cmd_lint(args: argparse.Namespace) -> int:
         except KeyError as error:
             raise SystemExit(str(error.args[0])) from None
 
-    findings, warning = repro_lint.lint_repository(
-        args.root, paths=args.paths, diff_base=args.diff_base, rules=rules)
-    if warning is not None:
-        print(f"warning: {warning}", file=sys.stderr)
+    findings = repro_lint.lint_repository(args.root, paths=args.paths,
+                                          rules=rules)
     for finding in findings:
         print(finding.render())
     if args.json:
@@ -1242,11 +1238,10 @@ def build_parser() -> argparse.ArgumentParser:
     report.set_defaults(func=cmd_report)
 
     lint = subparsers.add_parser(
-        "lint", help="machine-check the repo's determinism/fingerprint/"
-                     "registry contracts",
+        "lint", help="machine-check the repo's determinism (RPR001), "
+                     "error-contract (RPR005) and telemetry (RPR006) rules",
         description="Run the repro-lint AST contract checker: RPR001 "
-                    "determinism, RPR002 fingerprint-bump (needs "
-                    "--diff-base), RPR005 closed error contract, RPR006 "
+                    "determinism, RPR005 closed error contract, RPR006 "
                     "telemetry discipline.  Exits non-zero on any finding; "
                     "suppress a justified one with a "
                     "'# repro-lint: disable=RULE' comment.")
@@ -1254,9 +1249,6 @@ def build_parser() -> argparse.ArgumentParser:
                       help="files or directories to lint (default: src/repro)")
     lint.add_argument("--root", default=".",
                       help="repository root discovery hint (default: cwd)")
-    lint.add_argument("--diff-base", dest="diff_base", metavar="REF",
-                      help="git ref to diff against; enables the RPR002 "
-                           "fingerprint-bump rule (e.g. origin/main)")
     lint.add_argument("--rules", nargs="+", metavar="RPRnnn",
                       help="run only these rule ids")
     lint.add_argument("--json", metavar="PATH",

@@ -4,9 +4,9 @@ The engine parses every linted file exactly once into a :class:`SourceFile`
 (source text, line table, AST, pragma table) and hands the shared trees to
 every registered :class:`Rule`.  Rules come in two shapes — per-file
 visitors (``check_file``) and whole-project passes (``check_project``, for
-contracts that span files: the closed error table, git-diff-aware version
-bumps) — and emit :class:`Finding` records with an exact ``file:line:col``
-location, the rule id, a message and a fix hint.
+contracts that span files, such as the closed error table) — and emit
+:class:`Finding` records with an exact ``file:line:col`` location, the rule
+id, a message and a fix hint.
 
 Suppression is explicit and auditable: a ``# repro-lint: disable=RPR001``
 comment suppresses that rule's findings on its own line, and
@@ -148,26 +148,19 @@ class Project:
     """Everything a lint run can see: linted files plus lazy project context.
 
     Rules may pull in files outside the linted set (``api/errors.py`` for
-    the error-contract check, the merge-base blob for diff-aware rules)
-    through :meth:`source` / :meth:`read_text`; those loads are cached and
-    parsed once.  ``overlay`` maps relative paths to in-memory text and
-    takes precedence over the filesystem — the fixture tests build whole
-    synthetic projects from it.
+    the error-contract check) through :meth:`source` / :meth:`read_text`;
+    those loads are cached and parsed once.  ``overlay`` maps relative
+    paths to in-memory text and takes precedence over the filesystem — the
+    fixture tests build whole synthetic projects from it.
     """
 
     def __init__(self, root: Path | str | None = None, *,
-                 overlay: Mapping[str, str] | None = None,
-                 diff_base: str | None = None,
-                 base_reader: Callable[[str], str | None] | None = None) -> None:
+                 overlay: Mapping[str, str] | None = None) -> None:
         self.root = Path(root) if root is not None else None
         self.overlay = {_normalize(rel): text for rel, text in (overlay or {}).items()}
-        #: The ref the diff-aware rules compare against (``None`` disables them).
-        self.diff_base = diff_base
-        self._base_reader = base_reader
         self._sources: dict[str, SourceFile | None] = {}
         #: rel path -> (line, message) for files that failed to parse.
         self.parse_errors: dict[str, tuple[int, str]] = {}
-        self._base_cache: dict[str, str | None] = {}
 
     def read_text(self, rel: str) -> str | None:
         """The working-tree text of ``rel``, or ``None`` if it does not exist."""
@@ -194,15 +187,6 @@ class Project:
                     self.parse_errors[rel] = (exc.lineno or 1, exc.msg or "syntax error")
                     self._sources[rel] = None
         return self._sources[rel]
-
-    def base_text(self, rel: str) -> str | None:
-        """``rel`` as it reads at the diff base, or ``None`` if absent there."""
-        rel = _normalize(rel)
-        if self._base_reader is None:
-            return None
-        if rel not in self._base_cache:
-            self._base_cache[rel] = self._base_reader(rel)
-        return self._base_cache[rel]
 
 
 def _normalize(rel: str) -> str:

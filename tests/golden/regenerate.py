@@ -12,11 +12,13 @@ Covers ``table_iv.json`` (the paper reproduction), ``chrome_trace.json``
 (report digests), ``payloads.json`` (sweep rows, a frontier, a fleet
 plan and the response envelopes), ``fleet_routing.json`` (the routing
 of a heterogeneous fleet, integers only, so one digest set serves every
-interpreter) and ``cli_requests.json`` (the request each CLI argv hands
-to ``repro.api`` and the subcommands' option help).  The report and payload digests depend
-on the interpreter's float ``sum()``, and a run writes only its own
-interpreter's set, so after an intentional change regenerate them under
-Python 3.11 and 3.12::
+interpreter), ``cli_requests.json`` (the request each CLI argv hands
+to ``repro.api`` and the subcommands' option help) and
+``fingerprint_versions.json`` (each store version with the definitions
+that feed it; a changed one under an unchanged version is refused).  The
+report and payload digests depend on the interpreter's float ``sum()``,
+and a run writes only its own interpreter's set, so after an intentional
+change regenerate them under Python 3.11 and 3.12::
 
     PYTHONPATH=src python3.11 tests/golden/regenerate.py serving-reports
     PYTHONPATH=src python3.12 tests/golden/regenerate.py serving-reports
@@ -24,6 +26,7 @@ Python 3.11 and 3.12::
     PYTHONPATH=src python3.12 tests/golden/regenerate.py payloads
     PYTHONPATH=src python tests/golden/regenerate.py fleet-routing
     PYTHONPATH=src python tests/golden/regenerate.py cli-requests
+    PYTHONPATH=src python tests/golden/regenerate.py fingerprint-versions
 """
 
 from __future__ import annotations
@@ -42,6 +45,7 @@ REPORTS_GOLDEN_PATH = pathlib.Path(__file__).parent / "serving_reports.json"
 PAYLOADS_GOLDEN_PATH = pathlib.Path(__file__).parent / "payloads.json"
 ROUTING_GOLDEN_PATH = pathlib.Path(__file__).parent / "fleet_routing.json"
 CLI_GOLDEN_PATH = pathlib.Path(__file__).parent / "cli_requests.json"
+FINGERPRINT_GOLDEN_PATH = pathlib.Path(__file__).parent / "fingerprint_versions.json"
 # The golden tests live one directory up and import no pytest at module level.
 sys.path.insert(0, str(pathlib.Path(__file__).parent.parent))
 
@@ -104,6 +108,21 @@ def write_cli_requests() -> None:
     print(f"wrote {CLI_GOLDEN_PATH} ({len(golden['requests'])} requests)")
 
 
+def write_fingerprint_versions() -> None:
+    """Rewrite the fingerprint contracts; refuse a change left unbumped."""
+    from test_fingerprint_versions import snapshot, unbumped
+
+    live = snapshot()
+    recorded = json.loads(FINGERPRINT_GOLDEN_PATH.read_text(encoding="utf-8"))
+    if problems := unbumped(recorded["contracts"], live):
+        raise SystemExit("\n".join(problems))
+    golden = {"description": "each version with the definitions that feed it",
+              "contracts": live}
+    FINGERPRINT_GOLDEN_PATH.write_text(json.dumps(golden, indent=2) + "\n",
+                                       encoding="utf-8")
+    print(f"wrote {FINGERPRINT_GOLDEN_PATH} ({len(live)} contracts)")
+
+
 def main() -> None:
     explorer = ArchitectureExplorer(
         llm_settings=LLMInferenceSettings(batch=8, input_tokens=1024, output_tokens=512,
@@ -145,6 +164,7 @@ def main() -> None:
     write_payloads()
     write_fleet_routing()
     write_cli_requests()
+    write_fingerprint_versions()
 
 
 if __name__ == "__main__":
@@ -156,5 +176,7 @@ if __name__ == "__main__":
         write_fleet_routing()
     elif sys.argv[1:] == ["cli-requests"]:
         write_cli_requests()
+    elif sys.argv[1:] == ["fingerprint-versions"]:
+        write_fingerprint_versions()
     else:
         main()

@@ -174,7 +174,9 @@ class TestStrictDecoding:
             "scheduler", "router", "autoscaler", "trace", "llm", "scenario")],
         *[(FleetRequest, field) for field in (
             "scheduler", "router", "trace", "llm", "scenario")],
-        (SweepRequest, "models"),
+        *[(SweepRequest, field) for field in (
+            "models", "scenarios", "schedulers", "routers", "trace",
+            "autoscaler")],
         *[(OptimizeRequest, field) for field in (
             "strategy", "trace", "llm", "scenario", "objectives")],
         (AutoconfigPreviewRequest, "scheduler"),
@@ -185,8 +187,9 @@ class TestStrictDecoding:
                     "autoscaler": AUTOSCALER_REGISTRY, "trace": TRACE_REGISTRY,
                     "llm": MODEL_REGISTRY, "models": MODEL_REGISTRY,
                     "scenario": SCENARIO_REGISTRY, "strategy": SEARCH_REGISTRY,
-                    "objectives": OBJECTIVE_REGISTRY}[field]
-        value = ("x",) if field in ("models", "objectives") else "x"
+                    "objectives": OBJECTIVE_REGISTRY, "scenarios": SCENARIO_REGISTRY,
+                    "schedulers": SCHEDULER_REGISTRY, "routers": ROUTER_REGISTRY}[field]
+        value = ("x",) if field.endswith("s") else "x"
         required = {"rate": 8.0} if cls is FleetRequest else {}
         with pytest.raises(ApiRequestError) as excinfo:
             cls(**required, **{field: value})

@@ -232,6 +232,15 @@ class TestValidationErrors:
         assert body["error"]["code"] == "invalid-field"
         assert body["error"]["field"] == "scheduler"
 
+    @pytest.mark.parametrize("field, value", [
+        ("scenarios", ["x"]), ("schedulers", ["x"]), ("routers", ["x"]),
+        ("trace", "x"), ("autoscaler", "x")])
+    def test_unknown_sweep_name_is_400_at_submission(self, gateway, field, value):
+        payload = {"kind": "sweep", "designs": ["baseline"], field: value}
+        status, body = http(f"{gateway.url}/v1/sweep", "POST", payload)
+        assert (status, body["error"]["field"]) == (400, field)
+        assert http(f"{gateway.url}/v1/jobs")[1]["jobs"] == []
+
     def test_unsupported_schema_version_is_400(self, gateway):
         payload = SimulateRequest(**FAST).to_dict()
         payload["schema_version"] = 99

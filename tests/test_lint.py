@@ -2,20 +2,23 @@
 
 Each rule is exercised on small synthetic projects built from in-memory
 overlays (no filesystem), with exact ``file:line`` locations asserted,
-plus two planted-violation suites against the *real* repository tree:
-RPR001 must fail loudly on a planted wall-clock read, and RPR002 must
-flag a synthetic merge-base diff that edits a fingerprinted dataclass
-without bumping its version string.  The final suite pins the acceptance
-gate: the repository at HEAD lints clean.
+plus planted violations against the *real* repository tree: RPR001 must
+fail loudly on a planted wall-clock read.  The fingerprint-version
+contract, once rule RPR002, is checked at run time by
+``test_fingerprint_versions.py``; its suites here drive that check on
+small modules and on the real tree's snapshot.  The final suite pins the
+acceptance gate: the repository at HEAD lints clean.
 """
 
+import importlib.util
+import itertools
 import json
-import subprocess
 import sys
 import textwrap
 from pathlib import Path
 
 import pytest
+from test_fingerprint_versions import key_version, pin, snapshot, unbumped
 
 from repro.cli import main
 from repro.codec import encode
@@ -33,11 +36,9 @@ from repro.lint import (
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
 
-def lint(files, rule_id=None, base=None, diff_base=None, targets=None):
+def lint(files, rule_id=None, targets=None):
     """Lint an in-memory project; returns the findings list."""
-    base_reader = (lambda rel: base.get(rel)) if base is not None else None
-    project = Project(root=None, overlay=files, diff_base=diff_base,
-                      base_reader=base_reader)
+    project = Project(root=None, overlay=files)
     rules = [RULE_REGISTRY[rule_id]] if rule_id else None
     if targets is None:
         targets = [rel for rel in files if rel.startswith("src/")]
@@ -217,90 +218,109 @@ MINI_ENGINE = src("""
     def point_key(point):
         return fingerprint("sweep-point/v6", point.design, point.devices)
 """)
+MINI_REQUESTS = src("""
+    from dataclasses import dataclass
+
+    SCHEMA_VERSION = 1
+
+
+    @dataclass(frozen=True)
+    class SimulateRequest:
+        rate: float
+""")
+
+
+def load(tmp_path, monkeypatch, name, text):
+    """Import ``text`` as module ``name``, from a file inspect can read."""
+    path = tmp_path / f"{name}.py"
+    path.write_text(text, encoding="utf-8")
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, name, module)
+    spec.loader.exec_module(module)
+    return module
 
 
 class TestFingerprintRule:
-    def _project(self, head_grid, head_engine=MINI_ENGINE,
-                 base_grid=MINI_GRID, base_engine=MINI_ENGINE):
-        files = {"src/repro/sweep/grid.py": head_grid,
-                 "src/repro/sweep/engine.py": head_engine}
-        base = {"src/repro/sweep/grid.py": base_grid,
-                "src/repro/sweep/engine.py": base_engine}
-        return lint(files, "RPR002", base=base, diff_base="synthetic")
+    """RPR002's contract, now the run-time check of the fingerprint golden.
 
-    def test_field_change_without_bump_flagged_at_version_line(self):
+    Each case pins a base and a head module the way the golden records
+    live ones, keyed by qualified name, and asks :func:`unbumped` whether
+    the head changed a definition under the base's version.
+    """
+
+    @pytest.fixture
+    def sweep_point(self, tmp_path, monkeypatch):
+        tags = itertools.count()
+
+        def pinned(grid=MINI_GRID, engine=MINI_ENGINE):
+            tag = next(tags)
+            point = load(tmp_path, monkeypatch, f"grid_{tag}", grid).SweepPoint
+            key = load(tmp_path, monkeypatch, f"engine_{tag}", engine).point_key
+            return {"sweep-point": {"version": key_version(key), "definitions": {
+                "SweepPoint": pin(point), "point_key": pin(key)}}}
+        return pinned
+
+    @pytest.fixture
+    def api_schema(self, tmp_path, monkeypatch):
+        tags = itertools.count()
+
+        def pinned(text=MINI_REQUESTS):
+            module = load(tmp_path, monkeypatch, f"requests_{next(tags)}", text)
+            return {"api-schema": {
+                "version": f"SCHEMA_VERSION = {module.SCHEMA_VERSION}",
+                "definitions": {"SimulateRequest": pin(module.SimulateRequest)}}}
+        return pinned
+
+    def test_field_change_without_bump_flagged_at_version_line(self, sweep_point):
         head = MINI_GRID.replace("devices: int = 1",
                                  "devices: int = 1\n    fidelity: str = 'exact'")
-        findings = self._project(head)
-        assert len(findings) == 1
-        finding = findings[0]
-        assert finding.path == "src/repro/sweep/engine.py"
-        assert finding.line == 2  # the sweep-point/v6 literal's line
-        assert "sweep-point" in finding.message
-        assert "SweepPoint" in finding.message
+        problems = unbumped(sweep_point(), sweep_point(grid=head))
+        assert len(problems) == 1
+        # The message names the version literal to move.
+        assert problems[0].startswith(
+            "SweepPoint changed but sweep-point is still 'sweep-point/v6'")
+        assert "bump it" in problems[0]
 
-    def test_field_change_with_bump_is_clean(self):
+    def test_field_change_with_bump_is_clean(self, sweep_point):
         head = MINI_GRID.replace("devices: int = 1",
                                  "devices: int = 1\n    fidelity: str = 'exact'")
         bumped = MINI_ENGINE.replace("sweep-point/v6", "sweep-point/v7")
-        assert self._project(head, head_engine=bumped) == []
+        recorded = sweep_point()
+        live = sweep_point(grid=head, engine=bumped)
+        assert unbumped(recorded, live) == []
+        assert live != recorded  # the golden still asks to be regenerated
 
-    def test_key_function_change_without_bump_flagged(self):
+    def test_key_function_change_without_bump_flagged(self, sweep_point):
         head_engine = MINI_ENGINE.replace("point.design, point.devices",
                                           "point.design")
-        findings = self._project(MINI_GRID, head_engine=head_engine)
-        assert len(findings) == 1
-        assert "point_key" in findings[0].message
+        problems = unbumped(sweep_point(), sweep_point(engine=head_engine))
+        assert len(problems) == 1
+        assert problems[0].startswith("point_key changed")
 
-    def test_docstring_and_comment_edits_do_not_demand_a_bump(self):
+    def test_docstring_and_comment_edits_do_not_demand_a_bump(self, sweep_point):
         head_engine = src("""
             def point_key(point):
                 \"\"\"Newly documented.\"\"\"
                 # a new comment
                 return fingerprint("sweep-point/v6", point.design, point.devices)
         """)
-        base_engine = src("""
-            def point_key(point):
-                return fingerprint("sweep-point/v6", point.design, point.devices)
-        """)
-        assert self._project(MINI_GRID, head_engine=head_engine,
-                             base_engine=base_engine) == []
+        recorded = sweep_point()
+        assert unbumped(recorded, sweep_point(engine=head_engine)) == []
+        assert sweep_point(engine=head_engine) == recorded
 
-    def test_rule_is_inert_without_a_diff_base(self):
-        head = MINI_GRID.replace("devices: int = 1", "devices: int = 2")
-        files = {"src/repro/sweep/grid.py": head,
-                 "src/repro/sweep/engine.py": MINI_ENGINE}
-        assert lint(files, "RPR002") == []
+    def test_api_schema_tolerates_appended_defaulted_fields(self, api_schema):
+        head = MINI_REQUESTS.replace("    rate: float",
+                                     "    rate: float\n    shards: int = 0")
+        recorded, live = api_schema(), api_schema(head)
+        assert unbumped(recorded, live) == []
+        assert live != recorded  # the golden still asks to be regenerated
 
-    def test_api_schema_tolerates_appended_defaulted_fields(self):
-        base_requests = src("""
-            SCHEMA_VERSION = 1
-
-
-            class SimulateRequest:
-                rate: float
-        """)
-        head_requests = base_requests.replace(
-            "    rate: float", "    rate: float\n    shards: int = 0")
-        files = {"src/repro/api/requests.py": head_requests}
-        base = {"src/repro/api/requests.py": base_requests}
-        assert lint(files, "RPR002", base=base, diff_base="synthetic") == []
-
-    def test_api_schema_flags_changed_existing_field(self):
-        base_requests = src("""
-            SCHEMA_VERSION = 1
-
-
-            class SimulateRequest:
-                rate: float
-        """)
-        head_requests = base_requests.replace("    rate: float",
-                                              "    rate: int")
-        files = {"src/repro/api/requests.py": head_requests}
-        base = {"src/repro/api/requests.py": base_requests}
-        findings = lint(files, "RPR002", base=base, diff_base="synthetic")
-        assert len(findings) == 1
-        assert "api-schema" in findings[0].message
+    def test_api_schema_flags_changed_existing_field(self, api_schema):
+        head = MINI_REQUESTS.replace("    rate: float", "    rate: int")
+        problems = unbumped(api_schema(), api_schema(head))
+        assert len(problems) == 1
+        assert "api-schema is still 'SCHEMA_VERSION = 1'" in problems[0]
 
 
 ERRORS_MODULE = src("""
@@ -410,7 +430,7 @@ class TestTelemetryRule:
 
 
 class TestPlantedViolationsOnTheRealTree:
-    """RPR001 and RPR002 must fail loudly against the actual repository."""
+    """RPR001 and the fingerprint check must fail loudly on the real tree."""
 
     def test_planted_wall_clock_read_fails_rpr001(self):
         planted = "src/repro/serving/_planted_fixture.py"
@@ -421,57 +441,34 @@ class TestPlantedViolationsOnTheRealTree:
         assert [(f.path, f.line, f.rule) for f in findings] == [
             (planted, 3, "RPR001")]
 
+    @staticmethod
+    def _recorded_before_parallelism(version):
+        """The live snapshot as if recorded before ``SweepPoint.parallelism``."""
+        recorded = snapshot()
+        contract = recorded["sweep-point"]
+        fields = contract["definitions"]["repro.sweep.grid.SweepPoint"]
+        fields.remove("parallelism: str = 'pipeline'")
+        contract["version"] = version
+        return recorded
+
     def test_synthetic_unbumped_fingerprint_diff_fails_rpr002(self):
-        grid = "src/repro/sweep/grid.py"
-        head_text = (REPO_ROOT / grid).read_text(encoding="utf-8")
-        base_text = head_text.replace('    parallelism: str = "pipeline"\n', "")
-        assert base_text != head_text, "fixture relies on the SweepPoint field"
-
-        def base_reader(rel):
-            if rel == grid:
-                return base_text
-            path = REPO_ROOT / rel
-            return path.read_text(encoding="utf-8") if path.is_file() else None
-
-        project = Project(REPO_ROOT, diff_base="synthetic",
-                          base_reader=base_reader)
-        findings = run_lint(project, ["src/repro/sweep/engine.py"],
-                            rules=[RULE_REGISTRY["RPR002"]])
-        assert len(findings) == 1
-        finding = findings[0]
-        assert finding.rule == "RPR002"
-        assert finding.path == "src/repro/sweep/engine.py"
-        assert "sweep-point" in finding.message
-        assert "SweepPoint" in finding.message
+        recorded = self._recorded_before_parallelism("sweep-point/v6")
+        problems = unbumped(recorded, snapshot())
+        assert len(problems) == 1
+        assert problems[0].startswith(
+            "repro.sweep.grid.SweepPoint changed but sweep-point is still "
+            "'sweep-point/v6'")
 
     def test_bumped_version_string_silences_rpr002(self):
-        grid = "src/repro/sweep/grid.py"
-        engine = "src/repro/sweep/engine.py"
-        head_grid = (REPO_ROOT / grid).read_text(encoding="utf-8")
-        base_grid = head_grid.replace('    parallelism: str = "pipeline"\n', "")
-        head_engine = (REPO_ROOT / engine).read_text(encoding="utf-8")
-        base_engine = head_engine.replace("sweep-point/v6", "sweep-point/v5")
-        assert base_engine != head_engine
-
-        def base_reader(rel):
-            if rel == grid:
-                return base_grid
-            if rel == engine:
-                return base_engine
-            path = REPO_ROOT / rel
-            return path.read_text(encoding="utf-8") if path.is_file() else None
-
-        project = Project(REPO_ROOT, diff_base="synthetic",
-                          base_reader=base_reader)
-        findings = run_lint(project, [engine],
-                            rules=[RULE_REGISTRY["RPR002"]])
-        assert findings == []
+        recorded = self._recorded_before_parallelism("sweep-point/v5")
+        live = snapshot()
+        assert unbumped(recorded, live) == []
+        assert live != recorded  # the golden still asks to be regenerated
 
 
 class TestCliAndAcceptance:
     def test_repository_at_head_lints_clean(self):
-        findings, warning = lint_repository(REPO_ROOT)
-        assert warning is None
+        findings = lint_repository(REPO_ROOT)
         assert findings == [], "\n".join(f.render() for f in findings)
 
     def test_cli_exits_zero_on_clean_tree(self, capsys):
@@ -499,24 +496,3 @@ class TestCliAndAcceptance:
         output = capsys.readouterr().out
         for rule_id in (META_RULE, *RULE_REGISTRY):
             assert rule_id in output
-
-    def test_cli_warns_and_passes_on_unresolvable_diff_base(self, capsys):
-        exit_code = main(["lint", "--root", str(REPO_ROOT),
-                          "--diff-base", "no-such-ref-anywhere"])
-        captured = capsys.readouterr()
-        assert exit_code == 0
-        assert "does not resolve" in captured.err
-
-    def test_cli_diff_base_against_head_is_clean(self):
-        # Requires a real git checkout; skip when the history is absent.
-        probe = subprocess.run(["git", "rev-parse", "HEAD"], cwd=REPO_ROOT,
-                               capture_output=True)
-        if probe.returncode != 0:
-            pytest.skip("not a git checkout")
-        result = subprocess.run(
-            [sys.executable, "-m", "repro.cli", "lint", "--root",
-             str(REPO_ROOT), "--diff-base", "HEAD"],
-            cwd=REPO_ROOT, capture_output=True, text=True,
-            env={"PYTHONPATH": str(REPO_ROOT / "src"), "PATH": "/usr/bin:/bin"},
-        )
-        assert result.returncode == 0, result.stdout + result.stderr

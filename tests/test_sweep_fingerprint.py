@@ -7,6 +7,7 @@ multiprocessing fan-out — across Python processes with different hash seeds.
 
 from __future__ import annotations
 
+import dataclasses
 import os
 import subprocess
 import sys
@@ -16,10 +17,37 @@ import pytest
 from repro.common import Precision
 from repro.core.designs import cim_tpu_default, design_a, tpuv4i_baseline
 from repro.core.simulator import LLMInferenceSettings
+from repro.serving.cluster import cluster_run_key
+from repro.serving.faults import parse_fault
+from repro.serving.metrics import SLO
+from repro.serving.simulator import serving_run_key
+from repro.serving.spec import ServingSpec
+from repro.serving.trace import parse_overlay
 from repro.sweep.engine import point_key
 from repro.sweep.fingerprint import canonicalize, fingerprint
-from repro.sweep.grid import make_point
-from repro.workloads.llm import GPT3_30B, build_llm_layer
+from repro.sweep.grid import SweepPoint, make_point
+from repro.workloads.llm import GPT3_30B, LLAMA2_7B, build_llm_layer
+
+#: A serving point, and another valid value for each input a key reads
+#: (the design label has its own test below).
+POINT = SweepPoint("baseline", tpuv4i_baseline(), GPT3_30B, LLMInferenceSettings(
+    batch=2, input_tokens=64, output_tokens=16), serving=ServingSpec(replicas=2))
+OTHER = dict(
+    parallelism="tensor", config=design_a(),
+    model=LLAMA2_7B, settings=dataclasses.replace(POINT.settings, batch=4),
+    scheduler="decode-priority", trace="bursty", arrival_rate=9.0,
+    num_requests=201, seed=1, max_batch=31, bucket_tokens=255, devices=2,
+    memory_utilisation=0.8, slo=SLO(ttft_s=2.0, tpot_s=0.1), replicas=3,
+    router="least-kv-pressure", autoscaler="queue-depth", min_replicas=2,
+    faults=(parse_fault("replica-crash:mttf_s=60,duration_s=5"),),
+    overlay=parse_overlay("flash-crowd:start_s=1,duration_s=2,magnitude=2"),
+    fidelity="fluid")
+SPEC_FIELDS = [field.name for field in dataclasses.fields(ServingSpec)]
+KEYS = {"point_key": point_key,
+        "serving_run_key": lambda p: serving_run_key(p.model, p.config,
+                                                     p.serving, p.settings),
+        "cluster_run_key": lambda p: cluster_run_key(p.model, p.config,
+                                                     p.serving, p.settings)}
 
 #: A snippet that recomputes reference fingerprints in a fresh interpreter.
 _SUBPROCESS_SNIPPET = """
@@ -94,6 +122,17 @@ class TestFingerprint:
         renamed = make_point("other-label", tpuv4i_baseline(), GPT3_30B, batch=2,
                              input_tokens=64, output_tokens=16)
         assert point_key(base) != point_key(renamed)
+
+    @pytest.mark.parametrize("key, change", [
+        ("point_key", "parallelism"), *[(key, change) for key in KEYS
+          for change in ("config", "model", "settings", *SPEC_FIELDS)]])
+    def test_every_key_input_moves_the_key(self, key, change):
+        """A key that lost an input stays wrong under any version bump."""
+        changed = (dataclasses.replace(POINT, serving=dataclasses.replace(
+                       POINT.serving, **{change: OTHER[change]}))
+                   if change in SPEC_FIELDS
+                   else dataclasses.replace(POINT, **{change: OTHER[change]}))
+        assert KEYS[key](POINT) != KEYS[key](changed)
 
     def test_determinism_across_processes(self):
         """Keys survive process boundaries and hash-seed randomisation."""
