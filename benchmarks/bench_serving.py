@@ -12,6 +12,12 @@ CI uploads next to ``BENCH_sweep.json``, so the serving-performance
 trajectory accumulates across revisions.  Pinned invariants: the 10k-request
 trace must finish in under 10 s (the acceptance budget), the cache hit rate
 must stay above 99 %, and two identical runs must agree bit for bit.
+
+The record's ``cold_pricing`` block counts the cost model's work when every
+step price is computed: serve-mix-shaped fleets price their step states
+from an empty :data:`~repro.serving.costs.STEP_PRICES`.  The counts are
+machine-independent, so the regression gate holds them exactly; a memo that
+stops serving a priced state shows as more graph evaluations.
 """
 
 from __future__ import annotations
@@ -23,7 +29,12 @@ import pytest
 
 from _harness import REPORTS_DIR, emit_report
 
+import repro.mapping.engine as mapping_engine
+from repro.api import SimulateRequest, simulate
 from repro.core.designs import design_a
+from repro.core.tpu import TPUModel
+from repro.mapping.engine import MappingEngine
+from repro.serving.costs import STEP_PRICES
 from repro.serving.metrics import SLO
 from repro.serving.simulator import ServingSimulator
 from repro.serving.trace import generate_trace
@@ -44,6 +55,24 @@ WALL_BUDGET_SECONDS = 10.0
 #: near-capacity run probes the regime the latency metrics are meant for.
 NEAR_CAPACITY_RATE = 0.048
 NEAR_CAPACITY_REQUESTS = 400
+
+#: serve-mix's eight (design, precision) pairs as two-replica llama2-7b
+#: fleets, each offered the rate perfbench's serve-mix gives that shape
+#: (about 0.7 of its capacity), so they price the batches serve-mix does.
+COLD_PRICING_RATES = {
+    ("baseline", "int8"): 0.1741, ("baseline", "bf16"): 0.1221,
+    ("cim-default", "int8"): 0.322, ("cim-default", "bf16"): 0.1622,
+    ("design-a", "int8"): 0.3104, ("design-a", "bf16"): 0.162,
+    ("design-b", "int8"): 0.3332, ("design-b", "bf16"): 0.1666,
+}
+
+
+def _write_record(fields: dict) -> None:
+    """Merge ``fields`` into ``BENCH_serving.json``, keeping other tests' keys."""
+    record = (json.loads(BENCH_PATH.read_text(encoding="utf-8"))
+              if BENCH_PATH.exists() else {})
+    record.update(fields)
+    BENCH_PATH.write_text(json.dumps(record, indent=2) + "\n", encoding="utf-8")
 
 
 def _run():
@@ -76,7 +105,7 @@ def test_serving_simulator_throughput(benchmark):
         title=f"Serving simulator over {NUM_REQUESTS} chat requests "
               f"({GPT3_30B.name} on design-a, seed {SEED})")
 
-    BENCH_PATH.write_text(json.dumps({
+    _write_record({
         "benchmark": "serving_simulator",
         "model": GPT3_30B.name,
         "design": "design-a",
@@ -88,7 +117,7 @@ def test_serving_simulator_throughput(benchmark):
         "distinct_cost_states": distinct_states,
         "scheduler_steps": report.prefill_steps + report.decode_steps,
         "report": report.to_dict(include_requests=False),
-    }, indent=2) + "\n", encoding="utf-8")
+    })
     print(f"wrote serving benchmark record to {BENCH_PATH}")
 
     # Acceptance budget: 10k requests in under 10 s, by hitting the memo.
@@ -152,3 +181,65 @@ def test_scheduler_policies_complete_the_trace(scheduler):
     report = ServingSimulator(GPT3_30B, design_a(), scheduler=scheduler).run(trace)
     assert report.completed + report.rejected == 1000
     assert report.rejected == 0
+
+
+def _count_pricing(monkeypatch) -> dict[str, int]:
+    """Count graph evaluations, matmul mappings and mapping candidates.
+
+    The counters wrap the cost model's entry points from here, as
+    perfbench's tracer does, so the program carries no counter of its own.
+    """
+    counts = {"graph_evals": 0, "matmul_maps": 0, "mapping_candidates": 0}
+    run_graph = TPUModel.run_graph
+    map_matmul = MappingEngine.map_matmul
+    enumerate_candidates = mapping_engine.enumerate_candidates
+
+    def counted_run_graph(self, graph):
+        counts["graph_evals"] += 1
+        return run_graph(self, graph)
+
+    def counted_map_matmul(self, op):
+        counts["matmul_maps"] += 1
+        return map_matmul(self, op)
+
+    def counted_candidates(*args, **kwargs):
+        candidates = enumerate_candidates(*args, **kwargs)
+        counts["mapping_candidates"] += len(candidates)
+        return candidates
+
+    monkeypatch.setattr(TPUModel, "run_graph", counted_run_graph)
+    monkeypatch.setattr(MappingEngine, "map_matmul", counted_map_matmul)
+    monkeypatch.setattr(mapping_engine, "enumerate_candidates", counted_candidates)
+    return counts
+
+
+def test_cold_pricing_work(monkeypatch):
+    """serve-mix-shaped fleets priced from an empty step-price table."""
+    counts = _count_pricing(monkeypatch)
+    STEP_PRICES.clear()
+    start = time.perf_counter()
+    for (design, precision), rate in COLD_PRICING_RATES.items():
+        simulate(SimulateRequest(
+            design=design, llm="llama2-7b", scenario="chat-serving",
+            precision=precision, input_tokens=1024, output_tokens=512,
+            rate=rate, requests=240, replicas=2,
+            router="least-outstanding-requests", seed=SEED))
+    wall = time.perf_counter() - start
+
+    emit_report(
+        "serving_cold_pricing",
+        ["quantity", "value"],
+        [["fleets", len(COLD_PRICING_RATES)],
+         ["graph evaluations", counts["graph_evals"]],
+         ["matmul mappings", counts["matmul_maps"]],
+         ["mapping candidates", counts["mapping_candidates"]],
+         ["wall-clock", f"{wall:.3f} s"]],
+        title="Cold pricing: serve-mix-shaped two-replica llama2-7b fleets "
+              f"(seed {SEED})")
+    _write_record({"cold_pricing": {**counts, "wall_seconds": wall}})
+
+    # Every distinct step state is priced once: the replicas of a fleet,
+    # and the fleets of one scope, share the process-wide table.
+    assert counts["graph_evals"] == len(STEP_PRICES) > 0
+    assert counts["matmul_maps"] > counts["graph_evals"]
+    assert counts["mapping_candidates"] >= counts["matmul_maps"]

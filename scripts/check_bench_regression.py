@@ -83,6 +83,10 @@ BENCH_METRICS: dict[str, tuple[Metric, ...]] = {
     "BENCH_serving.json": (
         Metric("wall_seconds", "wall"),
         Metric("cache_hit_rate", "rate"),
+        Metric("cold_pricing.wall_seconds", "wall"),
+        Metric("cold_pricing.graph_evals", "count"),
+        Metric("cold_pricing.matmul_maps", "count"),
+        Metric("cold_pricing.mapping_candidates", "count"),
     ),
     "BENCH_serving_scale.json": (
         Metric("exact.wall_seconds", "wall"),

@@ -123,6 +123,9 @@ class CIMMXU:
         macro = CIMMacro(self.config.core)
         self._core = CIMCore(macro=macro, energy_model=self.energy_model,
                              area_model=self.area_model)
+        # Every GEMM and idle interval charges this power, which depends on
+        # the configuration alone.
+        self._leakage_power_w = self._core.leakage_power_w * self.config.core_count
 
     @property
     def name(self) -> str:
@@ -152,7 +155,7 @@ class CIMMXU:
     @property
     def leakage_power_w(self) -> float:
         """Static power of this MXU (per-core leakage × core count)."""
-        return self._core.leakage_power_w * self.config.core_count
+        return self._leakage_power_w
 
     # ------------------------------------------------------------------ timing
     def instance_packing(self, k: int, n: int) -> int:

@@ -12,30 +12,27 @@ import math
 
 
 class Precision(enum.Enum):
-    """Numeric formats supported by the MXUs (the paper evaluates both)."""
+    """Numeric formats supported by the MXUs (the paper evaluates both).
+
+    Each member's widths are plain attributes, set once when the enum is
+    built, because the cost model reads them in its innermost loops:
+
+    * ``bits`` -- bit width of one operand;
+    * ``bytes`` -- byte width of one operand;
+    * ``mantissa_bits`` -- bits that enter the integer MAC datapath (CIM FP
+      mode loads mantissas);
+    * ``accumulator_bytes`` -- byte width of an accumulated partial sum /
+      output element.
+    """
 
     INT8 = "int8"
     BF16 = "bf16"
 
-    @property
-    def bits(self) -> int:
-        """Bit width of one operand."""
-        return {Precision.INT8: 8, Precision.BF16: 16}[self]
-
-    @property
-    def bytes(self) -> int:
-        """Byte width of one operand."""
-        return self.bits // 8
-
-    @property
-    def mantissa_bits(self) -> int:
-        """Bits that enter the integer MAC datapath (CIM FP mode loads mantissas)."""
-        return {Precision.INT8: 8, Precision.BF16: 8}[self]
-
-    @property
-    def accumulator_bytes(self) -> int:
-        """Byte width of an accumulated partial sum / output element."""
-        return {Precision.INT8: 4, Precision.BF16: 4}[self]
+    def __init__(self, value: str) -> None:
+        self.bits: int = {"int8": 8, "bf16": 16}[value]
+        self.bytes: int = self.bits // 8
+        self.mantissa_bits: int = 8
+        self.accumulator_bytes: int = 4
 
 
 def ceil_div(numerator: int, denominator: int) -> int:

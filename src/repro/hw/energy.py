@@ -52,22 +52,29 @@ class EnergyBudget:
         self.leakage_joules[component] = self.leakage_joules.get(component, 0.0) + joules
 
     def merge(self, other: "EnergyBudget") -> None:
-        """Accumulate another budget into this one."""
+        """Accumulate another budget into this one.
+
+        Every entry of ``other`` passed the non-negative check when it was
+        added, so the entries are summed directly, in ``other``'s order.
+        """
+        dynamic = self.dynamic_joules
         for component, joules in other.dynamic_joules.items():
-            self.add_dynamic(component, joules)
+            dynamic[component] = dynamic.get(component, 0.0) + joules
+        leakage = self.leakage_joules
         for component, joules in other.leakage_joules.items():
-            self.add_leakage(component, joules)
+            leakage[component] = leakage.get(component, 0.0) + joules
 
     def scaled(self, factor: float) -> "EnergyBudget":
         """Return a copy with every contribution multiplied by ``factor``."""
         if factor < 0:
             raise ValueError("scale factor must be non-negative")
-        scaled_budget = EnergyBudget()
-        for component, joules in self.dynamic_joules.items():
-            scaled_budget.add_dynamic(component, joules * factor)
-        for component, joules in self.leakage_joules.items():
-            scaled_budget.add_leakage(component, joules * factor)
-        return scaled_budget
+        # Each entry is stored as adding it to an empty budget would store
+        # it (``0.0 + x``), without re-checking a sign already checked.
+        return EnergyBudget(
+            {component: 0.0 + joules * factor
+             for component, joules in self.dynamic_joules.items()},
+            {component: 0.0 + joules * factor
+             for component, joules in self.leakage_joules.items()})
 
     def component_total(self, component: str) -> float:
         """Total (dynamic + leakage) energy of a single component."""
@@ -123,6 +130,32 @@ class EnergyModel:
     cim_weight_write_pj_per_byte: float = 1.1
     digital_weight_load_pj_per_byte: float = 0.35
 
+    def __post_init__(self) -> None:
+        # Every figure below depends on the fields alone, and the cost model
+        # asks for them per operator and per transfer, so each is derived
+        # once here and kept beside (not among) the frozen fields.
+        cal, spec = self.calibration, self.spec
+        derived = {
+            "_digital_split": self._mxu_power_budget(
+                spec.systolic_macs_per_cycle, cal.digital_tops_per_watt,
+                cal.digital_leakage_fraction),
+            "_cim_split": self._mxu_power_budget(
+                spec.cim_macs_per_cycle, cal.cim_tops_per_watt,
+                cal.cim_leakage_fraction),
+            "_vmem_j_per_byte": self._scaled_pj(self.vmem_pj_per_byte),
+            "_cmem_j_per_byte": self._scaled_pj(self.cmem_pj_per_byte),
+            # HBM I/O energy is dominated by the PHY and does not scale with
+            # the logic node, so it is left unscaled.
+            "_hbm_j_per_byte": self.hbm_pj_per_byte * 1e-12,
+            "_vpu_j_per_op": self._scaled_pj(self.vpu_pj_per_op),
+            "_cim_weight_write_j_per_byte": self._scaled_pj(
+                self.cim_weight_write_pj_per_byte),
+            "_digital_weight_load_j_per_byte": self._scaled_pj(
+                self.digital_weight_load_pj_per_byte),
+        }
+        for name, value in derived.items():
+            object.__setattr__(self, name, value)
+
     # ------------------------------------------------------------------ MXU
     def _mxu_power_budget(self, macs_per_cycle: int, tops_per_watt: float,
                           leakage_fraction: float) -> tuple[float, float]:
@@ -139,40 +172,20 @@ class EnergyModel:
 
     def digital_mac_energy(self, precision_bits: int = 8) -> float:
         """Dynamic energy of one MAC on the digital systolic MXU, in joules."""
-        energy, _ = self._mxu_power_budget(
-            self.spec.systolic_macs_per_cycle,
-            self.calibration.digital_tops_per_watt,
-            self.calibration.digital_leakage_fraction,
-        )
-        return energy * self._precision_energy_factor(precision_bits)
+        return self._digital_split[0] * self._precision_energy_factor(precision_bits)
 
     def digital_mxu_leakage_power(self) -> float:
         """Leakage power (W) of one 128×128 digital MXU."""
-        _, leakage = self._mxu_power_budget(
-            self.spec.systolic_macs_per_cycle,
-            self.calibration.digital_tops_per_watt,
-            self.calibration.digital_leakage_fraction,
-        )
-        return leakage
+        return self._digital_split[1]
 
     def cim_mac_energy(self, precision_bits: int = 8) -> float:
         """Dynamic energy of one MAC inside a digital CIM core, in joules."""
-        energy, _ = self._mxu_power_budget(
-            self.spec.cim_macs_per_cycle,
-            self.calibration.cim_tops_per_watt,
-            self.calibration.cim_leakage_fraction,
-        )
-        return energy * self._precision_energy_factor(precision_bits)
+        return self._cim_split[0] * self._precision_energy_factor(precision_bits)
 
     def cim_core_leakage_power(self) -> float:
         """Leakage power (W) of a single 128×256 CIM core."""
-        _, leakage = self._mxu_power_budget(
-            self.spec.cim_macs_per_cycle,
-            self.calibration.cim_tops_per_watt,
-            self.calibration.cim_leakage_fraction,
-        )
         default_core_count = self.spec.cim_grid_rows * self.spec.cim_grid_cols
-        return leakage / default_core_count
+        return self._cim_split[1] / default_core_count
 
     def _precision_energy_factor(self, precision_bits: int) -> float:
         if precision_bits == 8:
@@ -187,26 +200,24 @@ class EnergyModel:
 
     def vmem_access_energy(self, num_bytes: float) -> float:
         """Energy (J) of moving ``num_bytes`` into or out of VMEM."""
-        return self._scaled_pj(self.vmem_pj_per_byte) * num_bytes
+        return self._vmem_j_per_byte * num_bytes
 
     def cmem_access_energy(self, num_bytes: float) -> float:
         """Energy (J) of moving ``num_bytes`` into or out of CMEM."""
-        return self._scaled_pj(self.cmem_pj_per_byte) * num_bytes
+        return self._cmem_j_per_byte * num_bytes
 
     def hbm_access_energy(self, num_bytes: float) -> float:
         """Energy (J) of moving ``num_bytes`` across the HBM interface."""
-        # HBM I/O energy is dominated by the PHY and does not scale with the
-        # logic node, so it is left unscaled.
-        return self.hbm_pj_per_byte * 1e-12 * num_bytes
+        return self._hbm_j_per_byte * num_bytes
 
     def vpu_op_energy(self, num_ops: float) -> float:
         """Energy (J) of ``num_ops`` scalar operations on the vector unit."""
-        return self._scaled_pj(self.vpu_pj_per_op) * num_ops
+        return self._vpu_j_per_op * num_ops
 
     def cim_weight_write_energy(self, num_bytes: float) -> float:
         """Energy (J) of writing ``num_bytes`` of weights into CIM macros."""
-        return self._scaled_pj(self.cim_weight_write_pj_per_byte) * num_bytes
+        return self._cim_weight_write_j_per_byte * num_bytes
 
     def digital_weight_load_energy(self, num_bytes: float) -> float:
         """Energy (J) of loading ``num_bytes`` of weights into the systolic array."""
-        return self._scaled_pj(self.digital_weight_load_pj_per_byte) * num_bytes
+        return self._digital_weight_load_j_per_byte * num_bytes

@@ -199,10 +199,12 @@ def run_lint(project: Project, rel_paths: Sequence[str],
 
     Returns the surviving findings sorted by location — pragma-suppressed
     findings are dropped, and pragmas that suppressed nothing come back as
-    :data:`META_RULE` findings of their own.
+    :data:`META_RULE` findings of their own.  A pragma naming a registered
+    rule that did not run is not judged: it had nothing to suppress.
     """
     if rules is None:
         rules = [RULE_REGISTRY[rule_id] for rule_id in sorted(RULE_REGISTRY)]
+    idle = set(RULE_REGISTRY) - {rule.id for rule in rules}
 
     files: list[SourceFile] = []
     findings: list[Finding] = []
@@ -240,14 +242,14 @@ def run_lint(project: Project, rel_paths: Sequence[str],
 
     for parsed in files:
         for line, rule_ids in parsed.line_pragmas.items():
-            for rule_id in rule_ids:
+            for rule_id in rule_ids - idle:
                 if (parsed.rel, line, rule_id) not in used_line:
                     kept.append(Finding(
                         META_RULE, parsed.rel, line, 0,
                         f"pragma 'disable={rule_id}' suppresses nothing",
                         hint="remove the stale pragma (or fix the rule id)"))
         for rule_id, line in parsed.file_pragmas.items():
-            if (parsed.rel, rule_id) not in used_file:
+            if rule_id not in idle and (parsed.rel, rule_id) not in used_file:
                 kept.append(Finding(
                     META_RULE, parsed.rel, line, 0,
                     f"pragma 'disable-file={rule_id}' suppresses nothing",

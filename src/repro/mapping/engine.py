@@ -18,7 +18,7 @@ from repro.hw.energy import EnergyBudget
 from repro.mapping.mapspace import MappingCandidate, enumerate_candidates
 from repro.mapping.schedule import ScheduleOptions, overlapped_operator_latency
 from repro.mapping.tiling import choose_vmem_tiling, Tiling
-from repro.memory.hierarchy import MemoryHierarchy
+from repro.memory.hierarchy import MemoryHierarchy, TransferResult
 from repro.vector.vpu import VectorUnit
 from repro.workloads.operators import MatMulOp, OperandSource
 
@@ -72,13 +72,22 @@ class MappingEngine:
     # ------------------------------------------------------------------ API
     def map_matmul(self, op: MatMulOp) -> MatmulMapping:
         """Evaluate every pruned candidate and return the best mapping."""
-        candidates = enumerate_candidates(op, self.mxu_count)
-        evaluated = [self._evaluate(op, candidate) for candidate in candidates]
-        return min(evaluated, key=self._score)
+        return min(self.evaluate_all(op), key=self._score)
 
     def evaluate_all(self, op: MatMulOp) -> list[MatmulMapping]:
         """Evaluate every candidate (used by tests and mapping ablations)."""
-        return [self._evaluate(op, candidate) for candidate in enumerate_candidates(op, self.mxu_count)]
+        candidates = enumerate_candidates(op, self.mxu_count)
+        # The operator's own memory traffic does not depend on how it is
+        # split, so it is priced once; every candidate merges the shared
+        # results into a budget of its own and never returns them.
+        if op.weight_source is OperandSource.HBM:
+            weights = self.hierarchy.hbm_to_vmem(op.weight_bytes,
+                                                 self.schedule.memory_coalescing)
+        else:
+            weights = self.hierarchy.cmem_to_vmem(op.weight_bytes)
+        activations = self.hierarchy.cmem_to_vmem(op.input_bytes + op.output_bytes)
+        return [self._evaluate(op, candidate, weights, activations)
+                for candidate in candidates]
 
     # ------------------------------------------------------------ internals
     def _score(self, mapping: MatmulMapping) -> float:
@@ -88,7 +97,8 @@ class MappingEngine:
             return mapping.energy.total
         return mapping.energy.total * mapping.total_cycles
 
-    def _evaluate(self, op: MatMulOp, candidate: MappingCandidate) -> MatmulMapping:
+    def _evaluate(self, op: MatMulOp, candidate: MappingCandidate,
+                  weights: TransferResult, activations: TransferResult) -> MatmulMapping:
         per_mxu = self.mxu_template.gemm(
             candidate.m, candidate.k, candidate.n, op.precision,
             stationary_weights=op.stationary_weights,
@@ -114,19 +124,10 @@ class MappingEngine:
             energy.merge(self.hierarchy.cmem_to_vmem(reduction_traffic).energy)
 
         # Memory traffic of the operator as a whole.
-        weight_bytes = op.weight_bytes
-        activation_bytes = op.input_bytes + op.output_bytes
-        coalesced = self.schedule.memory_coalescing
-        if op.weight_source is OperandSource.HBM:
-            weight_result = self.hierarchy.hbm_to_vmem(weight_bytes, coalesced)
-            weight_transfer_cycles = weight_result.cycles
-        else:
-            weight_result = self.hierarchy.cmem_to_vmem(weight_bytes)
-            weight_transfer_cycles = weight_result.cycles
-        activation_result = self.hierarchy.cmem_to_vmem(activation_bytes)
-        activation_transfer_cycles = activation_result.cycles
-        energy.merge(weight_result.energy)
-        energy.merge(activation_result.energy)
+        weight_transfer_cycles = weights.cycles
+        activation_transfer_cycles = activations.cycles
+        energy.merge(weights.energy)
+        energy.merge(activations.energy)
 
         total_cycles = overlapped_operator_latency(
             compute_cycles, weight_transfer_cycles, activation_transfer_cycles,

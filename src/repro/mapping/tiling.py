@@ -74,9 +74,14 @@ class Tiling:
 def matmul_tile_bytes(tile: TileShape, precision: Precision,
                       include_output: bool = True) -> int:
     """Operand footprint of one GEMM tile (input + weight [+ output])."""
-    input_bytes = tile.m * tile.k * precision.bytes
-    weight_bytes = tile.k * tile.n * precision.bytes
-    output_bytes = tile.m * tile.n * precision.accumulator_bytes if include_output else 0
+    return _tile_bytes(tile.m, tile.k, tile.n, precision, include_output)
+
+
+def _tile_bytes(m: int, k: int, n: int, precision: Precision,
+                include_output: bool = True) -> int:
+    input_bytes = m * k * precision.bytes
+    weight_bytes = k * n * precision.bytes
+    output_bytes = m * n * precision.accumulator_bytes if include_output else 0
     return input_bytes + weight_bytes + output_bytes
 
 
@@ -99,7 +104,7 @@ def choose_vmem_tiling(m: int, k: int, n: int, precision: Precision,
 
     tile_m, tile_k, tile_n = m, k, n
     # Shrink in priority order (M, then N, then K) until the tile fits.
-    while matmul_tile_bytes(TileShape(tile_m, tile_k, tile_n), precision) > budget:
+    while _tile_bytes(tile_m, tile_k, tile_n, precision) > budget:
         if tile_m > mxu_k_extent and tile_m >= tile_n:
             tile_m = max(mxu_k_extent, tile_m // 2)
         elif tile_n > mxu_n_extent:

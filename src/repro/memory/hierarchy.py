@@ -24,6 +24,10 @@ from repro.memory.interconnect import OCIConfig, OnChipInterconnect
 from repro.memory.sram import SRAMBuffer, SRAMConfig, cmem_default, vmem_default
 
 
+#: The levels a transfer can join, in hierarchy order.
+LEVELS = ("hbm", "cmem", "vmem", "compute")
+
+
 @dataclass(frozen=True)
 class TransferRequest:
     """A data movement request between two adjacent levels of the hierarchy."""
@@ -33,14 +37,12 @@ class TransferRequest:
     destination: str
     coalesced: bool = True
 
-    _LEVELS = ("hbm", "cmem", "vmem", "compute")
-
     def __post_init__(self) -> None:
         if self.num_bytes < 0:
             raise ValueError("num_bytes must be non-negative")
-        if self.source not in self._LEVELS or self.destination not in self._LEVELS:
+        if self.source not in LEVELS or self.destination not in LEVELS:
             raise ValueError(
-                f"source/destination must be one of {self._LEVELS}, "
+                f"source/destination must be one of {LEVELS}, "
                 f"got {self.source!r} → {self.destination!r}")
         if self.source == self.destination:
             raise ValueError("source and destination must differ")
@@ -72,60 +74,53 @@ class MemoryHierarchy:
     # ---------------------------------------------------------------- timing
     def transfer(self, request: TransferRequest) -> TransferResult:
         """Evaluate one transfer between adjacent (or bridged) levels."""
-        cycles = 0.0
-        energy = EnergyBudget()
-        path = self._path(request.source, request.destination)
-        for src, dst in zip(path[:-1], path[1:]):
-            hop_cycles, hop_energy = self._hop(request.num_bytes, src, dst, request.coalesced)
-            # Hops are pipelined: a long transfer streams through intermediate
-            # buffers, so the slowest hop dominates rather than the sum.
-            cycles = max(cycles, hop_cycles)
-            energy.merge(hop_energy)
-        return TransferResult(cycles=cycles, energy=energy)
+        return self._walk(request.num_bytes, _PATHS[request.source, request.destination],
+                          request.coalesced)
 
     def hbm_to_cmem(self, num_bytes: float, coalesced: bool = True) -> TransferResult:
         """Stage data from HBM into CMEM."""
-        return self.transfer(TransferRequest(num_bytes, "hbm", "cmem", coalesced))
+        return self._walk(num_bytes, _PATHS["hbm", "cmem"], coalesced)
 
     def cmem_to_vmem(self, num_bytes: float) -> TransferResult:
         """Stage data from CMEM into VMEM over the OCI."""
-        return self.transfer(TransferRequest(num_bytes, "cmem", "vmem"))
+        return self._walk(num_bytes, _PATHS["cmem", "vmem"], True)
 
     def hbm_to_vmem(self, num_bytes: float, coalesced: bool = True) -> TransferResult:
         """Stream data from HBM through CMEM into VMEM."""
-        return self.transfer(TransferRequest(num_bytes, "hbm", "vmem", coalesced))
+        return self._walk(num_bytes, _PATHS["hbm", "vmem"], coalesced)
 
     def vmem_to_cmem(self, num_bytes: float) -> TransferResult:
         """Drain results from VMEM back into CMEM."""
-        return self.transfer(TransferRequest(num_bytes, "vmem", "cmem"))
+        return self._walk(num_bytes, _PATHS["vmem", "cmem"], True)
 
-    def _path(self, source: str, destination: str) -> list[str]:
-        order = ["hbm", "cmem", "vmem", "compute"]
-        i, j = order.index(source), order.index(destination)
-        if i < j:
-            return order[i:j + 1]
-        return list(reversed(order[j:i + 1]))
-
-    def _hop(self, num_bytes: float, src: str, dst: str,
-             coalesced: bool) -> tuple[float, EnergyBudget]:
+    def _walk(self, num_bytes: float, hops: tuple, coalesced: bool) -> TransferResult:
+        if num_bytes < 0:
+            raise ValueError("num_bytes must be non-negative")
+        cycles = 0.0
         energy = EnergyBudget()
-        pair = frozenset((src, dst))
-        if pair == frozenset(("hbm", "cmem")):
-            cycles = self.main_memory.transfer_cycles(num_bytes, coalesced)
-            energy.add_dynamic("hbm", self.energy_model.hbm_access_energy(num_bytes))
-            energy.add_dynamic("cmem", self.energy_model.cmem_access_energy(num_bytes))
-        elif pair == frozenset(("cmem", "vmem")):
-            cycles = max(self.oci.transfer_cycles(num_bytes),
-                         self.cmem.read_cycles(num_bytes),
-                         self.vmem.write_cycles(num_bytes))
-            energy.add_dynamic("cmem", self.energy_model.cmem_access_energy(num_bytes))
-            energy.add_dynamic("vmem", self.energy_model.vmem_access_energy(num_bytes))
-        elif pair == frozenset(("vmem", "compute")):
-            cycles = self.vmem.read_cycles(num_bytes)
-            energy.add_dynamic("vmem", self.energy_model.vmem_access_energy(num_bytes))
-        else:
-            raise ValueError(f"no direct hop between {src} and {dst}")
-        return cycles, energy
+        for hop in hops:
+            # Hops are pipelined: a long transfer streams through intermediate
+            # buffers, so the slowest hop dominates rather than the sum.
+            cycles = max(cycles, hop(self, num_bytes, coalesced, energy))
+        return TransferResult(cycles=cycles, energy=energy)
+
+    # Each hop adds its energy into the transfer's budget and returns its
+    # cycles; the direction of a hop changes neither.
+    def _hbm_cmem(self, num_bytes: float, coalesced: bool, energy: EnergyBudget) -> float:
+        energy.add_dynamic("hbm", self.energy_model.hbm_access_energy(num_bytes))
+        energy.add_dynamic("cmem", self.energy_model.cmem_access_energy(num_bytes))
+        return self.main_memory.transfer_cycles(num_bytes, coalesced)
+
+    def _cmem_vmem(self, num_bytes: float, coalesced: bool, energy: EnergyBudget) -> float:
+        energy.add_dynamic("cmem", self.energy_model.cmem_access_energy(num_bytes))
+        energy.add_dynamic("vmem", self.energy_model.vmem_access_energy(num_bytes))
+        return max(self.oci.transfer_cycles(num_bytes),
+                   self.cmem.read_cycles(num_bytes),
+                   self.vmem.write_cycles(num_bytes))
+
+    def _vmem_compute(self, num_bytes: float, coalesced: bool, energy: EnergyBudget) -> float:
+        energy.add_dynamic("vmem", self.energy_model.vmem_access_energy(num_bytes))
+        return self.vmem.read_cycles(num_bytes)
 
     # ----------------------------------------------------------- scheduling
     @staticmethod
@@ -147,3 +142,13 @@ class MemoryHierarchy:
         if tile_bytes < 0:
             raise ValueError("tile_bytes must be non-negative")
         return 2 * tile_bytes <= buffer.config.capacity_bytes
+
+
+#: The hop between each level of ``LEVELS`` and the next one down.
+_ADJACENT = (MemoryHierarchy._hbm_cmem, MemoryHierarchy._cmem_vmem,
+             MemoryHierarchy._vmem_compute)
+#: ``(source, destination)`` -> the hops a transfer walks, in walk order.
+_PATHS = {
+    (LEVELS[i], LEVELS[j]): tuple(
+        _ADJACENT[hop] for hop in (range(i, j) if i < j else range(i - 1, j - 1, -1)))
+    for i in range(len(LEVELS)) for j in range(len(LEVELS)) if i != j}

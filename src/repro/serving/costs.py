@@ -205,10 +205,11 @@ class StepCostModel:
             graph = self.model.build_layer(phase, batch, bucket, kv_len=bucket,
                                            precision=self.precision)
             result = self.simulator.run_graph(graph)
+            energy = result.total_energy  # built once: GraphResult sums it per read
             layers = self.model.num_layers
             cost = StepCost(seconds=result.total_seconds * layers,
-                            mxu_energy_joules=result.mxu_energy * layers,
-                            total_energy_joules=result.total_energy.total * layers)
+                            mxu_energy_joules=energy.component_total("mxu") * layers,
+                            total_energy_joules=energy.total * layers)
             STEP_PRICES.hold(price_key, cost)
         self._memo[key] = cost
         return cost

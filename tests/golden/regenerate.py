@@ -15,15 +15,19 @@ of a heterogeneous fleet, integers only, so one digest set serves every
 interpreter), ``cli_requests.json`` (the request each CLI argv hands
 to ``repro.api`` and the subcommands' option help) and
 ``fingerprint_versions.json`` (each store version with the definitions
-that feed it; a changed one under an unchanged version is refused).  The
-report and payload digests depend on the interpreter's float ``sum()``,
-and a run writes only its own interpreter's set, so after an intentional
-change regenerate them under Python 3.11 and 3.12::
+that feed it; a changed one under an unchanged version is refused) and
+``step_prices.json`` (the ``repr`` of cold step prices, graph operators
+and mapping candidates).  The report, payload and step-price goldens
+depend on the interpreter's float ``sum()``, and a run writes only its
+own interpreter's set, so after an intentional change regenerate them
+under Python 3.11 and 3.12::
 
     PYTHONPATH=src python3.11 tests/golden/regenerate.py serving-reports
     PYTHONPATH=src python3.12 tests/golden/regenerate.py serving-reports
     PYTHONPATH=src python3.11 tests/golden/regenerate.py payloads
     PYTHONPATH=src python3.12 tests/golden/regenerate.py payloads
+    PYTHONPATH=src python3.11 tests/golden/regenerate.py step-prices
+    PYTHONPATH=src python3.12 tests/golden/regenerate.py step-prices
     PYTHONPATH=src python tests/golden/regenerate.py fleet-routing
     PYTHONPATH=src python tests/golden/regenerate.py cli-requests
     PYTHONPATH=src python tests/golden/regenerate.py fingerprint-versions
@@ -46,6 +50,7 @@ PAYLOADS_GOLDEN_PATH = pathlib.Path(__file__).parent / "payloads.json"
 ROUTING_GOLDEN_PATH = pathlib.Path(__file__).parent / "fleet_routing.json"
 CLI_GOLDEN_PATH = pathlib.Path(__file__).parent / "cli_requests.json"
 FINGERPRINT_GOLDEN_PATH = pathlib.Path(__file__).parent / "fingerprint_versions.json"
+STEP_PRICES_GOLDEN_PATH = pathlib.Path(__file__).parent / "step_prices.json"
 # The golden tests live one directory up and import no pytest at module level.
 sys.path.insert(0, str(pathlib.Path(__file__).parent.parent))
 
@@ -83,6 +88,25 @@ def write_payloads() -> None:
                                     encoding="utf-8")
     print(f"wrote {PAYLOADS_GOLDEN_PATH} ({summation()} summation, "
           f"{len(golden['digests'][summation()])} payloads)")
+
+
+def write_step_prices() -> None:
+    """Rewrite this interpreter's step-price set, keeping the other one."""
+    from test_golden_step_prices import snapshot, summation
+
+    golden = {"description": "repr of cold llama2-7b step prices, a DiT block "
+                             "and an MoE layer operator by operator, and "
+                             "every candidate of two mapped matmuls, per "
+                             "float summation of sum()",
+              "sets": {}}
+    if STEP_PRICES_GOLDEN_PATH.exists():
+        golden = json.loads(STEP_PRICES_GOLDEN_PATH.read_text(encoding="utf-8"))
+    golden["sets"][summation()] = snapshot()
+    golden["sets"] = dict(sorted(golden["sets"].items()))
+    STEP_PRICES_GOLDEN_PATH.write_text(json.dumps(golden, indent=2) + "\n",
+                                       encoding="utf-8")
+    print(f"wrote {STEP_PRICES_GOLDEN_PATH} ({summation()} summation, "
+          f"{len(golden['sets'][summation()]['step_prices'])} step prices)")
 
 
 def write_fleet_routing() -> None:
@@ -162,6 +186,7 @@ def main() -> None:
           f"({len(trace['traceEvents'])} trace events)")
     write_serving_reports()
     write_payloads()
+    write_step_prices()
     write_fleet_routing()
     write_cli_requests()
     write_fingerprint_versions()
@@ -172,6 +197,8 @@ if __name__ == "__main__":
         write_serving_reports()
     elif sys.argv[1:] == ["payloads"]:
         write_payloads()
+    elif sys.argv[1:] == ["step-prices"]:
+        write_step_prices()
     elif sys.argv[1:] == ["fleet-routing"]:
         write_fleet_routing()
     elif sys.argv[1:] == ["cli-requests"]:

@@ -175,3 +175,12 @@ class TestMainVerdicts:
         assert kinds["realistic.fleet_views"] == "count"
         assert kinds["realistic.routable_rebuilds"] == "count"
         assert kinds["realistic.view_builds"] == "count"
+
+    def test_cold_pricing_work_is_gated(self):
+        kinds = {metric.path: metric.kind
+                 for metric in gate.BENCH_METRICS["BENCH_serving.json"]}
+        assert kinds["cold_pricing.wall_seconds"] == "wall"
+        # A memo that stops serving a priced state shows as more work.
+        assert kinds["cold_pricing.graph_evals"] == "count"
+        assert kinds["cold_pricing.matmul_maps"] == "count"
+        assert kinds["cold_pricing.mapping_candidates"] == "count"

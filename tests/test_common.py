@@ -1,6 +1,7 @@
 """Tests for shared primitives in repro.common."""
 
 import math
+import pickle
 
 import pytest
 
@@ -31,6 +32,33 @@ class TestPrecision:
     def test_accumulator_width(self):
         assert Precision.INT8.accumulator_bytes == 4
         assert Precision.BF16.accumulator_bytes == 4
+
+    @pytest.mark.parametrize("precision", list(Precision))
+    def test_widths_are_ints_on_every_member(self, precision):
+        widths = (precision.bits, precision.bytes, precision.mantissa_bits,
+                  precision.accumulator_bytes)
+        assert all(type(width) is int for width in widths)
+        assert precision.bytes * 8 == precision.bits
+
+    def test_members_look_up_by_value_and_name(self):
+        assert Precision("bf16") is Precision.BF16
+        assert Precision("int8") is Precision.INT8
+        assert Precision["BF16"] is Precision.BF16
+        assert [p.value for p in Precision] == ["int8", "bf16"]
+        with pytest.raises(ValueError):
+            Precision("fp32")
+
+    @pytest.mark.parametrize("precision", list(Precision))
+    def test_pickling_returns_the_member(self, precision):
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            restored = pickle.loads(pickle.dumps(precision, protocol))
+            assert restored is precision
+            assert restored.bits == precision.bits
+
+    def test_fingerprint_canonical_form_is_unchanged(self):
+        from repro.sweep.fingerprint import canonicalize
+        assert canonicalize(Precision.INT8) == ["enum", "Precision", "int8"]
+        assert canonicalize(Precision.BF16) == ["enum", "Precision", "bf16"]
 
 
 class TestCeilDiv:

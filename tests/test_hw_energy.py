@@ -3,7 +3,12 @@
 import pytest
 
 from repro.hw.energy import EnergyBudget, EnergyModel, peak_tops
-from repro.hw.technology import get_node
+from repro.hw.technology import (
+    CALIBRATION_NODE,
+    get_node,
+    scale_energy,
+    scale_leakage_density,
+)
 
 
 class TestPeakTops:
@@ -53,12 +58,30 @@ class TestEnergyBudget:
 
     def test_rejects_negative_energy(self):
         budget = EnergyBudget()
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^dynamic energy must be non-negative, got -1.0$"):
             budget.add_dynamic("mxu", -1.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^leakage energy must be non-negative, got -1.0$"):
             budget.add_leakage("mxu", -1.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^scale factor must be non-negative$"):
             budget.scaled(-2.0)
+
+    def test_merge_and_scaled_keep_order_and_bits(self):
+        a, b = EnergyBudget(), EnergyBudget()
+        a.add_dynamic("vmem", 0.1)
+        a.add_leakage("mxu", 0.7)
+        b.add_dynamic("mxu", 0.2)
+        b.add_dynamic("vmem", 0.3)
+        b.add_leakage("vpu", 0.4)
+        b.add_leakage("mxu", 1e-17)
+        a.merge(b)
+        assert list(a.dynamic_joules.items()) == [("vmem", 0.1 + 0.3), ("mxu", 0.2)]
+        assert list(a.leakage_joules.items()) == [("mxu", 0.7 + 1e-17), ("vpu", 0.4)]
+        scaled = a.scaled(3.0)
+        assert list(scaled.dynamic_joules.items()) == [("vmem", (0.1 + 0.3) * 3.0),
+                                                       ("mxu", 0.2 * 3.0)]
+        assert list(scaled.leakage_joules.items()) == [("mxu", (0.7 + 1e-17) * 3.0),
+                                                       ("vpu", 0.4 * 3.0)]
+        assert scaled is not a and scaled.dynamic_joules is not a.dynamic_joules
 
 
 class TestEnergyModel:
@@ -116,3 +139,44 @@ class TestEnergyModel:
     def test_hbm_energy_not_scaled_with_node(self):
         scaled = EnergyModel(technology=get_node("tsmc7"))
         assert scaled.hbm_access_energy(100.0) == pytest.approx(self.model.hbm_access_energy(100.0))
+
+
+def _reference_split(model, macs_per_cycle, tops_per_watt, leakage_fraction):
+    """Per-MAC dynamic energy and leakage power of one MXU, from the fields."""
+    full_power_w = peak_tops(macs_per_cycle, model.spec.frequency_ghz) / tops_per_watt
+    leakage_power_w = full_power_w * leakage_fraction
+    energy_per_mac_j = ((full_power_w - leakage_power_w)
+                        / (macs_per_cycle * model.spec.frequency_ghz * 1e9))
+    return (scale_energy(energy_per_mac_j, CALIBRATION_NODE, model.technology),
+            scale_leakage_density(leakage_power_w, CALIBRATION_NODE, model.technology))
+
+
+@pytest.mark.parametrize("node", ["tsmc22", "tsmc7", "tsmc65"])
+def test_every_figure_equals_its_derivation_from_the_fields(node):
+    model = EnergyModel(technology=get_node(node))
+    spec, cal = model.spec, model.calibration
+    digital = _reference_split(model, spec.systolic_macs_per_cycle,
+                               cal.digital_tops_per_watt, cal.digital_leakage_fraction)
+    cim = _reference_split(model, spec.cim_macs_per_cycle,
+                           cal.cim_tops_per_watt, cal.cim_leakage_fraction)
+    assert model.digital_mac_energy(8) == digital[0] * 1.0
+    assert model.digital_mac_energy(16) == digital[0] * cal.bf16_energy_overhead
+    assert model.digital_mxu_leakage_power() == digital[1]
+    assert model.cim_mac_energy(8) == cim[0] * 1.0
+    assert model.cim_mac_energy(16) == cim[0] * cal.bf16_energy_overhead
+    assert model.cim_core_leakage_power() == cim[1] / (spec.cim_grid_rows * spec.cim_grid_cols)
+
+    def per_byte(pj):
+        return scale_energy(pj * 1e-12, CALIBRATION_NODE, model.technology)
+
+    for n in (0, 1, 1000.0, 3 * 2**20 + 1):
+        assert model.vmem_access_energy(n) == per_byte(model.vmem_pj_per_byte) * n
+        assert model.cmem_access_energy(n) == per_byte(model.cmem_pj_per_byte) * n
+        assert model.hbm_access_energy(n) == model.hbm_pj_per_byte * 1e-12 * n
+        assert model.vpu_op_energy(n) == per_byte(model.vpu_pj_per_op) * n
+        assert model.cim_weight_write_energy(n) == \
+            per_byte(model.cim_weight_write_pj_per_byte) * n
+        assert model.digital_weight_load_energy(n) == \
+            per_byte(model.digital_weight_load_pj_per_byte) * n
+    with pytest.raises(ValueError, match="^unsupported precision: 4 bits"):
+        model.cim_mac_energy(4)

@@ -95,6 +95,35 @@ class TestEngine:
         assert findings[0].line == 1
         assert "suppresses nothing" in findings[0].message
 
+    def test_pragmas_of_rules_that_did_not_run_are_not_judged(self):
+        files = {"src/repro/x.py": src("""
+            # repro-lint: disable-file=RPR001 (fixture)
+            VALUE = 1  # repro-lint: disable=RPR001 (fixture)
+        """)}
+        assert lint(files, "RPR005") == []
+
+    def test_stale_pragma_of_a_rule_that_ran_is_still_flagged(self):
+        files = {"src/repro/x.py": src("""
+            # repro-lint: disable-file=RPR005 (fixture)
+            VALUE = 1  # repro-lint: disable=RPR005 (fixture)
+        """)}
+        for rule_id in ("RPR005", None):
+            findings = lint(files, rule_id)
+            assert [(f.rule, f.line) for f in findings] == [
+                (META_RULE, 1), (META_RULE, 2)]
+            assert "'disable-file=RPR005' suppresses nothing" in findings[0].message
+            assert "'disable=RPR005' suppresses nothing" in findings[1].message
+
+    @pytest.mark.parametrize("rule_id", ["RPR001", "RPR005", None])
+    def test_pragma_naming_an_unregistered_rule_is_flagged_whatever_runs(self, rule_id):
+        files = {"src/repro/x.py": src("""
+            # repro-lint: disable-file=RPR999 (fixture)
+            VALUE = 1  # repro-lint: disable=RPR999 (fixture)
+        """)}
+        findings = lint(files, rule_id)
+        assert [(f.rule, f.line) for f in findings] == [(META_RULE, 1), (META_RULE, 2)]
+        assert all("RPR999' suppresses nothing" in f.message for f in findings)
+
     def test_pragma_syntax_inside_a_docstring_is_not_a_pragma(self):
         files = {"src/repro/x.py": src("""
             '''Docs mention ``# repro-lint: disable=RPR001`` as syntax.'''
@@ -473,6 +502,14 @@ class TestCliAndAcceptance:
 
     def test_cli_exits_zero_on_clean_tree(self, capsys):
         exit_code = main(["lint", "--root", str(REPO_ROOT)])
+        assert exit_code == 0
+        assert "0 finding(s)" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("rule_id", sorted(RULE_REGISTRY))
+    def test_cli_one_rule_exits_zero_on_clean_tree(self, rule_id, capsys):
+        # The tree's pragmas for the other rules are not stale because
+        # those rules did not run.
+        exit_code = main(["lint", "--root", str(REPO_ROOT), "--rules", rule_id])
         assert exit_code == 0
         assert "0 finding(s)" in capsys.readouterr().out
 

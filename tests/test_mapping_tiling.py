@@ -1,5 +1,7 @@
 """Tests for tile shapes and VMEM tiling selection."""
 
+import itertools
+
 import pytest
 
 from repro.common import Precision
@@ -75,3 +77,39 @@ class TestChooseVmemTiling:
     def test_impossible_budget_raises(self):
         with pytest.raises(MemoryError):
             choose_vmem_tiling(1, 4096, 4096, Precision.INT8, vmem_capacity_bytes=64)
+
+    @pytest.mark.parametrize("precision", list(Precision))
+    @pytest.mark.parametrize("double_buffered", [True, False])
+    def test_matches_the_tile_shape_walk(self, precision, double_buffered):
+        def walked(m, k, n, capacity):
+            """Reference: the shrink loop sized through TileShape objects."""
+            budget = capacity // (2 if double_buffered else 1)
+            tile = TileShape(m, k, n)
+            while matmul_tile_bytes(tile, precision) > budget:
+                tm, tk, tn = tile.m, tile.k, tile.n
+                if tm > 128 and tm >= tn:
+                    tm = max(128, tm // 2)
+                elif tn > 128:
+                    tn = max(128, tn // 2)
+                elif tk > 128:
+                    tk = max(128, tk // 2)
+                elif tm > 1:
+                    tm = max(1, tm // 2)
+                else:
+                    return None
+                tile = TileShape(tm, tk, tn)
+            return tile
+
+        dims = (1, 7, 128, 300, 4096, 11008, 65536)
+        for (m, k, n), capacity in itertools.product(
+                itertools.product(dims, repeat=3), (64 * 2**10, 16 * 2**20)):
+            expected = walked(m, k, n, capacity)
+            if expected is None:
+                with pytest.raises(MemoryError):
+                    choose_vmem_tiling(m, k, n, precision, capacity,
+                                       double_buffered=double_buffered)
+            else:
+                tiling = choose_vmem_tiling(m, k, n, precision, capacity,
+                                            double_buffered=double_buffered)
+                assert (tiling.tile, tiling.problem) == (expected, TileShape(m, k, n))
+
