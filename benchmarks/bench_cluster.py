@@ -25,12 +25,18 @@ untimed traced call adds the routing front end's work as exact counts: the
 fleet views it built (none: the fleet never scales), the times it rebuilt
 the routable replica set (once: nothing changes routability) and the replica
 views it built (one per load change of a routable replica, not one per
-replica per arrival).
+replica per arrival).  A second untimed call counts the per-request checks
+of trace generation and aggregation by wrapping them from here (``src/``
+holds no counter): ``Request.__post_init__`` (none: generated rows skip the
+checked constructor), ``RequestMetrics.meets`` (one per completed request)
+and ``slo_debt_s`` (one per request that missed the SLO).
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
+import sys
 import time
 
 from _harness import REPORTS_DIR, emit_report
@@ -39,9 +45,9 @@ from repro.api import SimulateRequest, simulate
 from repro.core.designs import design_a
 from repro.obs.telemetry import Telemetry
 from repro.serving.cluster import ClusterSimulator
-from repro.serving.metrics import SLO
+from repro.serving.metrics import SLO, RequestMetrics, slo_debt_s
 from repro.serving.simulator import ServingSimulator
-from repro.serving.trace import generate_trace
+from repro.serving.trace import Request, generate_trace
 from repro.sweep.cache import CachingInferenceSimulator
 from repro.workloads.chat import DEFAULT_REQUEST_MIX
 from repro.workloads.llm import GPT3_30B
@@ -74,9 +80,43 @@ def _run():
     return report, time.perf_counter() - start
 
 
+@contextlib.contextmanager
+def _counting_checks():
+    """Count the calls of the per-request checks while the block runs.
+
+    ``slo_debt_s`` is imported by name, so every loaded ``repro`` module
+    that holds it gets the counting wrapper.
+    """
+    counts: dict[str, int] = {}
+    patched = []
+
+    def count(holder, name: str, key: str) -> None:
+        original = getattr(holder, name)
+        counts[key] = 0
+
+        def counted(*args, **kwargs):
+            counts[key] += 1
+            return original(*args, **kwargs)
+
+        patched.append((holder, name, original))
+        setattr(holder, name, counted)
+
+    count(Request, "__post_init__", "request_post_inits")
+    count(RequestMetrics, "meets", "meets_calls")
+    for module in list(sys.modules.values()):
+        if (getattr(module, "__name__", "").startswith("repro")
+                and getattr(module, "slo_debt_s", None) is slo_debt_s):
+            count(module, "slo_debt_s", "slo_debt_calls")
+    try:
+        yield counts
+    finally:
+        for holder, name, original in reversed(patched):
+            setattr(holder, name, original)
+
+
 def _run_realistic():
     """The realistic fleet's report payload, the wall time of its call and
-    the counters of a traced call.
+    the work counts of untimed traced and counted calls.
 
     A first call prices the step states, so the timed call measures the
     fleet layers rather than the cost model.
@@ -88,7 +128,9 @@ def _run_realistic():
     assert response.report == priced.report
     tel = Telemetry()
     assert simulate(REALISTIC, telemetry=tel).report == priced.report
-    return response.report, wall, tel.counters
+    with _counting_checks() as checks:
+        assert simulate(REALISTIC).report == priced.report
+    return response.report, wall, {**tel.counters, **checks}
 
 
 def test_cluster_simulator_throughput(benchmark):
@@ -140,6 +182,9 @@ def test_cluster_simulator_throughput(benchmark):
             "fleet_views": realistic_counters["cluster.fleet_views"],
             "routable_rebuilds": realistic_counters["cluster.routable_rebuilds"],
             "view_builds": realistic_counters["cluster.view_builds"],
+            "request_post_inits": realistic_counters["request_post_inits"],
+            "meets_calls": realistic_counters["meets_calls"],
+            "slo_debt_calls": realistic_counters["slo_debt_calls"],
         },
     }, indent=2) + "\n", encoding="utf-8")
     print(f"wrote cluster benchmark record to {BENCH_PATH}")

@@ -102,6 +102,9 @@ BENCH_METRICS: dict[str, tuple[Metric, ...]] = {
         Metric("realistic.fleet_views", "count"),
         Metric("realistic.routable_rebuilds", "count"),
         Metric("realistic.view_builds", "count"),
+        Metric("realistic.request_post_inits", "count"),
+        Metric("realistic.meets_calls", "count"),
+        Metric("realistic.slo_debt_calls", "count"),
     ),
     "BENCH_optimize.json": (
         Metric("cold_wall_seconds", "wall"),

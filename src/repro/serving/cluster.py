@@ -39,7 +39,14 @@ How the fleet is simulated, stated explicitly:
   integer token limit (its KV budget over the per-token KV bytes, the
   limit its own admission applies), and a request within the smallest
   limit of the routable set fits all of them, so only a larger one is
-  tested view by view.
+  tested view by view.  An assignment moves the replica's estimate with
+  one heap replace of its earliest decode slot.
+* **Each completed request is judged once.**  The replicas' rows are
+  sorted by request id once and tallied in one pass
+  (:class:`~repro.serving.metrics.RequestTally`): latency summaries, SLO
+  attainment and goodput, the SLO debt of the requests that missed, and
+  the healthy and disrupted counts the resilience summary reads.  Crash
+  and fault-free fleets take the same path.
 * **Autoscaling pays its costs.**  Scale-out suffers the policy's cold-start
   delay before a replica becomes routable; scale-in is hysteresis-guarded
   and always releases the highest-indexed replica, so the fleet never flaps
@@ -73,7 +80,7 @@ import dataclasses
 import heapq
 import itertools
 import math
-from collections.abc import Mapping, Sequence
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from operator import attrgetter
 from typing import TYPE_CHECKING
@@ -86,13 +93,14 @@ from repro.serving.metrics import (
     SLO,
     LatencySummary,
     RequestMetrics,
+    RequestTally,
     ResilienceSummary,
     ServingReport,
     report_payload,
 )
 from repro.obs.telemetry import Telemetry
 from repro.serving.router import ReplicaView, RouterContext, RouterPolicy, get_router
-from repro.serving.simulator import ServingSimulator, emit_report_summary
+from repro.serving.simulator import ServingSimulator, _arrival_key, emit_report_summary
 from repro.serving.spec import ServingSpec
 from repro.serving.trace import Request, generate_trace, request_classes_from_settings
 from repro.sweep.fingerprint import fingerprint
@@ -107,6 +115,7 @@ STORE_KIND = "cluster-report"
 # __init__, as the replay's RequestMetrics rows do.
 _new_instance = object.__new__
 _set_attribute = object.__setattr__
+_finish_s = attrgetter("finish_s")
 
 
 @dataclass(frozen=True)
@@ -281,6 +290,7 @@ class _ReplicaHandle:
         step = replica.costs.decode_cost(replica.max_batch,
                                          replica.costs.bucket_tokens)
         self._decode_step_s = step.seconds
+        self._prefill_cost = replica.costs.prefill_cost
         self.service_tokens_per_s = replica.max_batch / step.seconds
         # Queueing estimate the router acts on: serial prefill occupancy,
         # max_batch decode slots, and the set of requests still in flight
@@ -293,6 +303,16 @@ class _ReplicaHandle:
         self._slots = [0.0] * replica.max_batch
         self.outstanding_tokens = 0
         self._view: ReplicaView | None = None
+        # A view's fields in declaration order; all but the two load
+        # figures are fixed for the run, so a rebuild copies this and sets
+        # those two.
+        self._view_fields = {
+            "index": index, "tpu_name": replica.tpu_config.name,
+            "devices": self.devices, "max_batch": replica.max_batch,
+            "outstanding_requests": 0, "outstanding_tokens": 0,
+            "service_tokens_per_s": self.service_tokens_per_s,
+            "kv_budget_bytes": self.kv_budget,
+            "kv_bytes_per_token": replica.kv_bytes_per_token}
         self.view_builds = 0
         self.subtrace: list[Request] = []
         # Activation bookkeeping.
@@ -399,13 +419,16 @@ class _ReplicaHandle:
         self._view = None
 
     def assign(self, request: Request, now: float) -> None:
-        prefill_s = self.replica.costs.prefill_cost(1, request.input_tokens).seconds
-        prefill_start = max(now, self._prefill_busy_until)
-        self._prefill_busy_until = prefill_start + prefill_s
-        slot_free = heapq.heappop(self._slots)
-        decode_start = max(self._prefill_busy_until, slot_free)
-        finish = decode_start + request.output_tokens * self._decode_step_s
-        heapq.heappush(self._slots, finish)
+        prefill_s = self._prefill_cost(1, request.input_tokens).seconds
+        # The conditional expressions pick exactly what max() would.
+        busy = self._prefill_busy_until
+        busy = (busy if busy > now else now) + prefill_s
+        self._prefill_busy_until = busy
+        # The request takes the decode slot that frees first.
+        slot_free = self._slots[0]
+        finish = ((slot_free if slot_free > busy else busy)
+                  + request.output_tokens * self._decode_step_s)
+        heapq.heapreplace(self._slots, finish)
         heapq.heappush(self._queue, (finish, request.request_id, request))
         if finish < self.next_finish:
             self.next_finish = finish
@@ -419,22 +442,19 @@ class _ReplicaHandle:
         Only ``drain`` (when it retires an estimate), ``assign`` and
         ``crash`` move the two load figures, and each drops the view, so a
         view still held is the current one and is handed out again.  A new
-        one is built without the frozen-dataclass ``__init__`` (the class
-        has no ``__post_init__`` to skip) and counted in ``view_builds``.
+        one copies the handle's field template with the two load figures
+        set, is built without the frozen-dataclass ``__init__`` (the class
+        has no ``__post_init__`` to skip) and is counted in ``view_builds``.
         Whether a request fits is settled by the integer ``token_limit``
         where it can be, not by the view.
         """
         view = self._view
         if view is None:
+            fields = self._view_fields.copy()
+            fields["outstanding_requests"] = len(self._queue)
+            fields["outstanding_tokens"] = self.outstanding_tokens
             view = self._view = _new_instance(ReplicaView)
-            _set_attribute(view, "__dict__", {
-                "index": self.index, "tpu_name": self.replica.tpu_config.name,
-                "devices": self.devices, "max_batch": self.replica.max_batch,
-                "outstanding_requests": len(self._queue),
-                "outstanding_tokens": self.outstanding_tokens,
-                "service_tokens_per_s": self.service_tokens_per_s,
-                "kv_budget_bytes": self.kv_budget,
-                "kv_bytes_per_token": self.replica.kv_bytes_per_token})
+            _set_attribute(view, "__dict__", fields)
             self.view_builds += 1
         return view
 
@@ -488,7 +508,7 @@ class ClusterSimulator:
         if not trace:
             raise ValueError("cluster serving needs a non-empty trace")
         tel = telemetry if telemetry is not None and telemetry.enabled else None
-        ordered = sorted(trace, key=lambda r: (r.arrival_s, r.request_id))
+        ordered = sorted(trace, key=_arrival_key)
         # A planned deployment admits the trace's largest request: find it
         # once for the fleet instead of once per replica.
         plan = ((max(ordered, key=attrgetter("total_tokens")),)
@@ -590,7 +610,8 @@ class ClusterSimulator:
                 for handle in routable:
                     if handle.next_finish <= now:
                         handle.drain(now)
-                candidates = tuple([handle.view() for handle in routable])
+                candidates = tuple([handle._view or handle.view()
+                                    for handle in routable])
                 if request.input_tokens + request.output_tokens > routable_limit:
                     candidates = tuple([view for view in candidates
                                         if view.fits(request)]) or candidates
@@ -722,13 +743,12 @@ class ClusterSimulator:
             tel.count("cluster.view_builds",
                       sum(handle.view_builds for handle in handles))
 
-        end_s = ordered[-1].arrival_s
-        for report in reports:
-            if report is not None and report.requests:
-                end_s = max(end_s, max(m.finish_s for m in report.requests))
-        for handle, report in zip(handles, reports):
-            last_finish = (max(m.finish_s for m in report.requests)
-                           if report is not None and report.requests else None)
+        last_finishes = [max(map(_finish_s, report.requests))
+                         if report is not None and report.requests else None
+                         for report in reports]
+        end_s = max([ordered[-1].arrival_s,
+                     *(last for last in last_finishes if last is not None)])
+        for handle, last_finish in zip(handles, last_finishes):
             handle.finalize(end_s, last_finish)
         return self._report(ordered, handles, reports, timeline, slo,
                             start_s=start_s, end_s=end_s, events=events,
@@ -793,13 +813,11 @@ class ClusterSimulator:
                 original_arrival: Mapping[int, float] | None = None,
                 disrupted: frozenset[int] | set[int] = frozenset(),
                 shed: int = 0) -> ClusterReport:
-        finished: list[RequestMetrics] = []
         completed = rejected = total_tokens = 0
         mxu_energy = total_energy = 0.0
         summaries: list[ReplicaSummary] = []
         for handle, report in zip(handles, reports):
             if report is not None:
-                finished.extend(report.requests)
                 completed += report.completed
                 rejected += report.rejected
                 total_tokens += report.total_tokens
@@ -833,12 +851,16 @@ class ClusterSimulator:
                 cost_cache_hits=handle.replica.costs.stats.hits,
                 cost_cache_misses=handle.replica.costs.stats.misses))
 
+        # The replicas' rows go straight into the tally's sort: a list of
+        # them kept beside the tally's tuple raised day-trace's peak memory.
+        finished: Iterable[RequestMetrics] = itertools.chain.from_iterable(
+            report.requests for report in reports if report is not None)
         original_arrival = original_arrival or {}
         if original_arrival or disrupted:
             # Replays measured drained/delayed requests from their *floored*
             # arrival; the client experienced the original one.  Re-derive
             # the latency fields from it and flag the disrupted streams.
-            finished = [
+            finished = (
                 RequestMetrics.from_times(
                     m.request_id,
                     original_arrival.get(m.request_id, m.arrival_s),
@@ -847,9 +869,8 @@ class ClusterSimulator:
                 if (m.request_id in original_arrival
                     or m.request_id in disrupted)
                 else m
-                for m in finished]
-        finished.sort(key=lambda m: m.request_id)
-        met = [m for m in finished if m.meets(slo)]
+                for m in finished)
+        tally = RequestTally.of(finished, slo)
         makespan = end_s - start_s
         per_second = (1.0 / makespan) if makespan > 0 else 0.0
         chip_hours = sum(s.devices * s.active_s for s in summaries) / 3600.0
@@ -858,7 +879,7 @@ class ClusterSimulator:
                        for handle in handles
                        for down_at, up_at in handle.outages)
         resilience = ResilienceSummary.compute(
-            finished, slo, fault_count=len(events),
+            tally, fault_count=len(events),
             crash_times=tuple(crash_times), downtime_replica_s=downtime,
             provisioned_replica_s=sum(s.active_s for s in summaries),
             shed=shed, start_s=start_s, end_s=end_s)
@@ -875,16 +896,11 @@ class ClusterSimulator:
             makespan_s=makespan, total_tokens=total_tokens,
             tokens_per_second=total_tokens * per_second,
             requests_per_second=completed * per_second,
-            ttft=(LatencySummary.from_values([m.ttft_s for m in finished])
-                  if finished else LatencySummary.empty()),
-            tpot=(LatencySummary.from_values([m.tpot_s for m in finished])
-                  if finished else LatencySummary.empty()),
-            e2e=(LatencySummary.from_values([m.e2e_s for m in finished])
-                 if finished else LatencySummary.empty()),
-            slo=slo,
-            slo_attainment=len(met) / len(finished) if finished else 0.0,
-            goodput_requests_per_second=len(met) * per_second,
-            goodput_tokens_per_second=sum(m.output_tokens for m in met) * per_second,
+            ttft=tally.ttft, tpot=tally.tpot, e2e=tally.e2e, slo=slo,
+            slo_attainment=(tally.met / len(tally.rows)
+                            if tally.rows else 0.0),
+            goodput_requests_per_second=tally.met * per_second,
+            goodput_tokens_per_second=tally.met_tokens * per_second,
             mxu_energy_joules=mxu_energy, total_energy_joules=total_energy,
             energy_per_token_joules=mxu_energy / total_tokens if total_tokens else 0.0,
             chip_hours=chip_hours, cost_model=self.cost_model,
@@ -894,7 +910,7 @@ class ClusterSimulator:
             peak_active_replicas=max(count for _, count in capped),
             mean_active_replicas=_time_weighted_mean(capped, end_s),
             replicas=tuple(summaries),
-            requests=tuple(finished),
+            requests=tally.rows,
             shed=shed,
             resilience=resilience,
             fault_events=tuple(

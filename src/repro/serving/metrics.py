@@ -12,8 +12,9 @@ generic encoders in :mod:`repro.sweep.export` exactly like sweep rows do.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
+from operator import attrgetter
 
 from repro.codec import encode
 
@@ -156,6 +157,74 @@ def slo_debt_s(request: RequestMetrics, slo: SLO) -> float:
             + decode_tokens * max(0.0, request.tpot_s - slo.tpot_s))
 
 
+_request_id = attrgetter("request_id")
+
+
+@dataclass(frozen=True)
+class RequestTally:
+    """Every aggregate a fleet report takes from its completed rows.
+
+    :meth:`of` sorts the rows by request id once and walks them once: one
+    ``meets`` per row, and :func:`slo_debt_s` only for the rows that missed
+    (a row that met the SLO owes exactly ``0.0``).  The fleet report and
+    :meth:`ResilienceSummary.compute` both read the one tally.
+    """
+
+    #: The completed rows in request-id order, and the SLO they are judged by.
+    rows: tuple[RequestMetrics, ...]
+    slo: SLO
+    ttft: LatencySummary
+    tpot: LatencySummary
+    e2e: LatencySummary
+    #: Rows that met the SLO, and their output tokens.
+    met: int
+    met_tokens: int
+    #: Rows that met the SLO and were not disrupted, and their output tokens.
+    healthy: int
+    healthy_tokens: int
+    disrupted: int
+    #: Summed latency debt beyond the SLO targets: the integer ``0`` when no
+    #: row completed, as ``sum()`` over no rows gives.
+    slo_debt_s: float
+
+    @classmethod
+    def of(cls, rows: Iterable[RequestMetrics], slo: SLO) -> "RequestTally":
+        """Sort and tally the rows in one pass."""
+        ordered = tuple(sorted(rows, key=_request_id))
+        ttfts: list[float] = []
+        tpots: list[float] = []
+        e2es: list[float] = []
+        debts: list[float] = []
+        met = met_tokens = healthy = healthy_tokens = disrupted = 0
+        for row in ordered:
+            ttfts.append(row.ttft_s)
+            tpots.append(row.tpot_s)
+            e2es.append(row.e2e_s)
+            if row.disrupted:
+                disrupted += 1
+            if row.meets(slo):
+                met += 1
+                met_tokens += row.output_tokens
+                if not row.disrupted:
+                    healthy += 1
+                    healthy_tokens += row.output_tokens
+            else:
+                debts.append(slo_debt_s(row, slo))
+        empty = LatencySummary.empty()
+        return cls(
+            rows=ordered, slo=slo,
+            ttft=LatencySummary.from_values(ttfts) if ordered else empty,
+            tpot=LatencySummary.from_values(tpots) if ordered else empty,
+            e2e=LatencySummary.from_values(e2es) if ordered else empty,
+            met=met, met_tokens=met_tokens, healthy=healthy,
+            healthy_tokens=healthy_tokens, disrupted=disrupted,
+            # sum() over a list in request-id order, never a running +=:
+            # from Python 3.12 sum() is compensated and rounds differently.
+            # The 0.0 terms of the rows that met move neither sum, so they
+            # are left out; the start keeps 0.0 for rows that all met.
+            slo_debt_s=sum(debts, 0.0 if ordered else 0))
+
+
 @dataclass(frozen=True)
 class ResilienceSummary:
     """Resilience outcomes of one fleet run under injected faults.
@@ -201,13 +270,14 @@ class ResilienceSummary:
                    goodput_under_failure_tokens_per_second=0.0)
 
     @classmethod
-    def compute(cls, requests: Sequence[RequestMetrics], slo: SLO, *,
+    def compute(cls, tally: RequestTally, *,
                 fault_count: int, crash_times: Sequence[float],
                 downtime_replica_s: float, provisioned_replica_s: float,
                 shed: int, start_s: float, end_s: float,
                 window_s: float = 5.0,
                 recovery_target: float = 0.95) -> "ResilienceSummary":
-        """Derive the summary from completed requests and outage bookkeeping.
+        """Derive the summary from the completed rows' tally and outage
+        bookkeeping.
 
         Recovery time is measured against the run's windowed SLO
         attainment: completions are bucketed into ``window_s`` windows from
@@ -222,13 +292,12 @@ class ResilienceSummary:
             raise ValueError("recovery_target must be in (0, 1]")
         makespan = end_s - start_s
         per_second = (1.0 / makespan) if makespan > 0 else 0.0
-        healthy = [m for m in requests if not m.disrupted and m.meets(slo)]
         recovery = 0.0
         if crash_times:
             windows: dict[int, list[bool]] = {}
-            for metric in requests:
+            for metric in tally.rows:
                 index = int((metric.finish_s - start_s) // window_s)
-                windows.setdefault(index, []).append(metric.meets(slo))
+                windows.setdefault(index, []).append(metric.meets(tally.slo))
             recovered_ends = sorted(
                 start_s + (index + 1) * window_s
                 for index, met in windows.items()
@@ -239,7 +308,7 @@ class ResilienceSummary:
                  for crash in crash_times))
         return cls(
             fault_count=fault_count, crash_count=len(crash_times),
-            disrupted_requests=sum(1 for m in requests if m.disrupted),
+            disrupted_requests=tally.disrupted,
             shed_requests=shed,
             downtime_replica_s=downtime_replica_s,
             availability=(provisioned_replica_s
@@ -247,10 +316,10 @@ class ResilienceSummary:
                           if provisioned_replica_s + downtime_replica_s > 0
                           else 1.0),
             recovery_s=recovery,
-            slo_debt_s=sum(slo_debt_s(m, slo) for m in requests),
-            goodput_under_failure_requests_per_second=len(healthy) * per_second,
+            slo_debt_s=tally.slo_debt_s,
+            goodput_under_failure_requests_per_second=tally.healthy * per_second,
             goodput_under_failure_tokens_per_second=(
-                sum(m.output_tokens for m in healthy) * per_second))
+                tally.healthy_tokens * per_second))
 
 
 @dataclass(frozen=True)

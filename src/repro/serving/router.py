@@ -32,6 +32,7 @@ from __future__ import annotations
 import hashlib
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
+from operator import attrgetter
 
 from repro.registry import Registry
 from repro.serving.trace import Request
@@ -84,6 +85,10 @@ class RouterContext:
     fleet_size: int
 
 
+#: The least-outstanding order: fewest requests in flight, then lowest index.
+_outstanding_then_index = attrgetter("outstanding_requests", "index")
+
+
 def _session_key(request: Request) -> int:
     """The affinity key: the request's session, or the request itself."""
     return request.session_id if request.session_id is not None else request.request_id
@@ -101,7 +106,7 @@ def _round_robin(request: Request, candidates: Sequence[ReplicaView],
 
 def _least_outstanding(request: Request, candidates: Sequence[ReplicaView],
                        context: RouterContext) -> ReplicaView:
-    return min(candidates, key=lambda view: (view.outstanding_requests, view.index))
+    return min(candidates, key=_outstanding_then_index)
 
 
 def _least_kv_pressure(request: Request, candidates: Sequence[ReplicaView],

@@ -43,6 +43,9 @@ from repro.codec import encode
 from repro.registry import Registry
 from repro.workloads.chat import RequestClass, mix_fractions
 
+_new_instance = object.__new__
+_set_attribute = object.__setattr__  # bypasses the frozen-dataclass guard
+
 
 @dataclass(frozen=True)
 class Request:
@@ -97,10 +100,27 @@ def _validate(rate: float, num_requests: int) -> None:
 
 def _build(arrivals: Sequence[float], shapes: Sequence[RequestClass],
            ) -> tuple[Request, ...]:
-    return tuple(Request(request_id=index, arrival_s=arrival,
-                         input_tokens=shape.input_tokens,
-                         output_tokens=shape.output_tokens)
-                 for index, (arrival, shape) in enumerate(zip(arrivals, shapes)))
+    """The generated rows, numbered in arrival order.
+
+    Rows skip the checked constructor: the generators' clocks only move
+    forward from 0 and every shape is a validated :class:`RequestClass`,
+    so ``Request.__post_init__`` could not fail.  Each field is set on its
+    own, in declaration order, as the constructor sets them, so a row
+    shares the class's attribute key table instead of carrying a dict of
+    its own.  The JSONL loader, overlays and custom generators keep the
+    constructor.
+    """
+    rows = []
+    append = rows.append
+    for index, (arrival, shape) in enumerate(zip(arrivals, shapes)):
+        row = _new_instance(Request)
+        _set_attribute(row, "request_id", index)
+        _set_attribute(row, "arrival_s", arrival)
+        _set_attribute(row, "input_tokens", shape.input_tokens)
+        _set_attribute(row, "output_tokens", shape.output_tokens)
+        _set_attribute(row, "session_id", None)
+        append(row)
+    return tuple(rows)
 
 
 def poisson_trace(classes: Sequence[RequestClass], rate: float,
@@ -375,30 +395,40 @@ def load_trace_jsonl(path: str | pathlib.Path) -> tuple[Request, ...]:
     """Load a trace from a JSONL file (one request object per line).
 
     Each line needs ``arrival_s``, ``input_tokens`` and ``output_tokens``;
-    ``request_id`` is optional and defaults to the line index.  Requests are
-    re-sorted by arrival time so hand-edited traces stay valid.
+    ``request_id`` is optional and defaults to the number of requests read
+    before the line (blank lines are skipped and do not count).  Requests
+    are re-sorted by arrival time so hand-edited traces stay valid.
 
     Raises
     ------
     ValueError
-        On malformed lines or missing fields (with the line number).
+        On malformed lines, missing fields or a request id that an earlier
+        line already took, explicitly or by default (with the line number):
+        a fleet tells requests apart by id.
     """
     path = pathlib.Path(path)
     requests: list[Request] = []
+    id_lines: dict[int, int] = {}
     for line_number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
         if not line.strip():
             continue
         try:
             record = json.loads(line)
             session = record.get("session_id")
-            requests.append(Request(
+            request = Request(
                 request_id=int(record.get("request_id", len(requests))),
                 arrival_s=float(record["arrival_s"]),
                 input_tokens=int(record["input_tokens"]),
                 output_tokens=int(record["output_tokens"]),
-                session_id=int(session) if session is not None else None))
+                session_id=int(session) if session is not None else None)
         except (json.JSONDecodeError, KeyError, TypeError, ValueError) as error:
             raise ValueError(f"{path}:{line_number}: malformed trace line: {error}") from None
+        first_line = id_lines.setdefault(request.request_id, line_number)
+        if first_line != line_number:
+            raise ValueError(f"{path}:{line_number}: request_id "
+                             f"{request.request_id} repeats the request on "
+                             f"line {first_line}")
+        requests.append(request)
     if not requests:
         raise ValueError(f"{path}: trace file contains no requests")
     return tuple(sorted(requests, key=lambda r: (r.arrival_s, r.request_id)))

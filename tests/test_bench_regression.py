@@ -176,6 +176,15 @@ class TestMainVerdicts:
         assert kinds["realistic.routable_rebuilds"] == "count"
         assert kinds["realistic.view_builds"] == "count"
 
+    def test_realistic_aggregation_work_is_gated(self):
+        kinds = {metric.path: metric.kind
+                 for metric in gate.BENCH_METRICS["BENCH_cluster.json"]}
+        # Trace rows built through the checked constructor, or a fleet
+        # report that judges a row twice, shows as more calls.
+        assert kinds["realistic.request_post_inits"] == "count"
+        assert kinds["realistic.meets_calls"] == "count"
+        assert kinds["realistic.slo_debt_calls"] == "count"
+
     def test_cold_pricing_work_is_gated(self):
         kinds = {metric.path: metric.kind
                  for metric in gate.BENCH_METRICS["BENCH_serving.json"]}

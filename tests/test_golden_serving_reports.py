@@ -3,7 +3,8 @@
 ``tests/golden/serving_reports.json`` holds the sha256 of
 ``json.dumps(report.to_dict())`` and of
 ``json.dumps(report.to_dict(include_requests=False))`` for 64 fleet runs
-(every built-in router x autoscaler x four fault settings) and one
+(every built-in router x autoscaler x four fault settings), two fleets
+whose replicas reject requests (some, then all of them) and one
 single-deployment run per scheduler.  ``json.dumps`` does not sort keys,
 so the digests pin key order, every float and the ``cost_cache_*`` counts
 that the perfbench digests leave out: a routing front end that skips a
@@ -49,6 +50,15 @@ WORKLOAD = dict(design="design-a", llm="llama2-7b", scenario="chat-serving",
                 input_tokens=64, output_tokens=16, rate=32.0, requests=400,
                 seed=7)
 
+#: Two-replica fleets of one device each whose KV budget turns requests
+#: away: 8192/1024 tokens completes 7 of 20 and rejects 13; 16384/2048
+#: rejects all 20, so every latency summary is zero and the SLO debt is
+#: the integer 0.
+REJECTING = {f"{inp}x{out}": dict(
+    design="design-a", llm="llama2-7b", scenario="chat-serving",
+    input_tokens=inp, output_tokens=out, rate=1.0, requests=20, seed=3,
+    replicas=2, devices=1) for inp, out in ((8192, 1024), (16384, 2048))}
+
 
 def summation() -> str:
     """Which float ``sum()`` the running interpreter has."""
@@ -63,6 +73,8 @@ def cases() -> dict[str, SimulateRequest]:
             faults=faults)
         for router in ROUTERS for autoscaler in AUTOSCALERS
         for fault, faults in FAULTS.items()}
+    found.update({f"fleet-rejects/{shape}": SimulateRequest(**settings)
+                  for shape, settings in REJECTING.items()})
     found.update({f"single/{scheduler}": SimulateRequest(
         **WORKLOAD, scheduler=scheduler) for scheduler in SCHEDULERS})
     return found
@@ -102,4 +114,5 @@ def test_golden_holds_both_summation_sets():
     digests = _golden()
     assert sorted(digests) == ["compensated", "naive"]
     assert sorted(digests["compensated"]) == sorted(digests["naive"]) == sorted(cases())
-    assert len(cases()) == len(ROUTERS) * len(AUTOSCALERS) * len(FAULTS) + len(SCHEDULERS)
+    assert len(cases()) == (len(ROUTERS) * len(AUTOSCALERS) * len(FAULTS)
+                            + len(REJECTING) + len(SCHEDULERS))

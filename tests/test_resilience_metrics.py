@@ -2,7 +2,13 @@
 
 import pytest
 
-from repro.serving.metrics import SLO, RequestMetrics, ResilienceSummary, slo_debt_s
+from repro.serving.metrics import (
+    SLO,
+    RequestMetrics,
+    RequestTally,
+    ResilienceSummary,
+    slo_debt_s,
+)
 
 #: Generous targets: a "good" request below meets them, a "bad" one does not.
 TEST_SLO = SLO(ttft_s=1.0, tpot_s=0.1)
@@ -23,7 +29,7 @@ def summarise(requests, *, crash_times=(), fault_count=None, shed=0,
               downtime=0.0, provisioned=100.0, start_s=0.0, end_s=20.0,
               **kwargs):
     return ResilienceSummary.compute(
-        requests, TEST_SLO,
+        RequestTally.of(requests, TEST_SLO),
         fault_count=len(crash_times) if fault_count is None else fault_count,
         crash_times=crash_times, downtime_replica_s=downtime,
         provisioned_replica_s=provisioned, shed=shed,

@@ -4,6 +4,7 @@ import dataclasses
 
 import pytest
 
+from repro.api.requests import SimulateRequest
 from repro.common import Precision
 from repro.core.designs import design_a, design_b, tpuv4i_baseline
 from repro.obs.telemetry import Telemetry
@@ -16,7 +17,7 @@ from repro.serving.cluster import (
     simulate_cluster,
 )
 from repro.serving.faults import FaultSpec
-from repro.serving.metrics import SLO
+from repro.serving.metrics import SLO, LatencySummary, slo_debt_s
 from repro.serving.router import ReplicaView, RouterContext
 from repro.serving.simulator import ServingSimulator
 from repro.serving.spec import ServingSpec
@@ -431,6 +432,90 @@ class TestRoutableEdges:
                          for i in range(5))
         report = make_cluster(replicas=2, autoscaler=step_up).run(requests)
         assert [r.requests_routed for r in report.replicas] == [4, 1]
+
+
+#: Four-replica llama2-7b fleets of 60 requests: every router x {fixed,
+#: queue-depth} x {no fault, a crash of replica 0}.  They span every SLO
+#: outcome: all met, some met and none met (queue-depth stays small).
+AGGREGATE_FLEET = dict(design="design-a", llm="llama2-7b",
+                       scenario="chat-serving", input_tokens=64,
+                       output_tokens=16, rate=48.0, requests=60, seed=7,
+                       replicas=4)
+AGGREGATE_CASES = {
+    f"{router}/{autoscaler}/{fault}": dict(AGGREGATE_FLEET, router=router,
+                                           autoscaler=autoscaler, faults=faults)
+    for router in ("round-robin", "least-outstanding-requests",
+                   "least-kv-pressure", "session-affinity")
+    for autoscaler in ("fixed", "queue-depth")
+    for fault, faults in (
+        ("none", ()),
+        ("crash", ("replica-crash:at_s=0.4,duration_s=0.3,replica=0",)))}
+# Two fleets whose replicas reject requests: 13 of 20, then all 20.
+AGGREGATE_CASES.update({
+    f"rejecting/{inp}x{out}": dict(
+        design="design-a", llm="llama2-7b", scenario="chat-serving",
+        input_tokens=inp, output_tokens=out, rate=1.0, requests=20, seed=3,
+        replicas=2, devices=1)
+    for inp, out in ((8192, 1024), (16384, 2048))})
+
+
+class TestFleetAggregates:
+    """Every fleet aggregate equals its definition over ``report.requests``."""
+
+    @staticmethod
+    def recompute(report):
+        """The aggregates from the rows, each by its plain formula."""
+        rows, slo = report.requests, report.slo
+        met = [m for m in rows if m.meets(slo)]
+        healthy = [m for m in rows if not m.disrupted and m.meets(slo)]
+        per_second = 1.0 / report.makespan_s if report.makespan_s > 0 else 0.0
+
+        def summary(values):
+            return LatencySummary.from_values(values) if rows else LatencySummary.empty()
+
+        return {
+            "ttft": summary([m.ttft_s for m in rows]),
+            "tpot": summary([m.tpot_s for m in rows]),
+            "e2e": summary([m.e2e_s for m in rows]),
+            "slo_attainment": len(met) / len(rows) if rows else 0.0,
+            "goodput_requests_per_second": len(met) * per_second,
+            "goodput_tokens_per_second": sum(m.output_tokens for m in met) * per_second,
+            "disrupted_requests": sum(1 for m in rows if m.disrupted),
+            "slo_debt_s": sum(slo_debt_s(m, slo) for m in rows),
+            "goodput_under_failure_requests_per_second": len(healthy) * per_second,
+            "goodput_under_failure_tokens_per_second": (
+                sum(m.output_tokens for m in healthy) * per_second),
+        }
+
+    @staticmethod
+    def reported(report):
+        resilience = report.resilience
+        return {
+            "ttft": report.ttft, "tpot": report.tpot, "e2e": report.e2e,
+            "slo_attainment": report.slo_attainment,
+            "goodput_requests_per_second": report.goodput_requests_per_second,
+            "goodput_tokens_per_second": report.goodput_tokens_per_second,
+            "disrupted_requests": resilience.disrupted_requests,
+            "slo_debt_s": resilience.slo_debt_s,
+            "goodput_under_failure_requests_per_second":
+                resilience.goodput_under_failure_requests_per_second,
+            "goodput_under_failure_tokens_per_second":
+                resilience.goodput_under_failure_tokens_per_second,
+        }
+
+    @pytest.mark.parametrize("case", sorted(AGGREGATE_CASES))
+    def test_aggregates_match_their_definitions(self, case):
+        request = SimulateRequest(**AGGREGATE_CASES[case])
+        model, config, settings = request.resolve()
+        report = simulate_cluster(model, config, request.spec(), settings)
+        ids = [m.request_id for m in report.requests]
+        assert ids == sorted(ids)
+        assert report.completed == len(report.requests)
+        if "/crash" in case:
+            assert report.resilience.crash_count == 1
+        # repr pins the last bit and the type: no completed row sums to 0.
+        assert ({name: repr(value) for name, value in self.reported(report).items()}
+                == {name: repr(value) for name, value in self.recompute(report).items()})
 
 
 class TestSimulateCluster:

@@ -1,9 +1,13 @@
 """Tests for the serving trace generators and the JSONL loader."""
 
+import dataclasses
+import pickle
 import random
+import sys
 
 import pytest
 
+from repro.codec import encode
 from repro.serving.trace import (
     TRACE_REGISTRY,
     Request,
@@ -33,6 +37,39 @@ class TestRequest:
             Request(request_id=0, arrival_s=-1.0, input_tokens=64, output_tokens=16)
         with pytest.raises(ValueError):
             Request(request_id=0, arrival_s=0.0, input_tokens=0, output_tokens=16)
+        with pytest.raises(ValueError):
+            Request(request_id=0, arrival_s=0.0, input_tokens=64, output_tokens=0)
+
+
+class TestGeneratedRows:
+    """The built-in generators build rows without the checked constructor
+    (their arrivals are non-negative and their shapes come from validated
+    request classes; ``TestRequest`` pins the constructor's checks), and a
+    row built so is a constructed row in all but the checks."""
+
+    @pytest.mark.parametrize("kind", ("poisson", "bursty", "diurnal"))
+    def test_rows_equal_constructed_rows(self, kind):
+        trace = generate_trace(kind, MIX, 5.0, 40, seed=3)
+        for row in trace:
+            built = Request(request_id=row.request_id, arrival_s=row.arrival_s,
+                            input_tokens=row.input_tokens,
+                            output_tokens=row.output_tokens)
+            assert row == built
+            assert hash(row) == hash(built)
+            assert repr(row) == repr(built)
+            assert pickle.loads(pickle.dumps(row)) == built
+            assert dataclasses.replace(row) == built
+            assert encode(row) == encode(built)
+
+    def test_rows_take_no_more_memory_than_constructed_ones(self):
+        # Fields set one by one share the class's key table, as the
+        # constructor's do; a dict assigned whole would not, and 20,000 rows
+        # of a day-scale trace would carry the difference.
+        row = generate_trace("poisson", MIX, 5.0, 1, seed=3)[0]
+        built = Request(request_id=row.request_id, arrival_s=row.arrival_s,
+                        input_tokens=row.input_tokens,
+                        output_tokens=row.output_tokens)
+        assert sys.getsizeof(vars(row)) == sys.getsizeof(vars(built))
 
 
 class TestGenerators:
@@ -148,6 +185,26 @@ class TestJsonl:
         path = tmp_path / "empty.jsonl"
         path.write_text("\n")
         with pytest.raises(ValueError, match="no requests"):
+            load_trace_jsonl(path)
+
+    def test_default_id_counts_the_requests_before_it(self, tmp_path):
+        path = tmp_path / "gaps.jsonl"
+        path.write_text(
+            '\n{"arrival_s": 0.0, "input_tokens": 8, "output_tokens": 4}\n\n'
+            '{"arrival_s": 1.0, "input_tokens": 8, "output_tokens": 4}\n')
+        assert [r.request_id for r in load_trace_jsonl(path)] == [0, 1]
+
+    def test_repeated_request_id_rejected_with_its_line(self, tmp_path):
+        # An explicit id 1 on line 1 and a defaulted id on line 2 (one
+        # request read before it) are both 1; a fleet keys its crash
+        # fix-ups by id, so replaying the file would merge two requests.
+        path = tmp_path / "repeat.jsonl"
+        path.write_text(
+            '{"request_id": 1, "arrival_s": 0.05, "input_tokens": 8, '
+            '"output_tokens": 4}\n'
+            '{"arrival_s": 0.1, "input_tokens": 8, "output_tokens": 4}\n')
+        with pytest.raises(ValueError,
+                           match="repeat.jsonl:2: .*request_id 1.*line 1"):
             load_trace_jsonl(path)
 
 
