@@ -24,6 +24,7 @@ from _harness import REPORTS_DIR, emit_report
 
 from repro.optimize import CodesignOptimizer, DesignSpace, parse_constraint
 from repro.serving.metrics import SLO
+from repro.serving.spec import ServingSpec
 from repro.sweep.store import ResultStore
 from repro.workloads.llm import LLAMA2_7B
 
@@ -41,14 +42,15 @@ SPACE = DesignSpace(
 
 
 def _search(store: ResultStore):
+    workload = ServingSpec(arrival_rate=ARRIVAL_RATE,
+                           num_requests=NUM_REQUESTS, seed=SEED,
+                           slo=SLO(ttft_s=1.0, tpot_s=0.35))
     optimizer = CodesignOptimizer(
-        LLAMA2_7B, SPACE,
+        LLAMA2_7B, SPACE, workload,
         objectives=("cost-per-million-tokens", "p99-ttft"),
         constraints=(parse_constraint("slo>=0.9"),),
         strategy="successive-halving",
-        arrival_rate=ARRIVAL_RATE, num_requests=NUM_REQUESTS,
-        input_tokens=64, output_tokens=32,
-        slo=SLO(ttft_s=1.0, tpot_s=0.35), seed=SEED, store=store)
+        input_tokens=64, output_tokens=32, store=store)
     start = time.perf_counter()
     frontier = optimizer.run()
     return frontier, time.perf_counter() - start

@@ -27,7 +27,7 @@ import tempfile
 
 from repro.analysis.report import format_table
 from repro.optimize import CodesignOptimizer, DesignSpace, parse_constraint
-from repro.serving import SLO, FaultSpec
+from repro.serving import SLO, FaultSpec, ServingSpec
 from repro.sweep import ResultStore
 from repro.workloads.llm import LLAMA2_7B
 
@@ -44,13 +44,13 @@ CRASH = (FaultSpec("replica-crash", at_s=2.0, duration_s=6.0, replica=0),)
 
 
 def search(store: ResultStore, constraints=()):
+    workload = ServingSpec(arrival_rate=ARRIVAL_RATE, num_requests=2000,
+                           seed=7, slo=SLO_TARGET, faults=CRASH)
     optimizer = CodesignOptimizer(
-        LLAMA2_7B, SPACE,
+        LLAMA2_7B, SPACE, workload,
         objectives=("cost-per-million-tokens", "recovery-s"),
         constraints=constraints, strategy="exhaustive",
-        arrival_rate=ARRIVAL_RATE, num_requests=2000,
-        input_tokens=64, output_tokens=32, slo=SLO_TARGET, seed=7,
-        faults=CRASH, store=store)
+        input_tokens=64, output_tokens=32, store=store)
     frontier = optimizer.run()
 
     rows = [[point.result.replicas, f"${point.values[0]:.3f}",

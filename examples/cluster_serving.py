@@ -21,9 +21,10 @@ from repro.serving import (
     ROUTER_REGISTRY,
     ClusterSimulator,
     ServingSimulator,
+    ServingSpec,
     generate_trace,
 )
-from repro.workloads.chat import RequestClass
+from repro.workloads.chat import ChatServingSettings, RequestClass
 from repro.workloads.llm import LLAMA2_7B
 
 REPLICAS = 4
@@ -55,9 +56,11 @@ def main() -> None:
         title=f"{LLAMA2_7B.name} chat mix on {REPLICAS}x design-a "
               "(bursty arrivals, seed 7)"))
 
-    plan = plan_fleet(LLAMA2_7B, design_a(), arrival_rate=8.0, slo=SLO_TARGET,
-                      request_classes=MIX, attainment_target=0.9,
-                      max_replicas=12, num_requests=400, seed=7)
+    spec = ServingSpec(arrival_rate=8.0, num_requests=400, seed=7,
+                       slo=SLO_TARGET, router="least-outstanding-requests")
+    plan = plan_fleet(LLAMA2_7B, design_a(), spec,
+                      ChatServingSettings(request_classes=MIX),
+                      attainment_target=0.9, max_replicas=12)
     if plan.met:
         print(f"\nfleet plan: {plan.replicas} replica(s) meet the SLO at "
               f"8 req/s (tried {len(plan.evaluations)} fleet sizes)")

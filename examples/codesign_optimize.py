@@ -21,7 +21,7 @@ import tempfile
 
 from repro.analysis.report import format_table
 from repro.optimize import CodesignOptimizer, DesignSpace, parse_constraint
-from repro.serving import SLO
+from repro.serving import SLO, ServingSpec
 from repro.sweep import ResultStore
 from repro.workloads.llm import LLAMA2_7B
 
@@ -36,14 +36,14 @@ SPACE = DesignSpace(
 
 
 def run(store: ResultStore) -> None:
+    workload = ServingSpec(arrival_rate=ARRIVAL_RATE, num_requests=400,
+                           seed=7, slo=SLO_TARGET)
     optimizer = CodesignOptimizer(
-        LLAMA2_7B, SPACE,
+        LLAMA2_7B, SPACE, workload,
         objectives=("cost-per-million-tokens", "p99-ttft"),
         constraints=(parse_constraint("slo>=0.9"),),
         strategy="successive-halving",
-        arrival_rate=ARRIVAL_RATE, num_requests=400,
-        input_tokens=64, output_tokens=32, slo=SLO_TARGET, seed=7,
-        store=store)
+        input_tokens=64, output_tokens=32, store=store)
     frontier = optimizer.run()
 
     rows = [[point.result.design, point.result.precision, point.result.replicas,

@@ -15,13 +15,16 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
-from types import SimpleNamespace
+from typing import TYPE_CHECKING
 
 from repro.common import Precision, ceil_div
 from repro.core.config import TPUConfig
 from repro.workloads.dit import DiTConfig
 from repro.workloads.llm import LLMConfig
 from repro.workloads.moe import MoEConfig
+
+if TYPE_CHECKING:  # pragma: no cover - type-only import
+    from repro.serving.spec import ServingSpec
 
 
 @dataclass(frozen=True)
@@ -219,122 +222,66 @@ def fleet_lower_bound(model: LLMConfig, tpu: TPUConfig, *, arrival_rate: float,
     return max(1, int(math.ceil(arrival_rate / per_replica_rate)))
 
 
-def plan_fleet(model: LLMConfig, tpu: TPUConfig, *, arrival_rate: float,
-               slo=None, request_classes=None, attainment_target: float = 0.95,
-               max_replicas: int = 16, num_requests: int = 400, seed: int = 0,
-               trace_kind: str = "poisson", scheduler: str = "fcfs",
-               router: str = "least-outstanding-requests",
-               autoscaler: str = "fixed", max_batch: int = 32,
-               precision: Precision = Precision.INT8,
-               devices: int | None = None, memory_utilisation: float = 0.9,
-               cost_model=None, faults=(), overlay=None,
-               fidelity: str = "exact", store=None, settings=None,
-               telemetry=None) -> FleetPlan:
+def plan_fleet(model: LLMConfig, tpu: TPUConfig, spec: "ServingSpec",
+               settings: object, *,
+               attainment_target: float = 0.95, max_replicas: int = 16,
+               store=None, telemetry=None) -> FleetPlan:
     """Smallest replica count that meets an SLO at a target request rate.
 
-    Replays one seeded trace (``trace_kind`` arrivals at ``arrival_rate``
-    over the request mix) through fleets of identical replicas, growing the
-    fleet until the SLO attainment reaches ``attainment_target``, and
-    returns the first count that met it together with every evaluation
-    tried — the fleet analogue of :func:`plan_capacity`.  Fleets that
-    cannot even sustain the offered token throughput are skipped up front:
-    the search starts at the capacity lower bound ``ceil(arrival_rate ×
-    mean output tokens / estimated per-replica decode throughput)``, the
-    same estimate the cluster's router acts on.  All fleets share step
-    prices through the process-wide step-price table, so the incremental
-    cost of each extra evaluation is the event loop, not re-pricing.
+    Replays the seeded trace of the :class:`~repro.serving.spec.ServingSpec`
+    ``spec`` (its arrivals over the request mix of the scenario
+    ``settings``) through fleets of identical replicas, growing
+    ``spec.replicas`` until the SLO attainment reaches
+    ``attainment_target``, and returns the first count that met it
+    together with every evaluation tried — the fleet analogue of
+    :func:`plan_capacity`.  Fleets that cannot even sustain the offered
+    token throughput are skipped up front: the search starts at the
+    capacity lower bound ``ceil(arrival_rate × mean output tokens /
+    estimated per-replica decode throughput)``, the same estimate the
+    cluster's router acts on.  All fleets share step prices through the
+    process-wide step-price table, so the incremental cost of each extra
+    evaluation is the event loop, not re-pricing.
 
-    ``fidelity="fluid"`` sizes the fleet with the closed-form estimator
+    A fluid ``spec`` sizes the fleet with the closed-form estimator
     instead of event-loop replays — each candidate fleet costs
     milliseconds regardless of trace length, at the estimator's
-    golden-bounded error (chaos plans must stay exact).
+    golden-bounded error.  A chaos-aware spec sizes the fleet against the
+    degraded trace and fleet: the overlay warps the arrivals, the faults
+    replay in every evaluation.
 
     Every candidate fleet is one
     :func:`~repro.serving.cluster.simulate_cluster` call.  With a persistent
     ``store`` each is keyed by
     :func:`~repro.serving.cluster.cluster_run_key`, so a repeated plan
-    replays nothing.  Store keys fingerprint the scenario ``settings``, so
-    a store-backed plan requires them (the request classes and precision
-    are then derived from the settings rather than passed separately); the
-    plan itself is bit-for-bit the storeless one.
+    replays nothing; the plan itself is bit-for-bit the storeless one.
 
     Raises
     ------
     ValueError
-        On a non-positive rate/fleet ceiling, a target outside (0, 1], a
-        fluid plan with faults/overlay, a ``store`` without ``settings``,
-        or settings that disagree with ``request_classes``/``precision``.
+        On a non-positive fleet ceiling or a target outside (0, 1].
     """
     # Imported lazily: repro.serving layers on top of repro.analysis, so a
     # top-level import here would be circular.
-    from repro.serving.cluster import FleetCostModel, simulate_cluster
-    from repro.serving.metrics import SLO
-    from repro.serving.spec import ServingSpec
+    from repro.serving.cluster import simulate_cluster
     from repro.serving.trace import request_classes_from_settings
-    from repro.workloads.chat import DEFAULT_REQUEST_MIX
 
-    if arrival_rate <= 0:
-        raise ValueError("arrival_rate must be positive")
     if max_replicas <= 0:
         raise ValueError("max_replicas must be positive")
     if not 0 < attainment_target <= 1:
         raise ValueError("attainment_target must be in (0, 1]")
-    if store is not None and settings is None:
-        raise ValueError("a store-backed fleet plan needs the scenario "
-                         "settings that define its request classes")
-    slo = slo if slo is not None else SLO()
-    classes = tuple(request_classes) if request_classes else DEFAULT_REQUEST_MIX
-    if settings is not None:
-        derived = tuple(request_classes_from_settings(settings))
-        if request_classes is not None and tuple(request_classes) != derived:
-            raise ValueError("request_classes disagree with the scenario "
-                             "settings they would be stored under")
-        classes = derived
-        settings_precision = getattr(settings, "precision", precision)
-        if settings_precision != precision:
-            raise ValueError("precision disagrees with the scenario settings "
-                             "it would be stored under")
-    else:
-        settings = SimpleNamespace(request_classes=classes, precision=precision)
-    cost_model = cost_model if cost_model is not None else FleetCostModel()
-
-    # Per-replica sustainable request rate: prefill serialises on the engine
-    # while decode shares max_batch slots — the binding one caps the rate.
     lower_bound = fleet_lower_bound(
-        model, tpu, arrival_rate=arrival_rate, request_classes=classes,
-        scheduler=scheduler, max_batch=max_batch, precision=precision,
-        devices=devices, memory_utilisation=memory_utilisation)
-
-    def repriced(report):
-        # simulate_cluster prices with the default sheet; re-price under
-        # this plan's cost model so the evaluations stay comparable.  The
-        # formula mirrors ClusterSimulator.run exactly, so re-pricing with
-        # an equal model is the identity and plans stay bit-for-bit.
-        if report.cost_model == cost_model:
-            return report
-        dollars = cost_model.run_dollars(report.chip_hours,
-                                         report.total_energy_joules)
-        return dataclasses.replace(
-            report, cost_model=cost_model,
-            cost_per_million_tokens_dollars=(
-                dollars / (report.total_tokens / 1e6)
-                if report.total_tokens else 0.0))
+        model, tpu, arrival_rate=spec.arrival_rate,
+        request_classes=request_classes_from_settings(settings),
+        scheduler=spec.scheduler, max_batch=spec.max_batch,
+        precision=settings.precision, devices=spec.devices,
+        memory_utilisation=spec.memory_utilisation)
 
     evaluations: list[FleetEvaluation] = []
     met_at: int | None = None
     for count in range(min(lower_bound, max_replicas), max_replicas + 1):
-        # A chaos-aware plan sizes the fleet against the degraded trace and
-        # fleet: the overlay warps the arrivals, the faults replay in every
-        # evaluation.
-        spec = ServingSpec(
-            scheduler=scheduler, trace=trace_kind,
-            arrival_rate=arrival_rate, num_requests=num_requests,
-            seed=seed, max_batch=max_batch, devices=devices,
-            memory_utilisation=memory_utilisation, slo=slo,
-            replicas=count, router=router, autoscaler=autoscaler,
-            faults=tuple(faults), overlay=overlay, fidelity=fidelity)
-        report = repriced(simulate_cluster(model, tpu, spec, settings,
-                                           store=store, telemetry=telemetry))
+        report = simulate_cluster(model, tpu,
+                                  dataclasses.replace(spec, replicas=count),
+                                  settings, store=store, telemetry=telemetry)
         evaluations.append(FleetEvaluation(
             replicas=count, slo_attainment=report.slo_attainment,
             p99_ttft_s=report.ttft.p99_s, p99_tpot_s=report.tpot.p99_s,
@@ -346,7 +293,7 @@ def plan_fleet(model: LLMConfig, tpu: TPUConfig, *, arrival_rate: float,
             met_at = count
             break
     return FleetPlan(model_name=model.name, tpu_name=tpu.name,
-                     arrival_rate=arrival_rate,
+                     arrival_rate=spec.arrival_rate,
                      attainment_target=attainment_target,
                      met=met_at is not None, replicas=met_at,
                      evaluations=tuple(evaluations))

@@ -27,9 +27,6 @@ from repro.api.requests import (
     OptimizeRequest,
     SimulateRequest,
     SweepRequest,
-    _parse_faults,
-    _parse_overlay,
-    _slo,
     request_from_dict,
 )
 from repro.api.responses import (
@@ -90,10 +87,9 @@ def simulate(request: SimulateRequest, *, store: "ResultStore | None" = None,
 
     model, config, settings = request.resolve()
     spec = request.spec()
-    fleet_run = spec.replicas > 1 or bool(spec.faults)
     view = _view(store)
     try:
-        if fleet_run:
+        if spec.fleet:
             report = simulate_cluster(model, config, spec, settings,
                                       store=view, telemetry=telemetry)
             payload = report.to_dict(include_requests=False)
@@ -107,7 +103,7 @@ def simulate(request: SimulateRequest, *, store: "ResultStore | None" = None,
     return SimulateResponse(
         fingerprint=request_fingerprint(request), served_from_store=hits > 0,
         new_simulations=0 if hits else 1, store_hits=hits,
-        store_misses=misses, fleet=fleet_run, report=payload)
+        store_misses=misses, fleet=spec.fleet, report=payload)
 
 
 # --------------------------------------------------------------------- fleet
@@ -115,25 +111,14 @@ def fleet(request: FleetRequest, *, store: "ResultStore | None" = None,
           telemetry: "Telemetry | None" = None) -> FleetResponse:
     """Size a replica fleet for the request's SLO at its target rate."""
     from repro.analysis.capacity import plan_fleet
-    from repro.serving.trace import request_classes_from_settings
 
     model, config, settings = request.resolve()
     view = _view(store)
     try:
-        plan = plan_fleet(
-            model, config, arrival_rate=request.rate,
-            slo=_slo(request.slo_ttft, request.slo_tpot),
-            request_classes=request_classes_from_settings(settings),
-            attainment_target=request.attainment,
-            max_replicas=request.max_replicas,
-            num_requests=request.requests, seed=request.seed,
-            trace_kind=request.trace, scheduler=request.scheduler,
-            router=request.router, max_batch=request.max_batch,
-            precision=Precision(request.precision),
-            faults=_parse_faults(request.faults),
-            overlay=_parse_overlay(request.overlay),
-            fidelity=request.fidelity, store=view, settings=settings,
-            telemetry=telemetry)
+        plan = plan_fleet(model, config, request.spec(), settings,
+                          attainment_target=request.attainment,
+                          max_replicas=request.max_replicas, store=view,
+                          telemetry=telemetry)
     except (ValueError, OSError) as error:
         raise _engine_error(error) from None
     hits, misses = _counts(view)
@@ -177,16 +162,13 @@ def optimize(request: OptimizeRequest, *, store: "ResultStore | None" = None,
     view = _view(store)
     try:
         optimizer = CodesignOptimizer(
-            model, request.space(), objectives=request.objective_list(),
+            model, request.space(), request.spec(),
+            objectives=request.objective_list(),
             constraints=request.constraint_list(), strategy=request.strategy,
-            arrival_rate=request.rate, num_requests=request.requests,
             scenario=request.scenario, input_tokens=request.input_tokens,
-            output_tokens=request.output_tokens, trace=request.trace,
-            slo=_slo(request.slo_ttft, request.slo_tpot), seed=request.seed,
-            budget=request.budget, store=view,
-            use_capacity_bound=request.capacity_bound,
-            faults=_parse_faults(request.faults),
-            overlay=_parse_overlay(request.overlay), telemetry=telemetry)
+            output_tokens=request.output_tokens, budget=request.budget,
+            store=view, use_capacity_bound=request.capacity_bound,
+            telemetry=telemetry)
         frontier = optimizer.run()
     except (KeyError, ValueError, OSError) as error:
         raise _engine_error(error) from None

@@ -166,6 +166,23 @@ def _slo(ttft: float, tpot: float) -> SLO:
         raise invalid_field("slo_ttft", str(error)) from None
 
 
+def _serving_spec(request, **fields) -> ServingSpec:
+    """A serving request's :class:`ServingSpec` (validated; chaos strings
+    parsed): the workload fields every serving kind has, plus the spec
+    ``fields`` one kind adds.
+    """
+    try:
+        return ServingSpec(
+            trace=request.trace, arrival_rate=request.rate,
+            num_requests=request.requests, seed=request.seed,
+            slo=_slo(request.slo_ttft, request.slo_tpot),
+            faults=_parse_faults(request.faults),
+            overlay=_parse_overlay(request.overlay), **fields)
+    except (TypeError, ValueError) as error:
+        raise ApiRequestError(ApiError(code="invalid-field",
+                                       message=str(error))) from None
+
+
 # ------------------------------------------------------------ envelope codec
 def envelope_payload(envelope) -> dict[str, Any]:
     """A request or response as JSON: kind, schema version, then fields.
@@ -382,22 +399,13 @@ class SimulateRequest(_Request):
                                  output_tokens=self.output_tokens)
 
     def spec(self) -> ServingSpec:
-        """The run's :class:`ServingSpec` (validated; chaos strings parsed)."""
-        try:
-            return ServingSpec(
-                scheduler=self.scheduler, trace=self.trace,
-                arrival_rate=self.rate, num_requests=self.requests,
-                seed=self.seed, max_batch=self.max_batch,
-                bucket_tokens=self.bucket, devices=self.devices,
-                slo=_slo(self.slo_ttft, self.slo_tpot),
-                replicas=self.replicas, router=self.router,
-                autoscaler=self.autoscaler, min_replicas=self.min_replicas,
-                faults=_parse_faults(self.faults),
-                overlay=_parse_overlay(self.overlay),
-                fidelity=self.fidelity)
-        except (TypeError, ValueError) as error:
-            raise ApiRequestError(ApiError(code="invalid-field",
-                                           message=str(error))) from None
+        """The run's :class:`ServingSpec`."""
+        return _serving_spec(
+            self, scheduler=self.scheduler, max_batch=self.max_batch,
+            bucket_tokens=self.bucket, devices=self.devices,
+            replicas=self.replicas, router=self.router,
+            autoscaler=self.autoscaler, min_replicas=self.min_replicas,
+            fidelity=self.fidelity)
 
 
 # -------------------------------------------------------------------- fleet
@@ -439,13 +447,12 @@ class FleetRequest(_Request):
         _check_positive(self.rate, "rate")
         _check_positive(self.max_replicas, "max_replicas")
         _check_positive(self.requests, "requests")
+        _check_positive(self.max_batch, "max_batch")
         if not 0 < self.attainment <= 1:
             raise invalid_field("attainment",
                                 "attainment_target must be in (0, 1]")
         _check_fidelity(self.fidelity, self.faults, self.overlay)
-        _slo(self.slo_ttft, self.slo_tpot)
-        _parse_faults(self.faults)
-        _parse_overlay(self.overlay)
+        self.spec()
 
     def resolve(self):
         """(model, chip config, scenario settings) of this plan."""
@@ -456,6 +463,13 @@ class FleetRequest(_Request):
                                  batch=self.batch, precision=self.precision,
                                  input_tokens=self.input_tokens,
                                  output_tokens=self.output_tokens)
+
+    def spec(self) -> ServingSpec:
+        """The plan's one-replica :class:`ServingSpec`; the planner grows
+        its ``replicas``."""
+        return _serving_spec(self, scheduler=self.scheduler,
+                             max_batch=self.max_batch, router=self.router,
+                             fidelity=self.fidelity)
 
 
 # -------------------------------------------------------------------- sweep
@@ -589,9 +603,7 @@ class OptimizeRequest(_Request):
             raise invalid_field("scenario",
                                 f"scenario '{self.scenario}' does not "
                                 f"support model '{self.llm}'")
-        _slo(self.slo_ttft, self.slo_tpot)
-        _parse_faults(self.faults)
-        _parse_overlay(self.overlay)
+        self.spec()
 
     def resolve_model(self) -> LLMConfig:
         """The search's LLM (optimisation prices serving fleets)."""
@@ -601,6 +613,11 @@ class OptimizeRequest(_Request):
                 "llm", f"'{self.llm}' is not an LLM; co-design optimisation "
                        "prices serving fleets")
         return model
+
+    def spec(self) -> ServingSpec:
+        """The search's workload :class:`ServingSpec`; each candidate
+        supplies its own deployment and fleet shape."""
+        return _serving_spec(self)
 
     def objective_list(self):
         return [_registered(OBJECTIVE_REGISTRY, name, "objectives")

@@ -158,11 +158,10 @@ logger = logging.getLogger(__name__)
 
 
 def _telemetry_from_args(args: argparse.Namespace) -> Telemetry | None:
-    """An enabled telemetry sink when the run asked for exports, else None.
+    """A telemetry sink when the run asked for exports, else None.
 
-    ``None`` (not a disabled instance) keeps instrumented hot paths on
-    their zero-overhead branch; interval validation errors surface as
-    usage errors, not tracebacks.
+    ``None`` keeps instrumented hot paths on their zero-overhead branch;
+    interval validation errors surface as usage errors, not tracebacks.
     """
     if not (getattr(args, "trace_out", None) or getattr(args, "metrics_out", None)):
         return None
@@ -507,7 +506,7 @@ def _print_cluster_report(report, args: argparse.Namespace, model) -> None:
 def cmd_serve(args: argparse.Namespace) -> int:
     """Run the discrete-event serving simulator (one deployment or a fleet)."""
     request = _request(repro_api.SimulateRequest, args)
-    model, config, _ = request.resolve()
+    model, config, settings = request.resolve()
     spec = request.spec()
     if args.trace_file and spec.fidelity == "fluid":
         raise SystemExit("--fidelity fluid prices the scenario's request "
@@ -515,15 +514,15 @@ def cmd_serve(args: argparse.Namespace) -> int:
     if args.trace_file and args.store:
         raise SystemExit("--store caches generated-trace runs keyed by their "
                          "spec; --trace-file replays are not stored")
-    if spec.replicas == 1 and not spec.faults and (
-            spec.router != "round-robin" or spec.autoscaler != "fixed"
-            or spec.min_replicas != 1):
+    # Fault injection lives at the routing layer, so a faulted run goes
+    # through the cluster simulator even at --replicas 1.
+    fleet_run = spec.fleet
+    if not fleet_run and (spec.router != "round-robin"
+                          or spec.autoscaler != "fixed"
+                          or spec.min_replicas != 1):
         logger.warning("--router/--autoscaler/--min-replicas apply only with "
                        "--replicas > 1 (or --faults); running a single "
                        "deployment")
-    # Fault injection lives at the routing layer, so a faulted run goes
-    # through the cluster simulator even at --replicas 1.
-    fleet_run = spec.replicas > 1 or bool(spec.faults)
     telemetry = _telemetry_from_args(args)
     store = _open_store(args.store, telemetry)
 
@@ -532,18 +531,9 @@ def cmd_serve(args: argparse.Namespace) -> int:
         trace = load_trace_jsonl(args.trace_file)
         if spec.overlay is not None:
             trace = apply_overlay(trace, spec.overlay)
-        replicas = [ServingSimulator(
-            model, config, scheduler=spec.scheduler,
-            precision=Precision(request.precision), max_batch=spec.max_batch,
-            bucket_tokens=spec.bucket_tokens, devices=spec.devices)
-            for _ in range(spec.replicas)]
-        if not fleet_run:
-            return replicas[0].run(trace, slo=spec.slo, telemetry=tel)
-        cluster = ClusterSimulator(replicas, router=spec.router,
-                                   autoscaler=spec.autoscaler,
-                                   min_replicas=spec.min_replicas,
-                                   faults=spec.faults)
-        return cluster.run(trace, slo=spec.slo, telemetry=tel)
+        engine_type = ClusterSimulator if fleet_run else ServingSimulator
+        engine = engine_type.for_spec(model, config, spec, settings)
+        return engine.run(trace, slo=spec.slo, telemetry=tel)
 
     def run_once(tel: Telemetry | None = None, api_store=None):
         """One full serve pipeline -> (report object, facade response|None)."""

@@ -24,7 +24,6 @@ from repro.gateway.server import (
     MAX_BODY_BYTES,
     GatewayServer,
     error_status,
-    serve_gateway,
 )
 
 __all__ = [
@@ -35,5 +34,4 @@ __all__ = [
     "MAX_BODY_BYTES",
     "GatewayServer",
     "error_status",
-    "serve_gateway",
 ]

@@ -271,15 +271,3 @@ class GatewayServer:
 
     def __exit__(self, *exc_info) -> None:
         self.close()
-
-
-def serve_gateway(store=None, *, host: str = "127.0.0.1", port: int = 8080,
-                  workers: int = 2) -> None:
-    """Blocking entry point used by ``repro-sim gateway``."""
-    server = GatewayServer(store, host=host, port=port, workers=workers)
-    try:
-        server.serve_forever()
-    except KeyboardInterrupt:
-        pass
-    finally:
-        server.close()

@@ -15,9 +15,9 @@ of a subsystem") have teeth here:
   receiver, or an early ``if telemetry is None ...: return`` in the same
   function — so the disabled path never even reaches the sink.
 
-Receivers with other names (the narrowed ``tel`` locals the engines
-assign under an enabledness check) are trusted: the convention is narrow
-once, emit freely.
+Receivers with other names (the ``tel`` locals the engines bind once
+and test with ``is not None``) are trusted: the convention is test once,
+emit freely.
 """
 
 from __future__ import annotations
@@ -36,9 +36,8 @@ _HOT_PREFIX = "src/repro/serving/"
 
 _DEFER_HINT = ("capture raw tuples in the loop and register a "
                "Telemetry.defer translator; records materialise at read time")
-_GUARD_HINT = ("guard the call site (`if telemetry:`) or narrow once — "
-               "`tel = telemetry if telemetry is not None and "
-               "telemetry.enabled else None`")
+_GUARD_HINT = ("guard the call site (`if telemetry is not None:`) or "
+               "return early on `telemetry is None`")
 
 
 def _receiver_source(node: ast.AST) -> str | None:

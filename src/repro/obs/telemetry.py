@@ -73,20 +73,17 @@ class Gauge:
 class Telemetry:
     """Collects spans/events/counters/gauges for one run.
 
-    ``enabled=False`` constructs a recognisable no-op sink: every emit
-    method returns immediately.  Hot paths should not even get that far —
-    the convention throughout the codebase is ``telemetry=None`` off,
-    an enabled instance on, with one truthiness check at the call site.
+    ``telemetry=None`` is the off switch throughout the codebase: an
+    instance is on, and each call site tests ``is not None`` once, so hot
+    paths never reach a sink that is off.
     """
 
-    __slots__ = ("enabled", "gauge_interval_s", "counters", "_spans",
+    __slots__ = ("gauge_interval_s", "counters", "_spans",
                  "_events", "_gauges", "_pending", "_wall_epoch")
 
-    def __init__(self, *, enabled: bool = True,
-                 gauge_interval_s: float = 1.0) -> None:
+    def __init__(self, *, gauge_interval_s: float = 1.0) -> None:
         if gauge_interval_s <= 0:
             raise ValueError("gauge_interval_s must be positive")
-        self.enabled = enabled
         self.gauge_interval_s = gauge_interval_s
         self._spans: list[Span] = []
         self._events: list[Event] = []
@@ -95,9 +92,6 @@ class Telemetry:
         #: Deferred bulk producers (see :meth:`defer`) not yet materialised.
         self._pending: list = []
         self._wall_epoch = time.perf_counter()
-
-    def __bool__(self) -> bool:
-        return self.enabled
 
     # ------------------------------------------------------------------
     # Storage — records materialise lazily
@@ -114,8 +108,6 @@ class Telemetry:
         run — the construction cost lands at export/report time, where the
         <5 % enabled-overhead budget does not apply.
         """
-        if not self.enabled:
-            return
         self._pending.append(materialize)
 
     def _drain(self) -> None:
@@ -147,31 +139,23 @@ class Telemetry:
 
     def span(self, track: str, name: str, start_s: float, end_s: float,
              args: dict | None = None) -> None:
-        if not self.enabled:
-            return
         if self._pending:
             self._drain()
         self._spans.append(Span(track, name, start_s, end_s, args))
 
     def event(self, track: str, name: str, time_s: float,
               args: dict | None = None, *, scope: str = "t") -> None:
-        if not self.enabled:
-            return
         if self._pending:
             self._drain()
         self._events.append(Event(track, name, time_s, args, scope))
 
     def gauge(self, track: str, name: str, time_s: float,
               value: float) -> None:
-        if not self.enabled:
-            return
         if self._pending:
             self._drain()
         self._gauges.append(Gauge(track, name, time_s, value))
 
     def count(self, name: str, delta: float = 1) -> None:
-        if not self.enabled:
-            return
         self.counters[name] = self.counters.get(name, 0) + delta
 
     # ------------------------------------------------------------------
@@ -186,9 +170,6 @@ class Telemetry:
     def wall_span(self, track: str, name: str,
                   args: dict | None = None) -> Iterator[None]:
         """Time a block against the wall clock and record it as a span."""
-        if not self.enabled:
-            yield
-            return
         start = time.perf_counter()
         try:
             yield
@@ -201,8 +182,6 @@ class Telemetry:
 
     def wall_event(self, track: str, name: str,
                    args: dict | None = None, *, scope: str = "t") -> None:
-        if not self.enabled:
-            return
         if self._pending:
             self._drain()
         self._events.append(Event(track, name, self.wall_now(), args, scope))

@@ -12,14 +12,16 @@ and constraints (SLO attainment floors, HBM fit).
 Typical usage::
 
     from repro.optimize import CodesignOptimizer, DesignSpace
+    from repro.serving import ServingSpec
     from repro.sweep import ResultStore
     from repro.workloads.llm import LLAMA2_7B
 
     space = DesignSpace(designs=("baseline", "design-a"),
                         replica_counts=(2, 4, 8))
+    workload = ServingSpec(arrival_rate=32.0, num_requests=200)
     optimizer = CodesignOptimizer(
-        LLAMA2_7B, space, strategy="successive-halving",
-        arrival_rate=32.0, store=ResultStore("codesign.jsonl"))
+        LLAMA2_7B, space, workload, strategy="successive-halving",
+        store=ResultStore("codesign.jsonl"))
     frontier = optimizer.run()          # re-running is pure store lookup
 
 Every surface is an open registry (``OBJECTIVE_REGISTRY``,

@@ -41,9 +41,8 @@ from repro.core.config import TPUConfig
 from repro.core.designs import PREDEFINED_DESIGNS
 from repro.optimize.space import Candidate
 from repro.serving.cluster import cluster_run_key, simulate_cluster
-from repro.serving.faults import FaultSpec
-from repro.serving.metrics import SLO
-from repro.serving.trace import OverlaySpec, request_classes_from_settings
+from repro.serving.spec import ServingSpec
+from repro.serving.trace import request_classes_from_settings
 from repro.sweep.store import StoreView
 from repro.workloads.llm import LLMConfig
 from repro.workloads.registry import get_scenario
@@ -107,46 +106,32 @@ class CandidateResult:
 class CandidateEvaluator:
     """Prices candidates for the search strategies, counting every run."""
 
-    def __init__(self, model: LLMConfig, *, arrival_rate: float,
-                 num_requests: int = 200, scenario: str = "chat-serving",
-                 input_tokens: int = 1024, output_tokens: int = 512,
-                 trace: str = "poisson", slo: SLO = SLO(), seed: int = 0,
+    def __init__(self, model: LLMConfig, workload: ServingSpec, *,
+                 scenario: str = "chat-serving", input_tokens: int = 1024,
+                 output_tokens: int = 512,
                  designs: Mapping[str, TPUConfig] | None = None,
                  store: "ResultStore | StoreView | None" = None,
-                 faults: tuple[FaultSpec, ...] = (),
-                 overlay: OverlaySpec | None = None,
                  telemetry: "Telemetry | None" = None) -> None:
         if not isinstance(model, LLMConfig):
             raise ValueError("co-design optimisation prices serving fleets; "
                              f"'{getattr(model, 'name', model)}' is not an LLM")
-        if arrival_rate <= 0:
-            raise ValueError("arrival_rate must be positive")
-        if num_requests <= 0:
-            raise ValueError("num_requests must be positive")
         spec = get_scenario(scenario)
         if not spec.supports(model):
             raise ValueError(f"scenario '{scenario}' does not support "
                              f"model '{model.name}'")
         self.model = model
-        self.arrival_rate = arrival_rate
-        self.num_requests = num_requests
+        #: The serving workload every candidate deploys on, chaos included
+        #: (:meth:`Candidate.serving_spec`).
+        self.workload = workload
         self.scenario = spec
         self.input_tokens = input_tokens
         self.output_tokens = output_tokens
-        self.trace = trace
-        self.slo = slo
-        self.seed = seed
         self.designs = dict(designs) if designs is not None else dict(PREDEFINED_DESIGNS)
         self.store = store
         #: Optional telemetry sink (wall-time domain): one span per
         #: candidate evaluation, labelled with fidelity and whether the
         #: persistent store answered it for free.
-        self.telemetry = (telemetry if telemetry is not None
-                          and telemetry.enabled else None)
-        # The chaos scenario is part of the evaluation, not the candidate:
-        # every candidate faces the same faults and drift.
-        self.faults = tuple(faults)
-        self.overlay = overlay
+        self.telemetry = telemetry
         self._settings: dict[str, object] = {}
         self._capacity_bounds: dict[tuple[str, str, str, int], int] = {}
         #: Fleet simulations actually executed at each fidelity, and runs
@@ -200,7 +185,7 @@ class CandidateEvaluator:
             settings = self.settings_for(candidate.precision)
             bound = fleet_lower_bound(
                 self.model, self.config_for(candidate.design),
-                arrival_rate=self.arrival_rate,
+                arrival_rate=self.workload.arrival_rate,
                 request_classes=request_classes_from_settings(settings),
                 scheduler=candidate.scheduler, max_batch=candidate.max_batch,
                 precision=Precision(candidate.precision))
@@ -219,20 +204,17 @@ class CandidateEvaluator:
         fidelity label and the content fingerprint both carry the choice,
         so screening and full-trace runs never share store entries.
         """
-        n = num_requests if num_requests is not None else self.num_requests
+        workload = self.workload
+        n = num_requests if num_requests is not None else workload.num_requests
         fidelity = ("fluid" if fluid
-                    else "full" if n == self.num_requests else "short")
+                    else "full" if n == workload.num_requests else "short")
         tel = self.telemetry
         started = tel.wall_now() if tel is not None else 0.0
         config = self.config_for(candidate.design)
         settings = self.settings_for(candidate.precision)
-        spec = candidate.serving_spec(arrival_rate=self.arrival_rate,
-                                      num_requests=n, seed=self.seed,
-                                      trace=self.trace, slo=self.slo,
-                                      faults=self.faults,
-                                      overlay=self.overlay)
-        if fluid:
-            spec = dataclasses.replace(spec, fidelity="fluid")
+        spec = dataclasses.replace(candidate.serving_spec(workload),
+                                   num_requests=n,
+                                   fidelity="fluid" if fluid else "exact")
         key = cluster_run_key(self.model, config, spec, settings)
         store = StoreView(self.store) if self.store is not None else None
         try:
@@ -265,7 +247,7 @@ class CandidateEvaluator:
             precision=candidate.precision, scheduler=candidate.scheduler,
             router=candidate.router, autoscaler=candidate.autoscaler,
             replicas=candidate.replicas, max_batch=candidate.max_batch,
-            arrival_rate=self.arrival_rate, num_requests=n, fidelity=fidelity,
+            arrival_rate=workload.arrival_rate, num_requests=n, fidelity=fidelity,
             feasible=True, infeasibility="",
             total_devices=report.total_devices, completed=report.completed,
             rejected=report.rejected, slo_attainment=report.slo_attainment,
@@ -292,8 +274,8 @@ class CandidateEvaluator:
             precision=candidate.precision, scheduler=candidate.scheduler,
             router=candidate.router, autoscaler=candidate.autoscaler,
             replicas=candidate.replicas, max_batch=candidate.max_batch,
-            arrival_rate=self.arrival_rate,
-            num_requests=num_requests if num_requests is not None else self.num_requests,
+            arrival_rate=self.workload.arrival_rate,
+            num_requests=num_requests if num_requests is not None else self.workload.num_requests,
             fidelity=fidelity, feasible=False, infeasibility=reason,
             total_devices=0, completed=0, rejected=0, slo_attainment=0.0,
             p99_ttft_s=0.0, p99_tpot_s=0.0, tokens_per_second=0.0,

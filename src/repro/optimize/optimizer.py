@@ -31,9 +31,7 @@ from repro.optimize.objectives import Constraint, Objective, get_objective
 from repro.optimize.pareto import ParetoFrontier, build_frontier
 from repro.optimize.search import SearchContext, SearchStrategy, get_search
 from repro.optimize.space import DesignSpace
-from repro.serving.faults import FaultSpec
-from repro.serving.metrics import SLO
-from repro.serving.trace import OverlaySpec
+from repro.serving.spec import ServingSpec
 from repro.workloads.llm import LLMConfig
 
 if TYPE_CHECKING:  # pragma: no cover - type-only import
@@ -44,19 +42,16 @@ if TYPE_CHECKING:  # pragma: no cover - type-only import
 class CodesignOptimizer:
     """Searches hardware × deployment space for Pareto-optimal designs."""
 
-    def __init__(self, model: LLMConfig, space: DesignSpace, *,
+    def __init__(self, model: LLMConfig, space: DesignSpace,
+                 workload: ServingSpec, *,
                  objectives: Sequence[str | Objective] = (
                      "cost-per-million-tokens", "p99-ttft"),
                  constraints: Sequence[Constraint] = (),
                  strategy: str | SearchStrategy = "exhaustive",
-                 arrival_rate: float = 8.0, num_requests: int = 200,
                  scenario: str = "chat-serving", input_tokens: int = 1024,
-                 output_tokens: int = 512, trace: str = "poisson",
-                 slo: SLO = SLO(), seed: int = 0, budget: int | None = None,
+                 output_tokens: int = 512, budget: int | None = None,
                  store: "ResultStore | None" = None,
                  use_capacity_bound: bool = True,
-                 faults: tuple[FaultSpec, ...] = (),
-                 overlay: OverlaySpec | None = None,
                  telemetry: "Telemetry | None" = None) -> None:
         if not objectives:
             raise ValueError("optimisation needs at least one objective")
@@ -67,20 +62,16 @@ class CodesignOptimizer:
         self.constraints = tuple(constraints)
         self.strategy = (strategy if isinstance(strategy, SearchStrategy)
                          else get_search(strategy))
-        self.seed = seed
         self.budget = budget
         self.use_capacity_bound = use_capacity_bound
         #: Optional telemetry sink (wall-time domain): capacity-pruning
         #: events here, promote/prune provenance inside the strategy.
-        self.telemetry = (telemetry if telemetry is not None
-                          and telemetry.enabled else None)
+        self.telemetry = telemetry
         self.evaluator = CandidateEvaluator(
-            model, arrival_rate=arrival_rate, num_requests=num_requests,
-            scenario=scenario, input_tokens=input_tokens,
-            output_tokens=output_tokens, trace=trace, slo=slo, seed=seed,
+            model, workload, scenario=scenario, input_tokens=input_tokens,
+            output_tokens=output_tokens,
             designs={name: space.config_for(name) for name in space.designs},
-            store=store, faults=faults, overlay=overlay,
-            telemetry=self.telemetry)
+            store=store, telemetry=telemetry)
 
     # -------------------------------------------------------------------- run
     def run(self) -> ParetoFrontier:
@@ -98,7 +89,7 @@ class CodesignOptimizer:
                     pruned.append(evaluator.infeasible(
                         candidate,
                         f"below the capacity lower bound of {bound} replicas "
-                        f"at {evaluator.arrival_rate:g} req/s"))
+                        f"at {evaluator.workload.arrival_rate:g} req/s"))
                     if tel is not None:
                         tel.wall_event("optimize", "capacity-prune", {
                             "candidate": candidate.summary(), "bound": bound})
@@ -108,8 +99,8 @@ class CodesignOptimizer:
             tel.count("optimize.capacity_pruned", len(pruned))
         context = SearchContext(
             candidates=tuple(searchable), evaluator=evaluator,
-            objectives=self.objectives, seed=self.seed, budget=self.budget,
-            telemetry=tel)
+            objectives=self.objectives, seed=evaluator.workload.seed,
+            budget=self.budget, telemetry=tel)
         if tel is not None:
             with tel.wall_span("optimize", f"search:{self.strategy.name}",
                                {"candidates": len(searchable)}):

@@ -11,7 +11,7 @@ built-in:
   fidelity; the classic cheap baseline for large spaces.
 * ``successive-halving`` — price *everything* with the closed-form fluid
   estimator first (chaos searches fall back to short exact traces of
-  ``num_requests // short_fraction`` — flows cannot replay fault
+  ``num_requests // SHORT_FRACTION`` — flows cannot replay fault
   timelines), prune the candidates that are Pareto-dominated at that cheap
   fidelity under a tie-guarding margin (fluid error is a correlated model
   bias, so ranks are trustworthy even where absolute values drift), and
@@ -46,6 +46,24 @@ if TYPE_CHECKING:  # pragma: no cover - type-only import
     from repro.obs.telemetry import Telemetry
 
 
+#: Short-trace divisor of multi-fidelity strategies.
+SHORT_FRACTION = 4
+#: Floor on short-trace length (percentiles need a few requests).
+MIN_SHORT_REQUESTS = 20
+#: Relative dominance margin of the cheap pruning pass: a candidate is
+#: only pruned when something beats it by this fraction on *every*
+#: objective, so short-vs-full metric drift cannot evict a true
+#: frontier point (see :func:`repro.optimize.pareto.dominates_with_margin`).
+PRUNE_MARGIN = 0.15
+#: Dominance margin of fluid-screened pruning.  Much *narrower* than
+#: the short-trace margin: the estimator's absolute error (golden
+#: bounds in tests/test_serving_fluid.py) is a correlated model bias —
+#: every candidate is priced by the same closed form — so relative
+#: ordering is far more reliable than absolute values, and the margin
+#: only needs to guard near-ties against rank inversion.
+FLUID_MARGIN = 0.01
+
+
 @dataclass
 class SearchContext:
     """Everything a strategy needs to run one search."""
@@ -60,22 +78,6 @@ class SearchContext:
     #: search ignores it; random sampling treats it as the sample size;
     #: successive halving caps the survivors it re-scores.
     budget: int | None = None
-    #: Short-trace divisor of multi-fidelity strategies.
-    short_fraction: int = 4
-    #: Floor on short-trace length (percentiles need a few requests).
-    min_short_requests: int = 20
-    #: Relative dominance margin of the cheap pruning pass: a candidate is
-    #: only pruned when something beats it by this fraction on *every*
-    #: objective, so short-vs-full metric drift cannot evict a true
-    #: frontier point (see :func:`repro.optimize.pareto.dominates_with_margin`).
-    prune_margin: float = 0.15
-    #: Dominance margin of fluid-screened pruning.  Much *narrower* than
-    #: the short-trace margin: the estimator's absolute error (golden
-    #: bounds in tests/test_serving_fluid.py) is a correlated model bias —
-    #: every candidate is priced by the same closed form — so relative
-    #: ordering is far more reliable than absolute values, and the margin
-    #: only needs to guard near-ties against rank inversion.
-    fluid_margin: float = 0.01
     #: Optional telemetry sink.  Multi-fidelity strategies emit one
     #: ``promote``/``prune`` event per candidate on the ``optimize`` track
     #: (wall time), carrying the margin and cheap-pass fidelity that
@@ -135,7 +137,7 @@ def _successive_halving(context: SearchContext) -> tuple[CandidateResult, ...]:
 
     The screening pass prices every candidate with the closed-form fluid
     estimator (full trace length — fluid cost does not depend on it) and
-    prunes with the wider ``fluid_margin``.  Chaos searches fall back to
+    prunes with the narrower ``FLUID_MARGIN``.  Chaos searches fall back to
     short exact traces: fault timelines and arrival-drift overlays act on
     the event loop, which a flow cannot replay.
 
@@ -143,20 +145,21 @@ def _successive_halving(context: SearchContext) -> tuple[CandidateResult, ...]:
     and never re-scored — the deployment does not fit at any fidelity.
     """
     evaluator = context.evaluator
-    use_fluid = not evaluator.faults and evaluator.overlay is None
+    workload = evaluator.workload
+    use_fluid = not workload.faults and workload.overlay is None
     if use_fluid:
         cheap = [evaluator.evaluate(candidate, fluid=True)
                  for candidate in context.candidates]
-        margin = context.fluid_margin
+        margin = FLUID_MARGIN
     else:
-        short_n = max(context.min_short_requests,
-                      evaluator.num_requests // context.short_fraction)
-        if short_n >= evaluator.num_requests:
+        short_n = max(MIN_SHORT_REQUESTS,
+                      workload.num_requests // SHORT_FRACTION)
+        if short_n >= workload.num_requests:
             # The real trace is already as cheap as the pruning pass.
             return _exhaustive(context)
         cheap = [evaluator.evaluate(candidate, num_requests=short_n)
                  for candidate in context.candidates]
-        margin = context.prune_margin
+        margin = PRUNE_MARGIN
     feasible = [result for result in cheap if result.feasible]
     infeasible = tuple(result for result in cheap if not result.feasible)
     survivors = non_dominated(feasible, context.objectives, margin=margin)
@@ -167,7 +170,7 @@ def _successive_halving(context: SearchContext) -> tuple[CandidateResult, ...]:
                                 result.cache_key))
         survivors = ordered[:context.budget]
     tel = context.telemetry
-    if tel is not None and tel.enabled:
+    if tel is not None:
         fidelity = "fluid" if use_fluid else "short"
         promoted = {result.cache_key for result in survivors}
         for result in feasible:

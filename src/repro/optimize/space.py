@@ -22,12 +22,9 @@ from repro.common import Precision
 from repro.core.config import TPUConfig
 from repro.core.designs import PREDEFINED_DESIGNS
 from repro.serving.autoscaler import get_autoscaler
-from repro.serving.faults import FaultSpec
-from repro.serving.metrics import SLO
 from repro.serving.router import get_router
 from repro.serving.scheduler import get_scheduler
 from repro.serving.spec import ServingSpec
-from repro.serving.trace import OverlaySpec
 
 
 @dataclass(frozen=True)
@@ -58,22 +55,20 @@ class Candidate:
             base += f" {self.router}/{self.autoscaler}"
         return f"{base} {self.scheduler} mb{self.max_batch}"
 
-    def serving_spec(self, *, arrival_rate: float, num_requests: int,
-                     seed: int = 0, trace: str = "poisson",
-                     slo: SLO = SLO(), faults: tuple[FaultSpec, ...] = (),
-                     overlay: OverlaySpec | None = None) -> ServingSpec:
-        """The fleet-shaped serving spec this candidate deploys.
+    def serving_spec(self, workload: ServingSpec) -> ServingSpec:
+        """The fleet-shaped serving spec this candidate deploys on ``workload``.
 
-        ``faults`` and ``overlay`` describe the evaluation *scenario*, not
-        the candidate: a chaos-aware search injects the same fault sources
-        and arrival drift into every candidate, so resilience objectives
-        and constraints compare designs under identical adversity.
+        The candidate supplies the deployment — scheduler, batch limit,
+        replica count, router and autoscaler — and the search's workload
+        everything else.  Its ``faults`` and ``overlay`` describe the
+        evaluation *scenario*, not the candidate: a chaos-aware search
+        injects the same fault sources and arrival drift into every
+        candidate, so resilience objectives and constraints compare
+        designs under identical adversity.
         """
-        return ServingSpec(
-            scheduler=self.scheduler, trace=trace, arrival_rate=arrival_rate,
-            num_requests=num_requests, seed=seed, max_batch=self.max_batch,
-            slo=slo, replicas=self.replicas, router=self.router,
-            autoscaler=self.autoscaler, faults=tuple(faults), overlay=overlay)
+        return replace(workload, scheduler=self.scheduler,
+                       max_batch=self.max_batch, replicas=self.replicas,
+                       router=self.router, autoscaler=self.autoscaler)
 
 
 @dataclass(frozen=True)

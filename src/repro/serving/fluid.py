@@ -46,7 +46,7 @@ from __future__ import annotations
 
 import math
 
-from repro.common import Precision, ceil_div
+from repro.common import ceil_div
 from repro.core.config import TPUConfig
 from repro.core.simulator import InferenceSimulator
 from repro.serving.metrics import LatencySummary, ServingReport
@@ -121,12 +121,8 @@ def estimate_serving(model: LLMConfig, tpu_config: TPUConfig,
         raise ValueError("fault injection needs the exact event loop; "
                          "fluid fidelity cannot replay fault timelines")
     classes = request_classes_from_settings(settings)
-    engine = ServingSimulator(
-        model, tpu_config, scheduler=spec.scheduler,
-        precision=getattr(settings, "precision", Precision.INT8),
-        max_batch=spec.max_batch, bucket_tokens=spec.bucket_tokens,
-        devices=spec.devices, memory_utilisation=spec.memory_utilisation,
-        simulator=simulator)
+    engine = ServingSimulator.for_spec(model, tpu_config, spec, settings,
+                                      simulator=simulator)
     costs = engine.costs
     kv_per_token = engine.kv_bytes_per_token
 

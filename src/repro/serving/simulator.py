@@ -203,6 +203,20 @@ class ServingSimulator:
         #: KV-cache bytes one token of one sequence occupies (all layers).
         self.kv_bytes_per_token = model.kv_cache_bytes(1, 1, precision)
 
+    @classmethod
+    def for_spec(cls, model: LLMConfig, tpu_config: TPUConfig,
+                 spec: ServingSpec, settings: object, *,
+                 simulator: InferenceSimulator | None = None,
+                 ) -> "ServingSimulator":
+        """The engine one deployment of ``spec`` runs on; the precision
+        follows the scenario ``settings``."""
+        return cls(model, tpu_config, scheduler=spec.scheduler,
+                   precision=getattr(settings, "precision", Precision.INT8),
+                   max_batch=spec.max_batch, bucket_tokens=spec.bucket_tokens,
+                   devices=spec.devices,
+                   memory_utilisation=spec.memory_utilisation,
+                   simulator=simulator)
+
     # ------------------------------------------------------------- deployment
     def kv_budget(self, devices: int) -> int:
         """KV bytes a ``devices``-chip deployment can commit (may be <= 0)."""
@@ -246,7 +260,7 @@ class ServingSimulator:
         chunk's start, with chunks capped at the next window boundary so a
         long chunk cannot smear one factor across a boundary.
 
-        ``telemetry`` (an enabled :class:`~repro.obs.telemetry.Telemetry`)
+        ``telemetry`` (a :class:`~repro.obs.telemetry.Telemetry`)
         captures reject/admit/complete events, prefill/decode spans and
         fixed-interval gauges onto ``telemetry_track`` — the cluster layer
         names one track per replica.  Telemetry only *reads* loop state:
@@ -289,7 +303,7 @@ class ServingSimulator:
         token_limit = budget // self.kv_bytes_per_token
         admissible: list[Request] = []
         rejected = 0
-        tel = telemetry if telemetry is not None and telemetry.enabled else None
+        tel = telemetry
         for request in ordered_trace:
             if request.input_tokens + request.output_tokens > token_limit:
                 rejected += 1
@@ -792,7 +806,7 @@ def emit_report_summary(telemetry: Telemetry | None, track: str,
     ``report`` is any report shape with completed/rejected/makespan/SLO
     fields (:class:`ServingReport` or the cluster's ``ClusterReport``).
     """
-    if telemetry is None or not telemetry.enabled:
+    if telemetry is None:
         return
     telemetry.span(track, f"{fidelity}-run", 0.0, report.makespan_s,
                    {"completed": report.completed,
@@ -880,12 +894,8 @@ def simulate_serving(model: LLMConfig, tpu_config: TPUConfig, spec: ServingSpec,
     classes = request_classes_from_settings(settings)
     trace = generate_trace(spec.trace, classes, spec.arrival_rate,
                            spec.num_requests, spec.seed, overlay=spec.overlay)
-    engine = ServingSimulator(
-        model, tpu_config, scheduler=spec.scheduler,
-        precision=getattr(settings, "precision", Precision.INT8),
-        max_batch=spec.max_batch, bucket_tokens=spec.bucket_tokens,
-        devices=spec.devices, memory_utilisation=spec.memory_utilisation,
-        simulator=simulator)
+    engine = ServingSimulator.for_spec(model, tpu_config, spec, settings,
+                                      simulator=simulator)
     report = engine.run(trace, slo=spec.slo, telemetry=telemetry)
     if store is not None:
         store.put(SERVING_STORE_KIND, key, report.to_dict())

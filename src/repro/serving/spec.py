@@ -84,6 +84,12 @@ class ServingSpec:
                              "arrivals; fluid fidelity sees only the mean "
                              "rate, so overlaid specs must run exact")
 
+    @property
+    def fleet(self) -> bool:
+        """Whether the spec runs on the cluster path: more than one replica,
+        or injected faults, which act at the routing layer."""
+        return self.replicas > 1 or bool(self.faults)
+
     def summary(self) -> str:
         """Human-readable spec summary used in tables and exports."""
         base = (f"{self.trace}@{self.arrival_rate:g}/s {self.scheduler} "

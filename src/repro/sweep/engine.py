@@ -143,7 +143,7 @@ def _compute_result(point: SweepPoint, simulator: CachingInferenceSimulator,
         # count, because fault injection lives at the routing layer; both
         # report types share the row mapping (latency = mean e2e,
         # throughput = sustained tokens/s).
-        if point.serving.replicas > 1 or point.serving.faults:
+        if point.serving.fleet:
             from repro.serving.cluster import simulate_cluster
 
             report = simulate_cluster(point.model, point.config, point.serving,
@@ -238,19 +238,14 @@ class SweepEngine:
     never the cluster reports behind its fleet points.
     """
 
-    def __init__(self, workers: int | None = None, *,
-                 store: "ResultStore | None" = None,
+    def __init__(self, *, store: "ResultStore | None" = None,
                  telemetry: Telemetry | None = None) -> None:
-        #: Default worker count for :meth:`sweep` (``None``/``0``/``1`` = serial).
-        self.workers = workers
         #: Persistent cross-run result store (``None`` = in-memory only).
         self.store = store
         #: Telemetry sink (wall-clock domain): per-point compute spans plus
         #: live cache/store hit-miss counters.  Observation only — rows are
         #: identical with telemetry on or off.
-        self.telemetry = (telemetry
-                          if telemetry is not None and telemetry.enabled
-                          else None)
+        self.telemetry = telemetry
         #: Finished rows by point key, so a repeated point simulates once.
         self._rows: dict[str, SweepResult] = {}
         self._stats = SweepStats()
@@ -274,7 +269,6 @@ class SweepEngine:
         """
         resolved = list(points)
         keys = [point_key(point) for point in resolved]
-        workers = workers if workers is not None else self.workers
         new: dict[str, SweepPoint] = {}
         for key, point in zip(keys, resolved):
             if key not in self._rows:

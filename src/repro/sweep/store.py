@@ -82,10 +82,8 @@ class ResultStore:
     """
 
     def __init__(self, path: str | os.PathLike[str] | pathlib.Path, *,
-                 version: int = STORE_VERSION,
                  telemetry: "Telemetry | None" = None) -> None:
         self.path = pathlib.Path(path)
-        self.version = version
         self.stats = CacheStats()
         #: Optional telemetry sink mirroring ``stats`` as live counters
         #: (``store.hit`` / ``store.miss`` / ``store.put``); assignable
@@ -123,7 +121,7 @@ class ResultStore:
             except (json.JSONDecodeError, KeyError, TypeError):
                 self.skipped_corrupt += 1
                 continue
-            if version != self.version:
+            if version != STORE_VERSION:
                 self.skipped_versions += 1
                 continue
             self._entries[(str(kind), str(key))] = value
@@ -181,7 +179,7 @@ class ResultStore:
         interleave whole lines too; the last record of a key wins on the
         next load.
         """
-        encoded = json.dumps({"v": self.version, "kind": kind, "key": key,
+        encoded = json.dumps({"v": STORE_VERSION, "kind": kind, "key": key,
                               "value": value}, separators=(",", ":"))
         with self._lock:
             self.path.parent.mkdir(parents=True, exist_ok=True)

@@ -13,14 +13,15 @@ Covers ``table_iv.json`` (the paper reproduction), ``chrome_trace.json``
 plan and the response envelopes), ``fleet_routing.json`` (the routing
 of a heterogeneous fleet, integers only, so one digest set serves every
 interpreter), ``cli_requests.json`` (the request each CLI argv hands
-to ``repro.api`` and the subcommands' option help) and
+to ``repro.api`` and the subcommands' option help),
 ``fingerprint_versions.json`` (each store version with the definitions
-that feed it; a changed one under an unchanged version is refused) and
+that feed it; a changed one under an unchanged version is refused),
 ``step_prices.json`` (the ``repr`` of cold step prices, graph operators
-and mapping candidates).  The report, payload and step-price goldens
-depend on the interpreter's float ``sum()``, and a run writes only its
-own interpreter's set, so after an intentional change regenerate them
-under Python 3.11 and 3.12::
+and mapping candidates) and ``store_keys.json`` (the keys fleet plans
+and co-design searches store under, one set for every interpreter).
+The report, payload and step-price goldens depend on the interpreter's
+float ``sum()``, and a run writes only its own interpreter's set, so
+after an intentional change regenerate them under Python 3.11 and 3.12::
 
     PYTHONPATH=src python3.11 tests/golden/regenerate.py serving-reports
     PYTHONPATH=src python3.12 tests/golden/regenerate.py serving-reports
@@ -31,6 +32,7 @@ under Python 3.11 and 3.12::
     PYTHONPATH=src python tests/golden/regenerate.py fleet-routing
     PYTHONPATH=src python tests/golden/regenerate.py cli-requests
     PYTHONPATH=src python tests/golden/regenerate.py fingerprint-versions
+    PYTHONPATH=src python tests/golden/regenerate.py store-keys
 """
 
 from __future__ import annotations
@@ -51,6 +53,7 @@ ROUTING_GOLDEN_PATH = pathlib.Path(__file__).parent / "fleet_routing.json"
 CLI_GOLDEN_PATH = pathlib.Path(__file__).parent / "cli_requests.json"
 FINGERPRINT_GOLDEN_PATH = pathlib.Path(__file__).parent / "fingerprint_versions.json"
 STEP_PRICES_GOLDEN_PATH = pathlib.Path(__file__).parent / "step_prices.json"
+STORE_KEYS_GOLDEN_PATH = pathlib.Path(__file__).parent / "store_keys.json"
 # The golden tests live one directory up and import no pytest at module level.
 sys.path.insert(0, str(pathlib.Path(__file__).parent.parent))
 
@@ -147,6 +150,18 @@ def write_fingerprint_versions() -> None:
     print(f"wrote {FINGERPRINT_GOLDEN_PATH} ({len(live)} contracts)")
 
 
+def write_store_keys() -> None:
+    """Rewrite the store keys of the fleet plans and co-design searches."""
+    from test_golden_store_keys import store_keys
+
+    golden = {"description": "sorted [kind, key] pairs each fleet plan and "
+                             "co-design search writes into a fresh store",
+              "keys": store_keys()}
+    STORE_KEYS_GOLDEN_PATH.write_text(json.dumps(golden, indent=2) + "\n",
+                                      encoding="utf-8")
+    print(f"wrote {STORE_KEYS_GOLDEN_PATH} ({len(golden['keys'])} cases)")
+
+
 def main() -> None:
     explorer = ArchitectureExplorer(
         llm_settings=LLMInferenceSettings(batch=8, input_tokens=1024, output_tokens=512,
@@ -190,6 +205,7 @@ def main() -> None:
     write_fleet_routing()
     write_cli_requests()
     write_fingerprint_versions()
+    write_store_keys()
 
 
 if __name__ == "__main__":
@@ -205,5 +221,7 @@ if __name__ == "__main__":
         write_cli_requests()
     elif sys.argv[1:] == ["fingerprint-versions"]:
         write_fingerprint_versions()
+    elif sys.argv[1:] == ["store-keys"]:
+        write_store_keys()
     else:
         main()

@@ -14,9 +14,9 @@ from repro.analysis.capacity import (
 )
 from repro.common import Precision
 from repro.core.designs import tpuv4i_baseline
-from repro.serving.cluster import FleetCostModel
 from repro.serving.faults import parse_fault
 from repro.serving.metrics import SLO
+from repro.serving.spec import ServingSpec
 from repro.serving.trace import parse_overlay
 from repro.sweep.store import ResultStore
 from repro.workloads.chat import RequestClass
@@ -188,15 +188,20 @@ class TestPlanFleet:
                       d_model=2048, d_ff=8192, vocab_size=32000)
     MIX = (RequestClass(input_tokens=64, output_tokens=16),)
 
-    def plan(self, **overrides):
-        from repro.analysis.capacity import plan_fleet
-        from repro.serving.metrics import SLO
+    #: Scenario settings whose one-class request mix is ``MIX``.
+    SETTINGS = LLMInferenceSettings(batch=1, input_tokens=64, output_tokens=16)
 
-        kwargs = dict(arrival_rate=10.0, slo=SLO(ttft_s=2.0, tpot_s=0.2),
-                      request_classes=self.MIX, attainment_target=0.9,
-                      max_replicas=6, num_requests=60, seed=3)
-        kwargs.update(overrides)
-        return plan_fleet(self.MODEL, tpuv4i_baseline(), **kwargs)
+    def plan(self, *, attainment_target=0.9, max_replicas=6, store=None,
+             **spec_fields):
+        from repro.analysis.capacity import plan_fleet
+
+        fields = dict(arrival_rate=10.0, slo=SLO(ttft_s=2.0, tpot_s=0.2),
+                      num_requests=60, seed=3,
+                      router="least-outstanding-requests")
+        fields.update(spec_fields)
+        return plan_fleet(self.MODEL, tpuv4i_baseline(), ServingSpec(**fields),
+                          self.SETTINGS, attainment_target=attainment_target,
+                          max_replicas=max_replicas, store=store)
 
     def test_easy_load_needs_one_replica(self):
         plan = self.plan(arrival_rate=2.0)
@@ -213,8 +218,6 @@ class TestPlanFleet:
             assert plan.replicas == counts[-1]
 
     def test_impossible_target_reports_unmet(self):
-        from repro.serving.metrics import SLO
-
         # A TPOT target below one decode step can never be met.
         plan = self.plan(slo=SLO(ttft_s=1e-6, tpot_s=1e-6), max_replicas=2)
         assert not plan.met
@@ -247,16 +250,13 @@ class TestPlanFleet:
         dict(fidelity="fluid"),
         dict(faults=(parse_fault("replica-crash:at_s=0.02,duration_s=0.02,replica=0"),),
              overlay=parse_overlay("flash-crowd:start_s=0.01,duration_s=0.03,magnitude=3")),
-        dict(cost_model=FleetCostModel(chip_hour_dollars=4.0, energy_dollars_per_kwh=0.3)),
-    ], ids=["exact", "fluid", "faults-overlay", "cost-model"])
+    ], ids=["exact", "fluid", "faults-overlay"])
     def test_fresh_store_gives_the_storeless_plan(self, tmp_path, overrides):
         # A load the smallest fleet misses, so every plan tries several sizes.
         overrides = dict(overrides, arrival_rate=1000.0,
                          slo=SLO(ttft_s=0.01, tpot_s=0.002))
         storeless = self.plan(**overrides)
         stored = self.plan(**overrides,
-                           settings=LLMInferenceSettings(batch=1, input_tokens=64,
-                                                         output_tokens=16),
                            store=ResultStore(tmp_path / "store.jsonl"))
         assert stored == storeless
         assert len(stored.evaluations) > 1

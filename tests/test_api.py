@@ -154,6 +154,13 @@ class TestStrictDecoding:
         assert excinfo.value.error.code == "invalid-field"
         assert excinfo.value.error.field == field
 
+    def test_fleet_max_batch_must_be_positive(self):
+        with pytest.raises(ApiRequestError) as excinfo:
+            FleetRequest(rate=8.0, max_batch=0)
+        assert excinfo.value.error.code == "invalid-field"
+        assert excinfo.value.error.field == "max_batch"
+        assert excinfo.value.error.message == "max_batch must be positive"
+
     @pytest.mark.parametrize("cls, overrides, field", [
         (OptimizeRequest, dict(capacity_bound="no"), "capacity_bound"),
         (OptimizeRequest, dict(replica_counts=[1, 2.5]), "replica_counts[1]"),

@@ -258,6 +258,43 @@ class TestServe:
         assert code == 0
         assert "20/20 completed" in out
 
+    def test_serve_replays_jsonl_trace_through_a_faulted_fleet(self, capsys,
+                                                                tmp_path):
+        import json as json_module
+
+        from repro.core.designs import design_a
+        from repro.serving.cluster import ClusterSimulator
+        from repro.serving.faults import parse_fault
+        from repro.serving.metrics import SLO
+        from repro.serving.simulator import ServingSimulator
+        from repro.serving.trace import (
+            generate_trace,
+            load_trace_jsonl,
+            write_trace_jsonl,
+        )
+        from repro.workloads.chat import RequestClass
+        from repro.workloads.llm import LLAMA2_7B
+
+        crash = "replica-crash:at_s=0.5,duration_s=1,replica=0"
+        trace_path = tmp_path / "trace.jsonl"
+        json_path = tmp_path / "report.json"
+        write_trace_jsonl(generate_trace(
+            "poisson", (RequestClass(input_tokens=64, output_tokens=16),),
+            24.0, 60, 7), trace_path)
+        code, _ = run_cli(capsys, "--llm", "llama2-7b", "serve",
+                          "--scenario", "llm-serving",
+                          "--trace-file", str(trace_path), "--replicas", "3",
+                          "--router", "least-outstanding-requests",
+                          "--faults", crash, "--json", str(json_path))
+        assert code == 0
+        by_hand = ClusterSimulator(
+            [ServingSimulator(LLAMA2_7B, design_a()) for _ in range(3)],
+            router="least-outstanding-requests", faults=[parse_fault(crash)],
+        ).run(load_trace_jsonl(trace_path), slo=SLO(ttft_s=1.0, tpot_s=0.1))
+        assert by_hand.resilience.crash_count == 1
+        assert json_module.loads(json_path.read_text()) == json_module.loads(
+            json_module.dumps(by_hand.to_dict()))
+
     def test_serve_scheduler_flag_changes_output(self, capsys):
         _, fcfs = run_cli(capsys, *self.SERVE, "--rate", "100")
         _, waves = run_cli(capsys, *self.SERVE, "--rate", "100",

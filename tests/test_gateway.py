@@ -188,6 +188,14 @@ class TestValidationErrors:
         assert body["error"]["field"] == path
         assert http(f"{gateway.url}/v1/jobs")[1]["jobs"] == []
 
+    def test_nonpositive_fleet_max_batch_is_400_at_submission(self, gateway):
+        payload = {"kind": "fleet", "rate": 8.0, "max_batch": 0}
+        status, body = http(f"{gateway.url}/v1/fleet", "POST", payload)
+        assert status == 400
+        assert body["error"]["code"] == "invalid-field"
+        assert body["error"]["field"] == "max_batch"
+        assert http(f"{gateway.url}/v1/jobs")[1]["jobs"] == []
+
     @pytest.mark.parametrize("length", ["abc", "-1", "1.5", ""])
     def test_malformed_content_length_is_400(self, gateway, length):
         connection = HTTPConnection(gateway.host, gateway.port, timeout=3)

@@ -443,7 +443,7 @@ class TestTelemetryRule:
     def test_early_return_guard_is_clean(self):
         files = {"src/repro/serving/simulator.py": src("""
             def summarise(telemetry, report):
-                if telemetry is None or not telemetry.enabled:
+                if telemetry is None:
                     return
                 telemetry.span("serve", "run", 0.0, report.makespan_s)
         """)}
@@ -452,7 +452,7 @@ class TestTelemetryRule:
     def test_narrowed_tel_local_is_trusted(self):
         files = {"src/repro/serving/cluster.py": src("""
             def route(telemetry):
-                tel = telemetry if telemetry is not None and telemetry.enabled else None
+                tel = telemetry
                 tel.count("cluster.routed")
         """)}
         assert lint(files, "RPR006") == []

@@ -84,19 +84,6 @@ def synthetic_telemetry() -> Telemetry:
 # Telemetry core
 # ---------------------------------------------------------------------------
 class TestTelemetryCore:
-    def test_disabled_records_nothing(self):
-        tel = Telemetry(enabled=False)
-        tel.span("t", "s", 0.0, 1.0)
-        tel.event("t", "e", 0.5)
-        tel.gauge("t", "g", 0.0, 1.0)
-        tel.count("c")
-        tel.wall_event("t", "w")
-        with tel.wall_span("t", "ws"):
-            pass
-        assert not tel
-        assert tel.summary() == {"spans": 0, "events": 0, "gauges": 0,
-                                 "counters": {}}
-
     def test_enabled_is_truthy_and_collects(self):
         tel = synthetic_telemetry()
         assert tel
@@ -239,14 +226,6 @@ class TestTracedIdentity:
         plain = run_serial(trace)
         traced = run_serial(trace, telemetry=Telemetry())
         assert traced.to_dict() == plain.to_dict()
-
-    def test_disabled_instance_equals_none(self):
-        trace = make_trace()
-        plain = run_serial(trace)
-        disabled = Telemetry(enabled=False)
-        report = run_serial(trace, telemetry=disabled)
-        assert report.to_dict() == plain.to_dict()
-        assert disabled.summary()["spans"] == 0
 
     def test_fluid_report_identical_with_tracing(self):
         scenario = get_scenario("chat-serving")

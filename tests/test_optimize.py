@@ -27,6 +27,7 @@ from repro.optimize import (
 from repro.optimize.evaluator import CandidateResult
 from repro.optimize.pareto import dominates_with_margin, frontier_fieldnames
 from repro.optimize.search import SearchStrategy
+from repro.serving.spec import ServingSpec
 from repro.sweep.export import to_csv, write_csv
 from repro.sweep.store import ResultStore
 from repro.workloads.dit import DIT_XL_2
@@ -37,8 +38,8 @@ SMALL_SPACE = DesignSpace(
     routers=("round-robin", "least-outstanding-requests"),
     replica_counts=(2, 3, 4))
 
-FAST = dict(arrival_rate=24.0, num_requests=240, input_tokens=64,
-            output_tokens=16, seed=7,
+WORKLOAD = ServingSpec(arrival_rate=24.0, num_requests=240, seed=7)
+FAST = dict(input_tokens=64, output_tokens=16,
             objectives=("cost-per-million-tokens", "p99-ttft"))
 
 
@@ -98,10 +99,13 @@ class TestDesignSpace:
             Candidate(design="baseline", replicas=0)
         candidate = Candidate(design="baseline", replicas=3,
                               router="least-kv-pressure")
-        spec = candidate.serving_spec(arrival_rate=10.0, num_requests=50, seed=3)
+        workload = ServingSpec(arrival_rate=10.0, num_requests=50, seed=3)
+        spec = candidate.serving_spec(workload)
         assert spec.replicas == 3
         assert spec.router == "least-kv-pressure"
         assert spec.num_requests == 50
+        assert spec == dataclasses.replace(
+            workload, replicas=3, router="least-kv-pressure")
         assert "x3" in candidate.summary()
 
 
@@ -257,7 +261,8 @@ class TestSearchRegistry:
                                        run=first_only))
         try:
             frontier = CodesignOptimizer(
-                LLAMA2_7B, SMALL_SPACE, strategy="first-only", **FAST).run()
+                LLAMA2_7B, SMALL_SPACE, WORKLOAD, strategy="first-only",
+                **FAST).run()
             assert len(frontier.points) == 1
             assert frontier.strategy == "first-only"
         finally:
@@ -267,20 +272,20 @@ class TestSearchRegistry:
 class TestEvaluator:
     def test_rejects_non_llm_models_and_bad_rates(self):
         with pytest.raises(ValueError, match="not an LLM"):
-            CandidateEvaluator(DIT_XL_2, arrival_rate=8.0)
+            CandidateEvaluator(DIT_XL_2, ServingSpec(arrival_rate=8.0))
         with pytest.raises(ValueError, match="arrival_rate"):
-            CandidateEvaluator(LLAMA2_7B, arrival_rate=0.0)
+            CandidateEvaluator(LLAMA2_7B, ServingSpec(arrival_rate=0.0))
 
     def test_unknown_design_raises_structured_error(self):
-        evaluator = CandidateEvaluator(LLAMA2_7B, arrival_rate=8.0,
-                                       num_requests=40)
+        evaluator = CandidateEvaluator(
+            LLAMA2_7B, ServingSpec(arrival_rate=8.0, num_requests=40))
         with pytest.raises(KeyError, match="known designs"):
             evaluator.evaluate(Candidate(design="missing"))
 
     def test_fidelity_labels_and_counters(self):
-        evaluator = CandidateEvaluator(LLAMA2_7B, arrival_rate=16.0,
-                                       num_requests=80, input_tokens=64,
-                                       output_tokens=16, seed=7)
+        evaluator = CandidateEvaluator(
+            LLAMA2_7B, ServingSpec(arrival_rate=16.0, num_requests=80, seed=7),
+            input_tokens=64, output_tokens=16)
         candidate = Candidate(design="baseline", replicas=2)
         short = evaluator.evaluate(candidate, num_requests=20)
         full = evaluator.evaluate(candidate)
@@ -290,17 +295,17 @@ class TestEvaluator:
         assert evaluator.short_runs == 1 and evaluator.full_runs == 1
 
     def test_capacity_lower_bound_is_memoised_and_positive(self):
-        evaluator = CandidateEvaluator(LLAMA2_7B, arrival_rate=64.0,
-                                       num_requests=40, input_tokens=64,
-                                       output_tokens=16)
+        evaluator = CandidateEvaluator(
+            LLAMA2_7B, ServingSpec(arrival_rate=64.0, num_requests=40),
+            input_tokens=64, output_tokens=16)
         candidate = Candidate(design="baseline", replicas=1)
         bound = evaluator.capacity_lower_bound(candidate)
         assert bound >= 1
         assert evaluator.capacity_lower_bound(candidate) == bound
 
     def test_infeasible_rows_are_flat_and_excluded_from_frontiers(self):
-        evaluator = CandidateEvaluator(LLAMA2_7B, arrival_rate=8.0,
-                                       num_requests=40)
+        evaluator = CandidateEvaluator(
+            LLAMA2_7B, ServingSpec(arrival_rate=8.0, num_requests=40))
         row = evaluator.infeasible(Candidate(design="baseline"), "too big")
         assert not row.feasible
         assert row.infeasibility == "too big"
@@ -312,9 +317,9 @@ class TestGoldenEquivalence:
 
     @pytest.fixture(scope="class")
     def frontiers(self):
-        exhaustive = CodesignOptimizer(LLAMA2_7B, SMALL_SPACE,
+        exhaustive = CodesignOptimizer(LLAMA2_7B, SMALL_SPACE, WORKLOAD,
                                        strategy="exhaustive", **FAST).run()
-        halving = CodesignOptimizer(LLAMA2_7B, SMALL_SPACE,
+        halving = CodesignOptimizer(LLAMA2_7B, SMALL_SPACE, WORKLOAD,
                                     strategy="successive-halving", **FAST).run()
         return exhaustive, halving
 
@@ -332,7 +337,7 @@ class TestGoldenEquivalence:
 
     def test_frontier_is_reproducible(self, frontiers):
         exhaustive, _ = frontiers
-        again = CodesignOptimizer(LLAMA2_7B, SMALL_SPACE,
+        again = CodesignOptimizer(LLAMA2_7B, SMALL_SPACE, WORKLOAD,
                                   strategy="exhaustive", **FAST).run()
         assert again.signature() == exhaustive.signature()
         assert again.points == exhaustive.points
@@ -341,12 +346,12 @@ class TestGoldenEquivalence:
 class TestPersistentSearch:
     def test_warm_store_search_simulates_nothing(self, tmp_path):
         path = tmp_path / "store.jsonl"
-        cold = CodesignOptimizer(LLAMA2_7B, SMALL_SPACE,
+        cold = CodesignOptimizer(LLAMA2_7B, SMALL_SPACE, WORKLOAD,
                                  strategy="successive-halving",
                                  store=ResultStore(path), **FAST).run()
         assert cold.full_runs + cold.short_runs > 0
 
-        warm = CodesignOptimizer(LLAMA2_7B, SMALL_SPACE,
+        warm = CodesignOptimizer(LLAMA2_7B, SMALL_SPACE, WORKLOAD,
                                  strategy="successive-halving",
                                  store=ResultStore(path), **FAST).run()
         assert warm.full_runs + warm.short_runs == 0
@@ -364,9 +369,9 @@ class TestPersistentSearch:
         from repro.optimize.evaluator import CandidateEvaluator
 
         path = tmp_path / "store.jsonl"
-        evaluator = CandidateEvaluator(LLAMA2_7B, arrival_rate=16.0,
-                                       num_requests=40, input_tokens=64,
-                                       output_tokens=16, seed=7,
+        workload = ServingSpec(arrival_rate=16.0, num_requests=40, seed=7)
+        evaluator = CandidateEvaluator(LLAMA2_7B, workload, input_tokens=64,
+                                       output_tokens=16,
                                        store=ResultStore(path))
         candidate = Candidate(design="baseline", replicas=2)
         evaluator.evaluate(candidate)
@@ -380,9 +385,8 @@ class TestPersistentSearch:
         path.write_text("\n".join(json.dumps(r) for r in records) + "\n",
                         encoding="utf-8")
 
-        drifted = CandidateEvaluator(LLAMA2_7B, arrival_rate=16.0,
-                                     num_requests=40, input_tokens=64,
-                                     output_tokens=16, seed=7,
+        drifted = CandidateEvaluator(LLAMA2_7B, workload, input_tokens=64,
+                                     output_tokens=16,
                                      store=ResultStore(path))
         result = drifted.evaluate(candidate)
         assert result.feasible
@@ -391,9 +395,9 @@ class TestPersistentSearch:
 
     def test_store_is_shared_across_strategies(self, tmp_path):
         path = tmp_path / "store.jsonl"
-        CodesignOptimizer(LLAMA2_7B, SMALL_SPACE, strategy="exhaustive",
+        CodesignOptimizer(LLAMA2_7B, SMALL_SPACE, WORKLOAD, strategy="exhaustive",
                           store=ResultStore(path), **FAST).run()
-        halving = CodesignOptimizer(LLAMA2_7B, SMALL_SPACE,
+        halving = CodesignOptimizer(LLAMA2_7B, SMALL_SPACE, WORKLOAD,
                                     strategy="successive-halving",
                                     store=ResultStore(path), **FAST).run()
         # Full-fidelity evaluations are already stored; only the short
@@ -404,22 +408,22 @@ class TestPersistentSearch:
 class TestOptimizerPolicies:
     def test_random_strategy_is_seeded_and_budgeted(self):
         kwargs = dict(FAST, strategy="random", budget=4)
-        first = CodesignOptimizer(LLAMA2_7B, SMALL_SPACE, **kwargs).run()
-        second = CodesignOptimizer(LLAMA2_7B, SMALL_SPACE, **kwargs).run()
+        first = CodesignOptimizer(LLAMA2_7B, SMALL_SPACE, WORKLOAD, **kwargs).run()
+        second = CodesignOptimizer(LLAMA2_7B, SMALL_SPACE, WORKLOAD, **kwargs).run()
         assert first.full_runs == 4
         assert first.signature() == second.signature()
 
     def test_random_rejects_non_positive_budget(self):
         with pytest.raises(ValueError, match="positive budget"):
-            CodesignOptimizer(LLAMA2_7B, SMALL_SPACE, strategy="random",
+            CodesignOptimizer(LLAMA2_7B, SMALL_SPACE, WORKLOAD, strategy="random",
                               budget=0, **FAST).run()
 
     def test_random_without_budget_prices_the_whole_space(self):
         # "--budget default: unlimited" must mean unlimited: no budget =
         # every candidate priced, i.e. the exhaustive frontier.
-        unlimited = CodesignOptimizer(LLAMA2_7B, SMALL_SPACE,
+        unlimited = CodesignOptimizer(LLAMA2_7B, SMALL_SPACE, WORKLOAD,
                                       strategy="random", **FAST).run()
-        exhaustive = CodesignOptimizer(LLAMA2_7B, SMALL_SPACE,
+        exhaustive = CodesignOptimizer(LLAMA2_7B, SMALL_SPACE, WORKLOAD,
                                        strategy="exhaustive", **FAST).run()
         assert unlimited.full_runs == len(SMALL_SPACE.candidates())
         assert unlimited.signature() == exhaustive.signature()
@@ -428,7 +432,7 @@ class TestOptimizerPolicies:
         for strategy, budget in (("exhaustive", None),
                                  ("successive-halving", None),
                                  ("random", 4)):
-            frontier = CodesignOptimizer(LLAMA2_7B, SMALL_SPACE,
+            frontier = CodesignOptimizer(LLAMA2_7B, SMALL_SPACE, WORKLOAD,
                                          strategy=strategy, budget=budget,
                                          **FAST).run()
             assert (len(frontier.points) + frontier.dominated
@@ -436,10 +440,10 @@ class TestOptimizerPolicies:
                     + frontier.strategy_pruned) == frontier.candidates
 
     def test_constraints_filter_the_frontier(self):
-        unconstrained = CodesignOptimizer(LLAMA2_7B, SMALL_SPACE,
+        unconstrained = CodesignOptimizer(LLAMA2_7B, SMALL_SPACE, WORKLOAD,
                                           strategy="exhaustive", **FAST).run()
         constrained = CodesignOptimizer(
-            LLAMA2_7B, SMALL_SPACE, strategy="exhaustive",
+            LLAMA2_7B, SMALL_SPACE, WORKLOAD, strategy="exhaustive",
             constraints=(parse_constraint("slo>=0.99"),), **FAST).run()
         assert all(p.result.slo_attainment >= 0.99 for p in constrained.points)
         assert constrained.constraint_filtered > 0
@@ -447,31 +451,28 @@ class TestOptimizerPolicies:
 
     def test_slo_constraint_triggers_capacity_pruning(self):
         space = DesignSpace(designs=("baseline",), replica_counts=(1, 2, 3))
+        workload = ServingSpec(arrival_rate=64.0, num_requests=120, seed=7)
         frontier = CodesignOptimizer(
-            LLAMA2_7B, space, strategy="exhaustive",
-            constraints=(parse_constraint("slo>=0.5"),),
-            arrival_rate=64.0, num_requests=120, input_tokens=64,
-            output_tokens=16, seed=7,
-            objectives=("cost-per-million-tokens",)).run()
+            LLAMA2_7B, space, workload, strategy="exhaustive",
+            constraints=(parse_constraint("slo>=0.5"),), input_tokens=64,
+            output_tokens=16, objectives=("cost-per-million-tokens",)).run()
         assert frontier.capacity_pruned > 0
         assert frontier.infeasible >= frontier.capacity_pruned
         disabled = CodesignOptimizer(
-            LLAMA2_7B, space, strategy="exhaustive",
-            constraints=(parse_constraint("slo>=0.5"),),
-            arrival_rate=64.0, num_requests=120, input_tokens=64,
-            output_tokens=16, seed=7,
-            objectives=("cost-per-million-tokens",),
+            LLAMA2_7B, space, workload, strategy="exhaustive",
+            constraints=(parse_constraint("slo>=0.5"),), input_tokens=64,
+            output_tokens=16, objectives=("cost-per-million-tokens",),
             use_capacity_bound=False).run()
         assert disabled.capacity_pruned == 0
 
     def test_needs_at_least_one_objective(self):
         with pytest.raises(ValueError, match="at least one objective"):
-            CodesignOptimizer(LLAMA2_7B, SMALL_SPACE, objectives=())
+            CodesignOptimizer(LLAMA2_7B, SMALL_SPACE, WORKLOAD, objectives=())
 
     def test_frontier_json_and_csv_round_trip(self, tmp_path):
         frontier = CodesignOptimizer(
             LLAMA2_7B, DesignSpace(designs=("baseline",), replica_counts=(2,)),
-            strategy="exhaustive", **FAST).run()
+            WORKLOAD, strategy="exhaustive", **FAST).run()
         payload = frontier.to_dict()
         assert tuple(payload["objectives"]) == ("cost-per-million-tokens",
                                                 "p99-ttft")

@@ -77,6 +77,22 @@ class TestValidation:
         with pytest.raises(ValueError, match="non-empty"):
             make_cluster().run(())
 
+    def test_repeated_request_id_rejected(self):
+        # The fleet keys re-routed arrivals and disrupted flags by request
+        # id: two requests sharing one would both read as disrupted.
+        from repro.workloads.llm import LLAMA2_7B
+
+        ids = [0, 0, *range(2, 60)]
+        trace = [Request(request_id=request_id, arrival_s=index * 0.05,
+                         input_tokens=64, output_tokens=16)
+                 for index, request_id in enumerate(ids)]
+        cluster = ClusterSimulator(
+            [ServingSimulator(LLAMA2_7B, design_a()) for _ in range(3)],
+            faults=[FaultSpec(kind="replica-crash", at_s=0.12,
+                              duration_s=1.0, replica=0)])
+        with pytest.raises(ValueError, match="request_id 0 repeats"):
+            cluster.run(trace)
+
     def test_undersized_replica_deployment_rejected(self):
         from repro.workloads.llm import GPT3_30B
 

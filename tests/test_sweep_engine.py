@@ -201,11 +201,6 @@ class TestParallelSweep:
         assert parallel.stats == serial.stats
         assert parallel.stats.graph_hits > 0  # graphs shared within a chip group
 
-    def test_engine_default_workers_used(self):
-        points = tiny_points()[:2]
-        engine = SweepEngine(workers=2)
-        assert engine.sweep(points) == SweepEngine().sweep(points)
-
 
 class TestTableIVParity:
     """workers=4 reproduces the exact serial Table IV exploration rows."""
