@@ -98,8 +98,7 @@ def test_day_scale_throughput_gate(benchmark):
     settings = SimpleNamespace(request_classes=DEFAULT_REQUEST_MIX,
                                precision=Precision.INT8)
     fluid, fluid_wall, _ = _timed(
-        lambda: estimate_serving(GPT3_30B, design_a(), spec, settings,
-                                 simulator=simulator.costs.simulator))
+        lambda: estimate_serving(GPT3_30B, design_a(), spec, settings))
     fluid_speedup = wall / fluid_wall
 
     emit_report(

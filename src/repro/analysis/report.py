@@ -5,9 +5,9 @@ from __future__ import annotations
 from collections.abc import Sequence
 
 
-def format_percent(value: float, signed: bool = True) -> str:
+def format_percent(value: float) -> str:
     """Format a fractional change as a percentage string (e.g. ``+2.4 %``)."""
-    sign = "+" if signed and value >= 0 else ""
+    sign = "+" if value >= 0 else ""
     return f"{sign}{value * 100:.1f}%"
 
 

@@ -4,11 +4,11 @@ This is the single contract the CLI, the HTTP gateway and Python callers
 share.  Each function takes a frozen request (see
 :mod:`repro.api.requests`), an optional shared
 :class:`~repro.sweep.store.ResultStore` and an optional telemetry sink,
-runs the engine, and returns the matching response envelope with exact
-cost accounting (``new_simulations``, ``store_hits``...).  Determinism is
-inherited from the engines: the same request produces a byte-identical
-response dict on every surface, and a warm store serves it with zero new
-simulations.
+runs the engine, and returns the matching response envelope, whose
+accounting one rule (:func:`_answer`) fills from the call's own store
+view and result count.  Determinism is inherited from the engines: the
+same request produces a byte-identical response dict on every surface,
+and a warm store serves it with zero new simulations.
 
 Engine-side failures on *valid* requests (a model that does not fit the
 deployment, an unwritable path) surface as
@@ -67,9 +67,14 @@ def _view(store: "ResultStore | None") -> StoreView | None:
     return StoreView(store) if store is not None else None
 
 
-def _counts(view: StoreView | None) -> tuple[int, int]:
-    """(store hits, store misses) of one call."""
-    return (view.stats.hits, view.stats.misses) if view is not None else (0, 0)
+def _answer(cls, request, view: StoreView | None, results: int, **payload):
+    """Response ``cls`` to ``request``: of the ``results`` the answer needed,
+    the call's store ``view`` served its hits and the rest were computed."""
+    hits, misses = (view.stats.hits, view.stats.misses) if view is not None else (0, 0)
+    return cls(fingerprint=request_fingerprint(request),
+               served_from_store=hits > 0 and results == hits,
+               new_simulations=results - hits, store_hits=hits,
+               store_misses=misses, **payload)
 
 
 # ------------------------------------------------------------------ simulate
@@ -99,11 +104,8 @@ def simulate(request: SimulateRequest, *, store: "ResultStore | None" = None,
             payload = report.to_dict()
     except (ValueError, OSError) as error:
         raise _engine_error(error) from None
-    hits, misses = _counts(view)
-    return SimulateResponse(
-        fingerprint=request_fingerprint(request), served_from_store=hits > 0,
-        new_simulations=0 if hits else 1, store_hits=hits,
-        store_misses=misses, fleet=spec.fleet, report=payload)
+    return _answer(SimulateResponse, request, view, 1, fleet=spec.fleet,
+                   report=payload)
 
 
 # --------------------------------------------------------------------- fleet
@@ -121,13 +123,8 @@ def fleet(request: FleetRequest, *, store: "ResultStore | None" = None,
                           telemetry=telemetry)
     except (ValueError, OSError) as error:
         raise _engine_error(error) from None
-    hits, misses = _counts(view)
-    simulated = misses if view is not None else len(plan.evaluations)
-    return FleetResponse(
-        fingerprint=request_fingerprint(request),
-        served_from_store=simulated == 0 and hits > 0,
-        new_simulations=simulated, store_hits=hits, store_misses=misses,
-        plan=FleetResponse.plan_payload(plan))
+    return _answer(FleetResponse, request, view, len(plan.evaluations),
+                   plan=FleetResponse.plan_payload(plan))
 
 
 # --------------------------------------------------------------------- sweep
@@ -137,19 +134,16 @@ def sweep(request: SweepRequest, *, store: "ResultStore | None" = None,
     from repro.sweep.engine import SweepEngine
 
     grid = request.grid()
-    engine = SweepEngine(store=store, telemetry=telemetry)
+    view = _view(store)
+    engine = SweepEngine(store=view, telemetry=telemetry)
     try:
         rows = engine.sweep(grid, workers=request.workers)
     except (ValueError, OSError) as error:
         raise _engine_error(error) from None
     stats = engine.stats
-    return SweepResponse(
-        fingerprint=request_fingerprint(request),
-        served_from_store=stats.store_hits > 0 and stats.store_misses == 0,
-        new_simulations=stats.simulations,
-        store_hits=stats.store_hits, store_misses=stats.store_misses,
-        rows=tuple(encode(row) for row in rows),
-        stats={"simulations": stats.simulations, **encode(stats)})
+    return _answer(SweepResponse, request, view, stats.point_misses,
+                   rows=tuple(encode(row) for row in rows),
+                   stats={"simulations": stats.simulations, **encode(stats)})
 
 
 # ------------------------------------------------------------------ optimize
@@ -172,13 +166,9 @@ def optimize(request: OptimizeRequest, *, store: "ResultStore | None" = None,
         frontier = optimizer.run()
     except (KeyError, ValueError, OSError) as error:
         raise _engine_error(error) from None
-    _, misses = _counts(view)
-    simulated = frontier.short_runs + frontier.full_runs
-    return OptimizeResponse(
-        fingerprint=request_fingerprint(request),
-        served_from_store=simulated == 0 and frontier.store_served > 0,
-        new_simulations=simulated, store_hits=frontier.store_served,
-        store_misses=misses, frontier=frontier.to_dict())
+    runs = frontier.short_runs + frontier.full_runs + frontier.store_served
+    return _answer(OptimizeResponse, request, view, runs,
+                   frontier=frontier.to_dict())
 
 
 # -------------------------------------------------------- autoconfig preview
@@ -188,8 +178,8 @@ def autoconfig_preview(request: AutoconfigPreviewRequest, *,
                        ) -> AutoconfigPreviewResponse:
     """Deterministic deployment sizing from the capacity model alone.
 
-    Never simulates and never touches the store — the accounting header
-    is all zeros by construction.
+    Never simulates and never touches the store: it needs no result, so
+    the accounting header is all zeros.
     """
     from repro.analysis.capacity import (
         fleet_lower_bound,
@@ -239,9 +229,7 @@ def autoconfig_preview(request: AutoconfigPreviewRequest, *,
         "fleet": {"arrival_rate": request.rate,
                   "lower_bound_replicas": lower_bound},
     }
-    return AutoconfigPreviewResponse(
-        fingerprint=request_fingerprint(request), served_from_store=False,
-        new_simulations=0, store_hits=0, store_misses=0, preview=preview)
+    return _answer(AutoconfigPreviewResponse, request, None, 0, preview=preview)
 
 
 #: kind -> facade function, the dispatch table ``run`` and the gateway use.

@@ -104,7 +104,7 @@ def _check_fidelity(fidelity: str, faults, overlay) -> None:
                             "overlays; chaos runs need the exact event loop")
 
 
-def _parse_faults(texts, field_name: str = "faults"):
+def _parse_faults(texts):
     specs = []
     for index, text in enumerate(texts):
         try:
@@ -112,11 +112,11 @@ def _parse_faults(texts, field_name: str = "faults"):
         except (KeyError, ValueError) as error:
             raise ApiRequestError(ApiError(
                 code="invalid-field", message=str(error).strip('"'),
-                field=f"{field_name}[{index}]")) from None
+                field=f"faults[{index}]")) from None
     return tuple(specs)
 
 
-def _parse_overlay(text, field_name: str = "overlay"):
+def _parse_overlay(text):
     if text is None:
         return None
     try:
@@ -124,7 +124,7 @@ def _parse_overlay(text, field_name: str = "overlay"):
     except (KeyError, ValueError) as error:
         raise ApiRequestError(ApiError(
             code="invalid-field", message=str(error).strip('"'),
-            field=field_name)) from None
+            field="overlay")) from None
 
 
 def _resolve_workload(llm: str, design: str, scenario: str, *, batch: int,
@@ -517,8 +517,8 @@ class SweepRequest(_Request):
         for name in self.designs:
             _check_choice(name, PREDEFINED_DESIGNS, "designs", "design")
             designs[name] = PREDEFINED_DESIGNS[name]
-        for name in self.models:
-            _registered(MODEL_REGISTRY, name, "models")
+        models = [_registered(MODEL_REGISTRY, name, "models")
+                  for name in self.models]
         for name in self.scenarios or ():
             _registered(SCENARIO_REGISTRY, name, "scenarios")
         for name in self.schedulers:
@@ -530,7 +530,7 @@ class SweepRequest(_Request):
         for name in self.precisions:
             _check_choice(name, _PRECISIONS, "precisions", "precision")
         try:
-            return SweepGrid(
+            grid = SweepGrid(
                 designs=designs, models=list(self.models),
                 scenarios=(list(self.scenarios)
                            if self.scenarios is not None else None),
@@ -552,6 +552,18 @@ class SweepRequest(_Request):
             raise ApiRequestError(ApiError(
                 code="invalid-field",
                 message=str(error).strip('"'))) from None
+        if not any(grid.scenarios_for(model) for model in models):
+            raise invalid_field("models", _no_point(grid, models))
+        return grid
+
+
+def _no_point(grid: SweepGrid, models) -> str:
+    """Why ``grid`` runs none of ``models``, worded by the axis at fault."""
+    if grid.is_serving and not any(isinstance(m, LLMConfig) for m in models):
+        return "serving sweeps are only modelled for LLM workloads"
+    if any(grid.with_updates(parallelism="pipeline").scenarios_for(m) for m in models):
+        return "tensor parallelism is only modelled for LLM workloads"
+    return f"no requested model runs under the scenarios {', '.join(grid.scenarios)}"
 
 
 # ----------------------------------------------------------------- optimize

@@ -9,9 +9,11 @@ same provenance header:
     to correlate submissions.
 ``served_from_store`` / ``new_simulations`` / ``store_hits`` /
 ``store_misses``
-    Exactly what the run cost: a warm repeat of any request reports
-    ``new_simulations == 0`` and a positive ``store_hits``, which is the
-    property the gateway tests and the CI smoke gate assert.
+    One rule for every kind: the call's own store lookups, and the
+    results it needed (runs, fleet evaluations, new sweep points) less
+    those hits; served means it computed none and hit some.  A warm
+    repeat of any request reports ``new_simulations == 0``, which the
+    gateway tests and the CI gates assert.
 
 Result payloads are carried as the :func:`repro.codec.encode` forms the
 store persists (reports, sweep rows, frontiers, fleet plans), so an
@@ -108,12 +110,7 @@ class FleetResponse(_Response):
 
 @dataclass(frozen=True)
 class SweepResponse(_Response):
-    """A sweep's result rows plus the engine's cache accounting.
-
-    ``new_simulations`` is the engine's graph-simulation count, not the
-    number of computed points: a serving point that misses the store but
-    finds every step price in the process-wide step-price table adds 0.
-    """
+    """A sweep's result rows plus the engine's cache accounting."""
 
     kind: ClassVar[str] = "sweep"
 

@@ -130,7 +130,7 @@ from repro.optimize.pareto import frontier_fieldnames
 from repro.serving.autoscaler import AUTOSCALER_REGISTRY
 from repro.serving.cluster import ClusterSimulator, ReplicaSummary
 from repro.serving.faults import FAULT_REGISTRY
-from repro.serving.metrics import SLO, RequestMetrics
+from repro.serving.metrics import RequestMetrics
 from repro.serving.router import ROUTER_REGISTRY
 from repro.serving.scheduler import SCHEDULER_REGISTRY
 from repro.serving.simulator import ServingSimulator
@@ -150,7 +150,6 @@ from repro.workloads.registry import (
     MODEL_REGISTRY,
     SCENARIO_REGISTRY,
     get_model,
-    get_scenario,
     scenario_for,
 )
 
@@ -208,6 +207,14 @@ def _open_store(path: str | None, telemetry: Telemetry | None = None):
     except OSError as error:
         raise SystemExit(f"cannot use result store '{path}': {error}") from None
     return store
+
+
+def _print_accounting(response, store) -> None:
+    """What a run against ``--store`` computed and what the store served."""
+    if store is not None:
+        print(f"new simulations: {response.new_simulations}; "
+              f"served from store: {response.store_hits}")
+        print(f"persistent store: {store.path} ({len(store)} entries)")
 
 
 def _design_config(name: str):
@@ -323,63 +330,25 @@ def cmd_multi_device(args: argparse.Namespace) -> int:
 def cmd_sweep(args: argparse.Namespace) -> int:
     """Sweep the generalized scenario grid and optionally export the rows."""
     request = _request(repro_api.SweepRequest, args)
-    models = list(request.models)
-    resolved = {name: get_model(name) for name in models}
-    scenarios = request.scenarios
-    max_devices = max(request.device_counts)
-    if request.parallelism == "tensor" and max_devices > 1:
-        # Tensor parallelism needs a scenario with a sharding model; drop
-        # incompatible models/scenarios up front instead of aborting
-        # mid-sweep on the first incompatible point.
-        if scenarios is not None:
-            scenarios = [name for name in scenarios
-                         if get_scenario(name).tensor_parallel is not None]
-
-        def tensor_capable(name: str) -> bool:
-            model = resolved[name]
-            specs = ([scenario_for(model)] if scenarios is None
-                     else [get_scenario(s) for s in scenarios if get_scenario(s).supports(model)])
-            for spec in specs:
-                if spec.tensor_parallel is None:
-                    continue
-                try:
-                    spec.tensor_parallel.shard(model, max_devices)
-                except ValueError:
-                    continue
-                return True
-            return False
-
-        dropped = [name for name in models if not tensor_capable(name)]
-        models = [name for name in models if name not in dropped]
-        dropped_dit = [name for name in dropped if isinstance(resolved[name], DiTConfig)]
-        dropped_other = [name for name in dropped if name not in dropped_dit]
-        # A dropped model the user explicitly asked for is part of the
-        # command's answer, not progress narration — it stays on stdout.
-        if dropped_dit:
-            print("skipping DiT models under tensor parallelism "
-                  f"({', '.join(dropped_dit)}); only LLM sharding is modelled")
-        if dropped_other:
-            print("skipping models without a tensor-parallel scenario "
-                  f"({', '.join(dropped_other)})")
-        if not models:
-            raise SystemExit("tensor parallelism is only modelled for LLM workloads; "
-                             "add an LLM model or use --parallelism pipeline")
-    if request.schedulers:
-        serving_capable = [name for name in models
-                           if isinstance(resolved[name], LLMConfig)]
-        skipped = [name for name in models if name not in serving_capable]
-        if skipped:
+    grid = request.grid()
+    dropped = [model for model in map(get_model, request.models)
+               if not grid.scenarios_for(model)]
+    # A dropped model the user explicitly asked for is part of the
+    # command's answer, not progress narration — it stays on stdout.
+    if grid.is_serving:
+        if skipped := [m.name for m in dropped if not isinstance(m, LLMConfig)]:
             print("skipping non-LLM models "
                   f"({', '.join(skipped)}); serving is modelled for LLM workloads")
-        models = serving_capable
-        if not models:
-            raise SystemExit("serving sweeps are only modelled for LLM workloads; "
-                             "add an LLM model or drop --schedulers")
+    elif grid.shard_devices > 1:
+        if dit := [m.name for m in dropped if isinstance(m, DiTConfig)]:
+            print("skipping DiT models under tensor parallelism "
+                  f"({', '.join(dit)}); only LLM sharding is modelled")
+        if other := [m.name for m in dropped if m.name not in dit]:
+            print("skipping models without a tensor-parallel scenario "
+                  f"({', '.join(other)})")
     telemetry = _telemetry_from_args(args)
     store = _open_store(args.store, telemetry)
     try:
-        request = dataclasses.replace(request, models=models,
-                                      scenarios=scenarios)
         response = repro_api.sweep(request, store=store, telemetry=telemetry)
     except repro_api.ApiRequestError as error:
         raise SystemExit(error.error.render()) from None
@@ -396,10 +365,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     stats = response.stats
     print(f"{len(results)} points evaluated with {stats['simulations']} graph simulations "
           f"({stats['graph_hits']} graph-cache hits, {stats['point_hits']} repeated points)")
-    if store is not None:
-        print(f"new simulations: {response.new_simulations}; "
-              f"served from store: {response.store_hits}")
-        print(f"persistent store: {store.path} ({len(store)} entries)")
+    _print_accounting(response, store)
     _export_telemetry(telemetry, args, time_domain="wall")
     try:
         if args.json:
@@ -580,10 +546,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
         _print_cluster_report(report, args, model)
     else:
         _print_serving_report(report, args, model)
-    if store is not None and response is not None:
-        print(f"new simulations: {response.new_simulations}; "
-              f"served from store: {response.store_hits}")
-        print(f"persistent store: {store.path} ({len(store)} entries)")
+    _print_accounting(response, store)
     if args.check_determinism:
         digest = {metric: getattr(report, metric).p99_s
                   for metric in ("ttft", "tpot", "e2e")}
@@ -640,7 +603,7 @@ def cmd_fleet(args: argparse.Namespace) -> int:
     except repro_api.ApiRequestError as error:
         raise SystemExit(error.error.render()) from None
     plan = response.plan_object()
-    slo = SLO(ttft_s=args.slo_ttft, tpot_s=args.slo_tpot)
+    slo = request.spec().slo
 
     rows = [[evaluation.replicas,
              f"{evaluation.slo_attainment * 100:.1f}%",
@@ -664,10 +627,7 @@ def cmd_fleet(args: argparse.Namespace) -> int:
         print(f"verdict: no fleet up to {args.max_replicas} replicas meets the "
               f"target; best attainment "
               f"{max(e.slo_attainment for e in plan.evaluations) * 100:.1f}%")
-    if store is not None:
-        print(f"new simulations: {response.new_simulations}; "
-              f"served from store: {response.store_hits}")
-        print(f"persistent store: {store.path} ({len(store)} entries)")
+    _print_accounting(response, store)
     try:
         if args.json:
             path = pathlib.Path(args.json)
@@ -724,9 +684,8 @@ def cmd_optimize(args: argparse.Namespace) -> int:
           f"{frontier.infeasible} infeasible "
           f"({frontier.capacity_pruned} below the capacity lower bound)")
     print(f"simulations: {frontier.short_runs} short + {frontier.full_runs} "
-          f"full trace; new simulations: "
-          f"{frontier.short_runs + frontier.full_runs}; "
-          f"served from store: {frontier.store_served}")
+          f"full trace; new simulations: {response.new_simulations}; "
+          f"served from store: {response.store_hits}")
     if store is not None:
         print(f"persistent store: {store.path} ({len(store)} entries)")
     _export_telemetry(telemetry, args, time_domain="wall")

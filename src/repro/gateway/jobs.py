@@ -34,6 +34,7 @@ from typing import Any
 
 from repro.api.errors import ApiError, ApiRequestError
 from repro.codec import encode
+from repro.obs.telemetry import Telemetry
 
 #: States a job moves through; ``TERMINAL`` ones never change again.
 JOB_STATES = ("queued", "running", "done", "failed", "cancelled")
@@ -93,15 +94,13 @@ class JobManager:
     """
 
     def __init__(self, store=None, *, workers: int = 2,
-                 runner: Callable[..., Any] | None = None,
-                 telemetry_factory: Callable[[], Any] | None = None) -> None:
+                 runner: Callable[..., Any] | None = None) -> None:
         if workers <= 0:
             raise ValueError("workers must be positive")
         if runner is None:
             from repro.api import run as runner  # noqa: F811 - default wiring
         self.store = store
         self._runner = runner
-        self._telemetry_factory = telemetry_factory or self._default_telemetry
         self._lock = threading.Lock()
         self._changed = threading.Condition(self._lock)
         self._queue: deque[Job] = deque()
@@ -114,12 +113,6 @@ class JobManager:
             for index in range(workers)]
         for thread in self._workers:
             thread.start()
-
-    @staticmethod
-    def _default_telemetry():
-        from repro.obs.telemetry import Telemetry
-
-        return Telemetry()
 
     # ---------------------------------------------------------------- submit
     def submit(self, request) -> Job:
@@ -222,7 +215,7 @@ class JobManager:
                 job.status = "running"
                 job.started_s = time.time()  # repro-lint: disable=RPR001 (job wall timestamp, not simulation state)
                 self._changed.notify_all()
-            telemetry = self._telemetry_factory()
+            telemetry = Telemetry()
             try:
                 response = self._runner(job.request, store=self.store,
                                         telemetry=telemetry)

@@ -86,12 +86,10 @@ class PipelineSchedule:
 
 
 def build_pipeline_plan(num_devices: int, num_layers: int, batch: int,
-                        topology: RingTopology,
-                        micro_batch_size: int = 1) -> PipelineParallelPlan:
-    """Construct a pipeline plan that splits the batch into micro-batches."""
-    if num_devices <= 0 or batch <= 0 or micro_batch_size <= 0:
-        raise ValueError("num_devices, batch and micro_batch_size must be positive")
-    stages = min(num_devices, num_layers)
-    micro_batches = max(1, ceil_div(batch, micro_batch_size))
-    return PipelineParallelPlan(num_stages=stages, num_layers=num_layers,
-                                micro_batches=micro_batches, topology=topology)
+                        topology: RingTopology) -> PipelineParallelPlan:
+    """Construct a pipeline plan with one micro-batch per batch item."""
+    if num_devices <= 0 or batch <= 0:
+        raise ValueError("num_devices and batch must be positive")
+    return PipelineParallelPlan(num_stages=min(num_devices, num_layers),
+                                num_layers=num_layers, micro_batches=batch,
+                                topology=topology)

@@ -487,13 +487,12 @@ class ClusterSimulator:
         self.faults = tuple(faults)
 
     @classmethod
-    def for_spec(cls, model, tpu_config, spec: ServingSpec, settings: object,
-                 *, simulator=None) -> "ClusterSimulator":
+    def for_spec(cls, model, tpu_config, spec: ServingSpec,
+                 settings: object) -> "ClusterSimulator":
         """``spec.replicas`` engines of ``spec`` behind its router,
         autoscaler, ``min_replicas`` and faults (see
         :meth:`ServingSimulator.for_spec`)."""
-        return cls([ServingSimulator.for_spec(model, tpu_config, spec,
-                                              settings, simulator=simulator)
+        return cls([ServingSimulator.for_spec(model, tpu_config, spec, settings)
                     for _ in range(spec.replicas)],
                    router=spec.router, autoscaler=spec.autoscaler,
                    min_replicas=spec.min_replicas, faults=spec.faults)
@@ -973,7 +972,7 @@ def cluster_run_key(model, tpu_config, spec: ServingSpec, settings: object) -> s
 
 
 def simulate_cluster(model, tpu_config, spec: ServingSpec, settings: object, *,
-                     simulator=None, store: "ResultStore | StoreView | None" = None,
+                     store: "ResultStore | StoreView | None" = None,
                      telemetry: Telemetry | None = None) -> ClusterReport:
     """Run one fleet-shaped :class:`ServingSpec` end to end (the sweep entry).
 
@@ -981,7 +980,7 @@ def simulate_cluster(model, tpu_config, spec: ServingSpec, settings: object, *,
     through :data:`~repro.serving.costs.STEP_PRICES`, so the fleet prices
     each distinct step state at most once), a router and an autoscaler from
     the spec's names, and replays the spec's seeded trace through the
-    cluster.  A lent ``simulator`` prices the step states the table misses.
+    cluster.
 
     A persistent :class:`~repro.sweep.store.ResultStore` short-circuits the
     whole run: reports are keyed by :func:`cluster_run_key` and stored
@@ -999,8 +998,7 @@ def simulate_cluster(model, tpu_config, spec: ServingSpec, settings: object, *,
             emit_report_summary(telemetry, "cluster", report, fidelity="stored")
             return report
     if spec.fidelity == "fluid":
-        report = _fluid_cluster_report(model, tpu_config, spec, settings,
-                                       simulator=simulator)
+        report = _fluid_cluster_report(model, tpu_config, spec, settings)
         emit_report_summary(telemetry, "cluster", report, fidelity="fluid")
         if store is not None:
             store.put(STORE_KIND, key, report.to_dict(include_requests=False))
@@ -1009,8 +1007,7 @@ def simulate_cluster(model, tpu_config, spec: ServingSpec, settings: object, *,
     trace = generate_trace(spec.trace, classes, spec.arrival_rate,
                            spec.num_requests, spec.seed,
                            overlay=spec.overlay)
-    cluster = ClusterSimulator.for_spec(model, tpu_config, spec, settings,
-                                        simulator=simulator)
+    cluster = ClusterSimulator.for_spec(model, tpu_config, spec, settings)
     report = cluster.run(trace, slo=spec.slo, telemetry=telemetry)
     if store is not None:
         store.put(STORE_KIND, key, report.to_dict(include_requests=False))
@@ -1018,7 +1015,7 @@ def simulate_cluster(model, tpu_config, spec: ServingSpec, settings: object, *,
 
 
 def _fluid_cluster_report(model, tpu_config, spec: ServingSpec,
-                          settings: object, *, simulator=None) -> ClusterReport:
+                          settings: object) -> ClusterReport:
     """Fleet-shaped fluid estimate: R identical replicas, flow split evenly.
 
     The fluid model has no routing events to replay, so the fleet reduces
@@ -1043,7 +1040,7 @@ def _fluid_cluster_report(model, tpu_config, spec: ServingSpec,
             spec, arrival_rate=spec.arrival_rate / fleet, num_requests=count,
             replicas=1, min_replicas=1)
         reports[count] = estimate_serving(model, tpu_config, replica_spec,
-                                          settings, simulator=simulator)
+                                          settings)
     per_replica = [reports[count] for count in counts if count > 0]
     makespan = max(report.makespan_s for report in per_replica)
     per_second = (1.0 / makespan) if makespan > 0 else 0.0

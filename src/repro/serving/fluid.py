@@ -48,7 +48,6 @@ import math
 
 from repro.common import ceil_div
 from repro.core.config import TPUConfig
-from repro.core.simulator import InferenceSimulator
 from repro.serving.metrics import LatencySummary, ServingReport
 from repro.serving.simulator import ServingSimulator
 from repro.serving.spec import ServingSpec
@@ -99,17 +98,14 @@ def _erlang_c(servers: int, erlangs: float) -> float:
 
 
 def estimate_serving(model: LLMConfig, tpu_config: TPUConfig,
-                     spec: ServingSpec, settings: object, *,
-                     simulator: InferenceSimulator | None = None,
-                     ) -> ServingReport:
+                     spec: ServingSpec, settings: object) -> ServingReport:
     """Price a serving spec with the closed-form fluid model.
 
     Returns a fully populated :class:`~repro.serving.metrics.ServingReport`
     (``requests`` empty) comparable field-for-field with the exact
     engine's.  A :class:`ServingSimulator` is constructed only for its
     deployment planning and memoised step costs — no event loop runs.  Step
-    prices come from the process-wide step-price table; a lent
-    ``simulator`` prices the states the table misses.
+    prices come from the process-wide step-price table.
 
     Raises
     ------
@@ -121,8 +117,7 @@ def estimate_serving(model: LLMConfig, tpu_config: TPUConfig,
         raise ValueError("fault injection needs the exact event loop; "
                          "fluid fidelity cannot replay fault timelines")
     classes = request_classes_from_settings(settings)
-    engine = ServingSimulator.for_spec(model, tpu_config, spec, settings,
-                                      simulator=simulator)
+    engine = ServingSimulator.for_spec(model, tpu_config, spec, settings)
     costs = engine.costs
     kv_per_token = engine.kv_bytes_per_token
 

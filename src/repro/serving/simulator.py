@@ -205,17 +205,14 @@ class ServingSimulator:
 
     @classmethod
     def for_spec(cls, model: LLMConfig, tpu_config: TPUConfig,
-                 spec: ServingSpec, settings: object, *,
-                 simulator: InferenceSimulator | None = None,
-                 ) -> "ServingSimulator":
+                 spec: ServingSpec, settings: object) -> "ServingSimulator":
         """The engine one deployment of ``spec`` runs on; the precision
         follows the scenario ``settings``."""
         return cls(model, tpu_config, scheduler=spec.scheduler,
                    precision=getattr(settings, "precision", Precision.INT8),
                    max_batch=spec.max_batch, bucket_tokens=spec.bucket_tokens,
                    devices=spec.devices,
-                   memory_utilisation=spec.memory_utilisation,
-                   simulator=simulator)
+                   memory_utilisation=spec.memory_utilisation)
 
     # ------------------------------------------------------------- deployment
     def kv_budget(self, devices: int) -> int:
@@ -839,9 +836,7 @@ def serving_run_key(model: LLMConfig, tpu_config: TPUConfig, spec: ServingSpec,
 
 
 def simulate_serving(model: LLMConfig, tpu_config: TPUConfig, spec: ServingSpec,
-                     settings: object, *,
-                     simulator: InferenceSimulator | None = None,
-                     store=None,
+                     settings: object, *, store=None,
                      telemetry: Telemetry | None = None) -> ServingReport:
     """Run one :class:`ServingSpec` end to end (the sweep engine's entry).
 
@@ -883,8 +878,7 @@ def simulate_serving(model: LLMConfig, tpu_config: TPUConfig, spec: ServingSpec,
     if spec.fidelity == "fluid":
         from repro.serving.fluid import estimate_serving
 
-        report = estimate_serving(model, tpu_config, spec, settings,
-                                  simulator=simulator)
+        report = estimate_serving(model, tpu_config, spec, settings)
         # Fluid runs have no event loop: summary telemetry only, and the
         # estimate itself never sees the telemetry object at all.
         emit_report_summary(telemetry, "serve", report, fidelity="fluid")
@@ -894,8 +888,7 @@ def simulate_serving(model: LLMConfig, tpu_config: TPUConfig, spec: ServingSpec,
     classes = request_classes_from_settings(settings)
     trace = generate_trace(spec.trace, classes, spec.arrival_rate,
                            spec.num_requests, spec.seed, overlay=spec.overlay)
-    engine = ServingSimulator.for_spec(model, tpu_config, spec, settings,
-                                      simulator=simulator)
+    engine = ServingSimulator.for_spec(model, tpu_config, spec, settings)
     report = engine.run(trace, slo=spec.slo, telemetry=telemetry)
     if store is not None:
         store.put(SERVING_STORE_KIND, key, report.to_dict())

@@ -33,10 +33,6 @@ class CacheStats:
     hits: int = 0
     misses: int = 0
 
-    def snapshot(self) -> "CacheStats":
-        """An independent copy of the current counters."""
-        return CacheStats(hits=self.hits, misses=self.misses)
-
 
 class ResultCache:
     """A content-addressed store with hit/miss accounting.

@@ -11,8 +11,8 @@ scenario space):
   the full point description, in the engine and (with a persistent store)
   across runs, so repeated points (e.g. the shared TPUv4i baseline)
   simulate once and a re-sweep simulates nothing; within one sweep, the
-  points of one chip configuration share a graph cache keyed on the chip
-  plus the operator graph;
+  analytical points of one chip configuration share a graph cache keyed on
+  the chip plus the operator graph (serving points price steps elsewhere);
 * **one evaluation path** — uncached points are grouped by chip
   configuration and each group is evaluated by one function, in this
   process or, with ``workers > 1`` and more than one group, in a
@@ -41,7 +41,7 @@ from repro.sweep.fingerprint import fingerprint
 from repro.sweep.grid import SweepGrid, SweepPoint
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (store uses cache)
-    from repro.sweep.store import ResultStore
+    from repro.sweep.store import ResultStore, StoreView
 
 #: Store namespace of persisted sweep-point rows (see repro.sweep.store).
 STORE_KIND = "sweep-result"
@@ -103,7 +103,7 @@ class SweepStats:
 
     @property
     def simulations(self) -> int:
-        """Graph simulations actually performed on behalf of the engine."""
+        """Graph simulations the engine's analytical points performed."""
         return self.graph_misses
 
 
@@ -132,8 +132,8 @@ def _compute_result(point: SweepPoint, simulator: CachingInferenceSimulator,
     simulator instead, and map the serving report onto the common row shape
     (latency = mean end-to-end request latency, throughput = sustained
     generated tokens per second).  Their step prices come from the
-    process-wide :data:`~repro.serving.costs.STEP_PRICES` table; only the
-    states it misses reach ``simulator`` and count as graph simulations.
+    process-wide :data:`~repro.serving.costs.STEP_PRICES` table alone, so
+    they never reach ``simulator`` and add no graph simulations.
     """
     spec = point.spec
     if point.serving is not None:
@@ -147,13 +147,13 @@ def _compute_result(point: SweepPoint, simulator: CachingInferenceSimulator,
             from repro.serving.cluster import simulate_cluster
 
             report = simulate_cluster(point.model, point.config, point.serving,
-                                      point.settings, simulator=simulator)
+                                      point.settings)
             devices = report.total_devices
         else:
             from repro.serving.simulator import simulate_serving
 
             report = simulate_serving(point.model, point.config, point.serving,
-                                      point.settings, simulator=simulator)
+                                      point.settings)
             devices = report.devices
         return SweepResult(
             design=point.design, workload=point.workload, kind=point.kind,
@@ -238,9 +238,9 @@ class SweepEngine:
     never the cluster reports behind its fleet points.
     """
 
-    def __init__(self, *, store: "ResultStore | None" = None,
+    def __init__(self, *, store: "ResultStore | StoreView | None" = None,
                  telemetry: Telemetry | None = None) -> None:
-        #: Persistent cross-run result store (``None`` = in-memory only).
+        #: Persistent cross-run store or a call's view (``None`` = in-memory).
         self.store = store
         #: Telemetry sink (wall-clock domain): per-point compute spans plus
         #: live cache/store hit-miss counters.  Observation only — rows are

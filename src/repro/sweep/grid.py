@@ -31,7 +31,7 @@ from repro.workloads.registry import (
     model_kind,
     scenario_for,
 )
-from repro.workloads.scenario import ScenarioKnobs
+from repro.workloads.scenario import ScenarioKnobs, ScenarioSpec
 
 
 @dataclass(frozen=True)
@@ -111,6 +111,17 @@ class SweepPoint:
         return summary
 
 
+def _shards(spec: ScenarioSpec, model: LLMConfig | DiTConfig, devices: int) -> bool:
+    """Whether scenario ``spec`` can shard ``model`` over ``devices`` chips."""
+    if spec.tensor_parallel is None:
+        return False
+    try:
+        spec.tensor_parallel.shard(model, devices)
+    except ValueError:
+        return False
+    return True
+
+
 def make_point(design: str, config: TPUConfig, model: LLMConfig | DiTConfig,
                precision: Precision = Precision.INT8, batch: int = 8, *,
                input_tokens: int = 1024, output_tokens: int = 512,
@@ -141,7 +152,9 @@ class SweepGrid:
     of ``None`` runs each model under its default scenario; an explicit
     tuple runs every listed scenario whose capability covers the model
     (incompatible pairs are skipped, so e.g. ``chat-serving`` quietly passes
-    over DiT models).
+    over DiT models), as are, on a tensor-parallel grid, the scenarios that
+    cannot shard the model over its widest device count;
+    :meth:`scenarios_for` alone picks the pairs.
 
     Setting ``schedulers`` *and* ``arrival_rates`` turns the grid into a
     **serving grid**: every point carries a
@@ -231,6 +244,11 @@ class SweepGrid:
         """Whether this grid carries the serving axes."""
         return bool(self.schedulers)
 
+    @property
+    def shard_devices(self) -> int:
+        """The widest device count a tensor grid shards models over, else 1."""
+        return max(self.device_counts) if self.parallelism == "tensor" else 1
+
     def serving_specs(self) -> list[ServingSpec | None]:
         """The serving axes of the grid (``[None]`` for analytical grids).
 
@@ -272,9 +290,11 @@ class SweepGrid:
         """The scenario names this grid runs the model under."""
         if self.is_serving and not isinstance(model, LLMConfig):
             return []
-        if self.scenarios is None:
-            return [scenario_for(model).name]
-        return [name for name in self.scenarios if get_scenario(name).supports(model)]
+        specs = ([scenario_for(model)] if self.scenarios is None
+                 else [get_scenario(name) for name in self.scenarios])
+        devices = self.shard_devices
+        return [spec.name for spec in specs if spec.supports(model)
+                and (devices == 1 or _shards(spec, model, devices))]
 
     def points(self) -> list[SweepPoint]:
         """Expand the grid into its ordered list of sweep points."""

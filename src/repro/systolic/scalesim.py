@@ -125,8 +125,8 @@ def run_scale_sim(config: ScaleSimConfig, topology: list[GemmLayerSpec]) -> Scal
     return report
 
 
-def transformer_gemm_topology(batch: int, seq_len: int, d_model: int, d_ff: int,
-                              name_prefix: str = "layer") -> list[GemmLayerSpec]:
+def transformer_gemm_topology(batch: int, seq_len: int, d_model: int,
+                              d_ff: int) -> list[GemmLayerSpec]:
     """Convenience generator: the GEMM topology of one Transformer layer.
 
     This mirrors the topology files the paper feeds to SCALE-Sim for the
@@ -135,8 +135,8 @@ def transformer_gemm_topology(batch: int, seq_len: int, d_model: int, d_ff: int,
     """
     tokens = batch * seq_len
     return [
-        GemmLayerSpec(f"{name_prefix}_qkv", tokens, d_model, 3 * d_model),
-        GemmLayerSpec(f"{name_prefix}_proj", tokens, d_model, d_model),
-        GemmLayerSpec(f"{name_prefix}_ffn1", tokens, d_model, d_ff),
-        GemmLayerSpec(f"{name_prefix}_ffn2", tokens, d_ff, d_model),
+        GemmLayerSpec("layer_qkv", tokens, d_model, 3 * d_model),
+        GemmLayerSpec("layer_proj", tokens, d_model, d_model),
+        GemmLayerSpec("layer_ffn1", tokens, d_model, d_ff),
+        GemmLayerSpec("layer_ffn2", tokens, d_ff, d_model),
     ]

@@ -25,9 +25,11 @@ from repro.api import (
     request_from_dict,
     response_from_dict,
 )
+from repro.cli import main as cli_main
 from repro.codec import decode, encode
 from repro.optimize import OBJECTIVE_REGISTRY, SEARCH_REGISTRY
 from repro.serving.autoscaler import AUTOSCALER_REGISTRY
+from repro.serving.costs import STEP_PRICES
 from repro.serving.router import ROUTER_REGISTRY
 from repro.serving.scheduler import SCHEDULER_REGISTRY
 from repro.serving.trace import TRACE_REGISTRY
@@ -402,3 +404,95 @@ class TestResponseRoundTrip:
         with pytest.raises(ApiRequestError) as excinfo:
             response_from_dict(payload)
         assert excinfo.value.error.code == "unknown-field"
+
+
+#: One request per accounting path: the three simulate engines, a fleet
+#: plan, both sweep kinds, a constrained search and a preview.
+ACCOUNTED = {
+    "simulate-exact": SimulateRequest(**FAST),
+    "simulate-fluid": SimulateRequest(**FAST, fidelity="fluid"),
+    "simulate-fleet": SimulateRequest(**FAST, replicas=2),
+    "fleet": FleetRequest(rate=30.0, llm="llama2-7b", input_tokens=64,
+                          output_tokens=16, requests=30),
+    "sweep-analytical": SweepRequest(
+        designs=("baseline",), models=("llama2-7b",), precisions=("int8",),
+        batches=(1, 2), input_tokens=64, output_tokens=16),
+    "sweep-serving": SweepRequest(
+        designs=("design-a",), models=("llama2-7b",), precisions=("int8",),
+        schedulers=("fcfs",), arrival_rates=(2.0, 8.0), trace_requests=20,
+        input_tokens=32, output_tokens=8),
+    "optimize": OptimizeRequest(
+        llm="llama2-7b", designs=("baseline", "design-a"),
+        replica_counts=(1, 2), input_tokens=64, output_tokens=16,
+        requests=30, constraints=("slo>=0.5",)),
+    "autoconfig-preview": AutoconfigPreviewRequest(llm="llama2-7b"),
+}
+
+
+class TestOneAccountingRule:
+    """Every kind counts the results it computed, whatever ran before it.
+
+    A call into an empty store computes exactly the entries it adds, and
+    an immediate repeat is served whole from the store.  Both hold on a
+    cold step-price table and on one a storeless run has already warmed.
+    """
+
+    @pytest.fixture(params=["cold-table", "warm-table"])
+    def table(self, request):
+        STEP_PRICES.clear()
+        yield request.param
+        STEP_PRICES.clear()
+
+    @pytest.mark.parametrize("name", sorted(ACCOUNTED))
+    def test_new_simulations_are_the_entries_the_call_stored(
+            self, tmp_path, table, name):
+        request = ACCOUNTED[name]
+        if table == "warm-table":
+            api.run(request)
+        store = ResultStore(tmp_path / "store.jsonl")
+        cold = api.run(request, store=store)
+        assert (cold.new_simulations, cold.store_hits) == (len(store), 0)
+        assert cold.store_misses == len(store)
+        assert not cold.served_from_store
+        warm = api.run(request, store=store)
+        assert (warm.new_simulations, warm.store_misses) == (0, 0)
+        assert warm.store_hits == len(store)
+        assert warm.served_from_store == (len(store) > 0)
+
+
+#: The CLI's tensor sweep over every registered model.
+TENSOR_SWEEP = ("--batch", "2", "--input-tokens", "64", "--output-tokens",
+                "16", "sweep", "--designs", "baseline", "--precisions",
+                "int8", "--batches", "2", "--devices", "1", "2",
+                "--parallelism", "tensor")
+
+
+class TestSweepPointsHaveOneOwner:
+    """The grid picks a sweep's points, so every surface runs the same."""
+
+    def test_api_tensor_sweep_returns_the_cli_rows(self, tmp_path, capsys):
+        path = tmp_path / "rows.json"
+        assert cli_main([*TENSOR_SWEEP, "--json", str(path)]) == 0
+        capsys.readouterr()
+        response = api.sweep(SweepRequest(
+            designs=("baseline",), precisions=("int8",), batches=(2,),
+            device_counts=(1, 2), parallelism="tensor", input_tokens=64,
+            output_tokens=16))
+        assert len(response.rows) == 8
+        assert [dict(row) for row in response.rows] == \
+            json.loads(path.read_text(encoding="utf-8"))
+
+    @pytest.mark.parametrize("extra, cause", [
+        (dict(schedulers=("fcfs",), arrival_rates=(4.0,)),
+         "serving sweeps are only modelled for LLM workloads"),
+        (dict(device_counts=(2,), parallelism="tensor"),
+         "tensor parallelism is only modelled for LLM workloads"),
+        (dict(scenarios=("llm-serving",)), "llm-serving"),
+    ], ids=["serving", "tensor", "scenarios"])
+    def test_a_grid_with_no_point_is_an_invalid_models_field(self, extra,
+                                                             cause):
+        with pytest.raises(ApiRequestError) as excinfo:
+            SweepRequest(models=("dit-xl-2",), designs=("baseline",), **extra)
+        assert excinfo.value.error.code == "invalid-field"
+        assert excinfo.value.error.field == "models"
+        assert cause in excinfo.value.error.message

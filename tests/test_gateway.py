@@ -249,6 +249,16 @@ class TestValidationErrors:
         assert (status, body["error"]["field"]) == (400, field)
         assert http(f"{gateway.url}/v1/jobs")[1]["jobs"] == []
 
+    def test_sweep_with_no_point_is_400_at_submission(self, gateway):
+        payload = {"kind": "sweep", "designs": ["baseline"],
+                   "models": ["dit-xl-2"], "schedulers": ["fcfs"],
+                   "arrival_rates": [4.0]}
+        status, body = http(f"{gateway.url}/v1/sweep", "POST", payload)
+        assert status == 400
+        assert (body["error"]["code"], body["error"]["field"]) == \
+            ("invalid-field", "models")
+        assert http(f"{gateway.url}/v1/jobs")[1]["jobs"] == []
+
     def test_unsupported_schema_version_is_400(self, gateway):
         payload = SimulateRequest(**FAST).to_dict()
         payload["schema_version"] = 99

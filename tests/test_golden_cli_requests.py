@@ -9,7 +9,8 @@ hand-written flags did:
   the request and stop before anything runs).  Together the argv lists
   use every request-backed flag, global options before the subcommand,
   ``--seed`` after it, repeated ``--faults``, ``--no-capacity-bound`` and
-  the sweep's tensor-parallel and serving model filters;
+  sweeps whose tensor-parallel and serving grids skip some of the models
+  (the request keeps every model the flags name; the grid skips them);
 * for each of the four subcommands, the sorted per-option blocks of its
   ``--help`` at a fixed width (option order in the listing is free; each
   option's spelling, metavar, choices and help text are not).

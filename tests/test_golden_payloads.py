@@ -10,7 +10,11 @@ without a store:
 * one fleet-sizing plan;
 * one response envelope per response kind (``simulate`` twice: a single
   deployment with its rows, and a faulted fleet whose resilience summary
-  carries ``recovery_s = inf``).
+  carries ``recovery_s = inf``; ``sweep`` twice: the analytical points,
+  and the serving point).
+
+Every envelope is a function of its request alone: the same bytes on a
+cold process-wide step-price table and on a warm one.
 
 ``json.dumps`` does not sort keys, so the digests pin key order, list
 shapes and every float.  Fleet aggregates use ``sum()``, whose float
@@ -32,6 +36,7 @@ import json
 import pathlib
 
 import repro.api as api
+from repro.serving.costs import STEP_PRICES
 
 GOLDEN_PATH = pathlib.Path(__file__).parent / "golden" / "payloads.json"
 
@@ -80,8 +85,7 @@ def payload_digests() -> dict[str, str]:
     """Payload name -> the sha256 of its ``json.dumps`` bytes."""
     found = responses()
     digests = {f"envelope/{name}": _sha256(response.to_dict())
-               for name, response in found.items()
-               if name != "sweep-serving"}
+               for name, response in found.items()}
     digests["sweep/rows"] = _sha256(
         [*found["sweep"].rows, *found["sweep-serving"].rows])
     digests["optimize/frontier"] = _sha256(found["optimize"].frontier)
@@ -105,3 +109,11 @@ def test_golden_holds_both_summation_sets():
     digests = _golden()
     assert sorted(digests) == ["compensated", "naive"]
     assert sorted(digests["compensated"]) == sorted(digests["naive"])
+
+
+def test_envelopes_are_equal_on_a_cold_and_a_warm_table():
+    STEP_PRICES.clear()
+    cold = {name: response.to_dict() for name, response in responses().items()}
+    warm = {name: response.to_dict() for name, response in responses().items()}
+    moved = [name for name in cold if warm[name] != cold[name]]
+    assert not moved, f"envelopes that depend on the step-price table: {moved}"
