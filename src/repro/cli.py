@@ -100,6 +100,7 @@ import dataclasses
 import json
 import logging
 import pathlib
+import signal
 import sys
 from collections.abc import Sequence
 
@@ -721,13 +722,20 @@ def cmd_gateway(args: argparse.Namespace) -> int:
     store_note = (f"; store {store.path} ({len(store)} entries)"
                   if store is not None else "; no --store (runs are not "
                   "shared between submissions)")
-    print(f"gateway listening on {server.url}{store_note}", flush=True)
+    # Stop on SIGINT and SIGTERM whatever their inherited disposition: a
+    # shell starts a background job (`cmd &`) with SIGINT ignored, and
+    # SIGTERM would otherwise end the process without server.close().
+    previous = {signum: signal.signal(signum, signal.default_int_handler)
+                for signum in (signal.SIGINT, signal.SIGTERM)}
     try:
+        print(f"gateway listening on {server.url}{store_note}", flush=True)
         server.serve_forever()
     except KeyboardInterrupt:
         pass
     finally:
         server.close()
+        for signum, handler in previous.items():
+            signal.signal(signum, handler)
     return 0
 
 

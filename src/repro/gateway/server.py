@@ -27,7 +27,8 @@ same request run through ``repro.api`` or the CLI, and a warm repeat
 reports ``new_simulations == 0``.  Errors are always
 :class:`~repro.api.errors.ApiError` JSON: ``unknown-route`` 404,
 ``method-not-allowed`` 405, ``job-not-finished``/``job-cancelled`` 409,
-``job-failed`` 500, everything else 400.
+``job-failed`` 500, everything else 400.  A request body must carry
+``Content-Length``: a chunked one is a 400 ``invalid-json``.
 """
 
 from __future__ import annotations
@@ -100,8 +101,13 @@ def _make_handler(manager: JobManager) -> type[BaseHTTPRequestHandler]:
             self.send_response(status)
             self.send_header("Content-Type", "application/json")
             self.send_header("Content-Length", str(len(body)))
-            self.end_headers()
-            self.wfile.write(body)
+            # The buffered head, its blank line and the body leave in one
+            # write.  Written apart, the body waits (Nagle's algorithm) for
+            # the client's delayed ACK of the head, ~40 ms per round trip.
+            # An HTTP/0.9 reply buffers no head: it is the bare body.
+            head = b"".join(getattr(self, "_headers_buffer", ()))
+            self._headers_buffer = []
+            self.wfile.write(head + b"\r\n" + body if head else body)
 
         def _send_error(self, error: ApiError) -> None:
             self._send_json(error_status(error), {"error": encode(error)})
@@ -127,7 +133,11 @@ def _make_handler(manager: JobManager) -> type[BaseHTTPRequestHandler]:
 
         def _read_body(self) -> bytes:
             header = self.headers.get("Content-Length", "0")
-            if not (header.isascii() and header.isdigit()):
+            encoding = self.headers.get("Transfer-Encoding")
+            if encoding is not None:
+                problem = (f"Transfer-Encoding {encoding!r} is not supported; "
+                           "send the body with Content-Length")
+            elif not (header.isascii() and header.isdigit()):
                 problem = f"invalid Content-Length {header!r}"
             elif int(header) > MAX_BODY_BYTES:
                 problem = f"request body exceeds {MAX_BODY_BYTES} bytes"
@@ -246,7 +256,11 @@ class GatewayServer:
         return f"http://{self.host}:{self.port}"
 
     def serve_forever(self) -> None:
-        """Serve on the calling thread until :meth:`close` (CLI entry)."""
+        """Serve on the calling thread until interrupted (CLI entry).
+
+        The caller stops it by raising in it (``KeyboardInterrupt``), then
+        calls :meth:`close`.
+        """
         self._httpd.serve_forever(poll_interval=0.1)
 
     def start(self) -> None:
@@ -260,10 +274,13 @@ class GatewayServer:
     def close(self) -> None:
         """Stop the HTTP loop and the job dispatchers."""
         self.manager.shutdown()
-        self._httpd.shutdown()
-        self._httpd.server_close()
+        # Only a loop on another thread needs stopping: one on the caller's
+        # thread has ended, maybe before it began, and shutdown() would
+        # then wait forever for it.
         if self._thread is not None:
+            self._httpd.shutdown()
             self._thread.join(timeout=5.0)
+        self._httpd.server_close()
 
     def __enter__(self) -> "GatewayServer":
         self.start()

@@ -11,6 +11,12 @@ byte-identical report over HTTP, through ``repro.api`` and via the CLI.
 """
 
 import json
+import os
+import pathlib
+import signal
+import socket
+import subprocess
+import sys
 import threading
 import time
 import urllib.error
@@ -24,6 +30,8 @@ from repro.api import AutoconfigPreviewRequest, SimulateRequest
 from repro.cli import main as cli_main
 from repro.gateway import JobManager, GatewayServer
 from repro.sweep.store import ResultStore
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 
 #: Small, fast serving run shared by the e2e tests.
 FAST = dict(llm="llama2-7b", input_tokens=64, output_tokens=16,
@@ -67,6 +75,58 @@ def gateway(tmp_path):
     store = ResultStore(tmp_path / "store.jsonl")
     with GatewayServer(store, port=0) as server:
         yield server
+
+
+@pytest.fixture
+def slow_gateway():
+    """One worker whose first job blocks until ``release`` is set."""
+    release = threading.Event()
+    started = threading.Event()
+
+    def runner(request, *, store=None, telemetry=None):
+        started.set()
+        assert release.wait(timeout=30)
+        return api.run(request, store=store, telemetry=telemetry)
+
+    with GatewayServer(None, port=0, workers=1, runner=runner) as server:
+        yield server, release, started
+        release.set()
+
+
+class CountingSocket:
+    """A connection socket that records every ``sendall`` it is handed."""
+
+    def __init__(self, sock, writes):
+        self._sock, self._writes = sock, writes
+
+    def sendall(self, data, *args):
+        self._writes.append(bytes(data))
+        return self._sock.sendall(data, *args)
+
+    def __getattr__(self, name):
+        return getattr(self._sock, name)
+
+
+def record_writes(server, monkeypatch):
+    """The list every write of ``server``'s handlers is appended to."""
+    writes = []
+    handler = server._httpd.RequestHandlerClass
+    setup = handler.setup
+
+    def counting_setup(self):
+        self.request = CountingSocket(self.request, writes)
+        setup(self)
+
+    monkeypatch.setattr(handler, "setup", counting_setup)
+    return writes
+
+
+def read_to_eof(sock):
+    """Every byte the peer sends until it closes (``sock``'s timeout bounds it)."""
+    chunks = []
+    while chunk := sock.recv(1 << 16):
+        chunks.append(chunk)
+    return b"".join(chunks)
 
 
 class TestSubmitPollFetch:
@@ -309,22 +369,129 @@ class TestValidationErrors:
             connection.close()
 
 
-class TestJobLifecycle:
-    @pytest.fixture
-    def slow_gateway(self):
-        """One worker whose first job blocks until ``release`` is set."""
-        release = threading.Event()
-        started = threading.Event()
+class TestWire:
+    """What a response looks like on the socket."""
 
-        def runner(request, *, store=None, telemetry=None):
-            started.set()
-            assert release.wait(timeout=30)
-            return api.run(request, store=store, telemetry=telemetry)
+    def test_every_response_is_one_write(self, slow_gateway, monkeypatch):
+        # A head written apart from its body makes the body wait (Nagle's
+        # algorithm) for the client's delayed ACK of the head, ~40 ms.
+        server, release, started = slow_gateway
+        writes = record_writes(server, monkeypatch)
+        connection = HTTPConnection(server.host, server.port, timeout=10)
 
-        with GatewayServer(None, port=0, workers=1, runner=runner) as server:
-            yield server, release, started
+        def exchange(method, path, body=None, status=200):
+            mark = len(writes)
+            connection.request(method, path, body=body,
+                               headers={"Content-Type": "application/json"})
+            response = connection.getresponse()
+            data = response.read()
+            assert response.status == status
+            headers = response.getheaders()
+            assert headers[0] == ("Server", "repro-gateway/1 Python/"
+                                  + sys.version.split()[0])
+            assert headers[1][0] == "Date"
+            assert headers[2:] == [("Content-Type", "application/json"),
+                                   ("Content-Length", str(len(data)))]
+            payload = json.loads(data)
+            assert data == json.dumps(payload).encode("utf-8")
+            head = "".join([f"HTTP/1.1 {status} {response.reason}\r\n",
+                            *(f"{name}: {value}\r\n" for name, value in headers),
+                            "\r\n"])
+            sent = writes[mark:]
+            assert len(sent) == 1, f"{method} {path}: {len(sent)} writes"
+            assert sent[0] == head.encode("latin-1") + data
+            return payload
+
+        preview = json.dumps(AutoconfigPreviewRequest(llm="llama2-7b").to_dict())
+        try:
+            job = exchange("POST", "/v1/autoconfig-preview", preview, 202)
+            assert started.wait(timeout=10)
+            exchange("GET", job["result_url"], status=409)
             release.set()
+            while exchange("GET", job["status_url"])["status"] != "done":
+                time.sleep(0.01)
+            exchange("GET", job["result_url"])
+            exchange("GET", "/v1/jobs")
+            exchange("POST", f"/v1/jobs/{job['job_id']}/cancel")
+            exchange("GET", "/v1/health")
+            exchange("GET", "/v1/nope", status=404)
+            exchange("GET", "/v1/simulate", status=405)
+            invalid = {**SimulateRequest(**FAST).to_dict(), "scheduler": "lifo"}
+            exchange("POST", "/v1/simulate", json.dumps(invalid), 400)
+            # Answered unread, and the connection's last reply.
+            error = exchange("POST", "/v1/simulate", b" " * (5 << 20), 400)
+            assert error["error"]["code"] == "invalid-json"
+        finally:
+            connection.close()
 
+    def test_http_0_9_reply_is_the_bare_body(self, gateway, monkeypatch):
+        writes = record_writes(gateway, monkeypatch)
+        with socket.create_connection((gateway.host, gateway.port),
+                                      timeout=10) as sock:
+            sock.sendall(b"GET /v1/health\r\n\r\n")
+            reply = read_to_eof(sock)
+        assert json.loads(reply)["status"] == "ok"
+        assert writes == [reply]
+
+    def test_chunked_body_gets_one_400_then_the_close(self, gateway):
+        # Read as a body-less POST, the chunk-size line would be parsed as
+        # the connection's next request.
+        body = json.dumps(SimulateRequest(**FAST).to_dict()).encode("utf-8")
+        request = (b"POST /v1/simulate HTTP/1.1\r\nHost: gateway\r\n"
+                   b"Content-Type: application/json\r\n"
+                   b"Transfer-Encoding: chunked\r\n\r\n"
+                   + b"%x\r\n" % len(body) + body + b"\r\n0\r\n\r\n"
+                   + b"GET /v1/health HTTP/1.1\r\nHost: gateway\r\n\r\n")
+        with socket.create_connection((gateway.host, gateway.port),
+                                      timeout=10) as sock:
+            sock.sendall(request)
+            reply = read_to_eof(sock)
+        head, _, rest = reply.partition(b"\r\n\r\n")
+        status_line, *header_lines = head.decode("latin-1").split("\r\n")
+        assert status_line == "HTTP/1.1 400 Bad Request"
+        headers = dict(line.split(": ", 1) for line in header_lines)
+        assert headers["Content-Type"] == "application/json"
+        assert len(rest) == int(headers["Content-Length"])
+        error = json.loads(rest)["error"]
+        assert error["code"] == "invalid-json"
+        assert "Transfer-Encoding 'chunked'" in error["message"]
+        assert "Content-Length" in error["message"]
+
+
+class TestShutdown:
+    def test_close_before_the_loop_began_returns(self):
+        # A signal can end the CLI's serve loop before the loop begins.
+        server = GatewayServer(None, port=0)
+        closer = threading.Thread(target=server.close, daemon=True)
+        closer.start()
+        closer.join(timeout=10)
+        assert not closer.is_alive()
+
+    @pytest.mark.skipif(os.name != "posix", reason="POSIX signal dispositions")
+    @pytest.mark.parametrize("signum", [signal.SIGINT, signal.SIGTERM],
+                             ids=["SIGINT", "SIGTERM"])
+    def test_stops_on_signal_with_sigint_ignored(self, signum):
+        # A shell starts a background job (`cmd &`) with SIGINT ignored, and
+        # the disposition survives exec.
+        launch = ("import os, signal, sys; "
+                  "signal.signal(signal.SIGINT, signal.SIG_IGN); "
+                  "os.execv(sys.executable, [sys.executable, '-m', "
+                  "'repro.cli', 'gateway', '--port', '0'])")
+        process = subprocess.Popen(
+            [sys.executable, "-c", launch], stdout=subprocess.PIPE, text=True,
+            env={**os.environ, "PYTHONPATH": str(SRC)})
+        try:
+            assert "listening on http://" in process.stdout.readline()
+            process.send_signal(signum)
+            assert process.wait(timeout=10) == 0
+        finally:
+            if process.poll() is None:
+                process.kill()
+                process.wait()
+            process.stdout.close()
+
+
+class TestJobLifecycle:
     def test_cancel_queued_job_then_409_on_result(self, slow_gateway):
         server, release, started = slow_gateway
         payload = AutoconfigPreviewRequest(llm="llama2-7b").to_dict()
