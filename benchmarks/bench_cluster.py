@@ -3,8 +3,7 @@
 Routes a 5k-request bursty trace of the default chat mix across a
 four-replica fleet (least-outstanding-requests router, queue-depth
 autoscaler) and measures *simulator* performance — requests simulated per
-wall-clock second and the fleet-wide step-cost cache hit rate the shared
-graph cache makes possible.
+wall-clock second and the fleet-wide step-cost cache hit rate.
 
 Beyond the human-readable table under ``reports/``, the run writes
 ``BENCH_cluster.json`` at the repository root: the machine-readable record
@@ -48,7 +47,6 @@ from repro.serving.cluster import ClusterSimulator
 from repro.serving.metrics import SLO, RequestMetrics, slo_debt_s
 from repro.serving.simulator import ServingSimulator
 from repro.serving.trace import Request, generate_trace
-from repro.sweep.cache import CachingInferenceSimulator
 from repro.workloads.chat import DEFAULT_REQUEST_MIX
 from repro.workloads.llm import GPT3_30B
 
@@ -70,9 +68,7 @@ REALISTIC = SimulateRequest(
 def _run():
     trace = generate_trace("bursty", DEFAULT_REQUEST_MIX, ARRIVAL_RATE,
                            NUM_REQUESTS, SEED)
-    shared = CachingInferenceSimulator(design_a())
-    replicas = [ServingSimulator(GPT3_30B, design_a(), simulator=shared)
-                for _ in range(REPLICAS)]
+    replicas = [ServingSimulator(GPT3_30B, design_a()) for _ in range(REPLICAS)]
     cluster = ClusterSimulator(replicas, router="least-outstanding-requests",
                                autoscaler="queue-depth")
     start = time.perf_counter()
@@ -202,18 +198,15 @@ def test_cluster_simulator_throughput(benchmark):
     assert realistic["completed"] == REALISTIC.requests
 
     # Steady-state figure of merit for pytest-benchmark comparisons: a
-    # 1k-request fleet replay on a warm shared graph cache.
+    # 1k-request fleet replay on warm step prices.
     small_trace = generate_trace("bursty", DEFAULT_REQUEST_MIX, ARRIVAL_RATE,
                                  1000, SEED)
-    shared = CachingInferenceSimulator(design_a())
-    replicas = [ServingSimulator(GPT3_30B, design_a(), simulator=shared)
-                for _ in range(REPLICAS)]
+    replicas = [ServingSimulator(GPT3_30B, design_a()) for _ in range(REPLICAS)]
     warm = ClusterSimulator(replicas, router="least-outstanding-requests")
     warm.run(small_trace)
 
     def replay():
-        fresh = [ServingSimulator(GPT3_30B, design_a(), simulator=shared)
-                 for _ in range(REPLICAS)]
+        fresh = [ServingSimulator(GPT3_30B, design_a()) for _ in range(REPLICAS)]
         return ClusterSimulator(fresh, router="least-outstanding-requests").run(small_trace)
 
     benchmark(replay)
@@ -224,10 +217,8 @@ def test_routers_complete_the_trace():
     from repro.serving.router import ROUTER_REGISTRY
 
     trace = generate_trace("bursty", DEFAULT_REQUEST_MIX, 32.0, 800, SEED)
-    shared = CachingInferenceSimulator(design_a())
     for router in sorted(ROUTER_REGISTRY):
-        replicas = [ServingSimulator(GPT3_30B, design_a(), simulator=shared)
-                    for _ in range(3)]
+        replicas = [ServingSimulator(GPT3_30B, design_a()) for _ in range(3)]
         report = ClusterSimulator(replicas, router=router).run(trace)
         assert report.completed + report.rejected == 800
         assert report.rejected == 0

@@ -32,7 +32,6 @@ from repro.serving.faults import FaultSpec
 from repro.serving.metrics import SLO
 from repro.serving.simulator import ServingSimulator
 from repro.serving.trace import OverlaySpec, apply_overlay, generate_trace
-from repro.sweep.cache import CachingInferenceSimulator
 from repro.workloads.chat import DEFAULT_REQUEST_MIX
 from repro.workloads.llm import GPT3_30B
 
@@ -56,9 +55,7 @@ def _run():
     trace = apply_overlay(
         generate_trace("bursty", DEFAULT_REQUEST_MIX, ARRIVAL_RATE,
                        NUM_REQUESTS, SEED), OVERLAY)
-    shared = CachingInferenceSimulator(design_a())
-    replicas = [ServingSimulator(GPT3_30B, design_a(), simulator=shared)
-                for _ in range(REPLICAS)]
+    replicas = [ServingSimulator(GPT3_30B, design_a()) for _ in range(REPLICAS)]
     cluster = ClusterSimulator(replicas, router="least-outstanding-requests",
                                autoscaler="forecasting", faults=FAULTS)
     start = time.perf_counter()
@@ -122,20 +119,17 @@ def test_chaos_simulator_throughput(benchmark):
     assert repeat.to_dict() == report.to_dict()
     assert repeat_wall < WALL_BUDGET_SECONDS
 
-    # Steady-state figure of merit: a 500-request chaos replay on a warm
-    # shared graph cache.
+    # Steady-state figure of merit: a 500-request chaos replay on warm step
+    # prices.
     small_trace = apply_overlay(
         generate_trace("bursty", DEFAULT_REQUEST_MIX, ARRIVAL_RATE, 500, SEED),
         OVERLAY)
-    shared = CachingInferenceSimulator(design_a())
-    warm = [ServingSimulator(GPT3_30B, design_a(), simulator=shared)
-            for _ in range(REPLICAS)]
+    warm = [ServingSimulator(GPT3_30B, design_a()) for _ in range(REPLICAS)]
     ClusterSimulator(warm, router="least-outstanding-requests",
                      autoscaler="forecasting", faults=FAULTS).run(small_trace)
 
     def replay():
-        fresh = [ServingSimulator(GPT3_30B, design_a(), simulator=shared)
-                 for _ in range(REPLICAS)]
+        fresh = [ServingSimulator(GPT3_30B, design_a()) for _ in range(REPLICAS)]
         return ClusterSimulator(fresh, router="least-outstanding-requests",
                                 autoscaler="forecasting",
                                 faults=FAULTS).run(small_trace)
@@ -148,10 +142,8 @@ def test_every_fault_model_completes_the_trace():
     from repro.serving.faults import FAULT_REGISTRY
 
     trace = generate_trace("bursty", DEFAULT_REQUEST_MIX, 32.0, 600, SEED)
-    shared = CachingInferenceSimulator(design_a())
     for kind in sorted(FAULT_REGISTRY):
-        replicas = [ServingSimulator(GPT3_30B, design_a(), simulator=shared)
-                    for _ in range(3)]
+        replicas = [ServingSimulator(GPT3_30B, design_a()) for _ in range(3)]
         report = ClusterSimulator(
             replicas, faults=(FaultSpec(kind, mttf_s=6.0, duration_s=2.0),),
         ).run(trace)

@@ -67,10 +67,15 @@ def _view(store: "ResultStore | None") -> StoreView | None:
     return StoreView(store) if store is not None else None
 
 
+def _store_counts(view: StoreView | None) -> tuple[int, int]:
+    """The hits and misses of the call's store ``view`` (none without one)."""
+    return (view.stats.hits, view.stats.misses) if view is not None else (0, 0)
+
+
 def _answer(cls, request, view: StoreView | None, results: int, **payload):
     """Response ``cls`` to ``request``: of the ``results`` the answer needed,
     the call's store ``view`` served its hits and the rest were computed."""
-    hits, misses = (view.stats.hits, view.stats.misses) if view is not None else (0, 0)
+    hits, misses = _store_counts(view)
     return cls(fingerprint=request_fingerprint(request),
                served_from_store=hits > 0 and results == hits,
                new_simulations=results - hits, store_hits=hits,
@@ -141,9 +146,11 @@ def sweep(request: SweepRequest, *, store: "ResultStore | None" = None,
     except (ValueError, OSError) as error:
         raise _engine_error(error) from None
     stats = engine.stats
+    hits, misses = _store_counts(view)
     return _answer(SweepResponse, request, view, stats.point_misses,
                    rows=tuple(encode(row) for row in rows),
-                   stats={"simulations": stats.simulations, **encode(stats)})
+                   stats={"simulations": stats.simulations, **encode(stats),
+                          "store_hits": hits, "store_misses": misses})
 
 
 # ------------------------------------------------------------------ optimize

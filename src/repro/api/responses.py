@@ -115,8 +115,8 @@ class SweepResponse(_Response):
     kind: ClassVar[str] = "sweep"
 
     rows: tuple[Mapping[str, Any], ...] = ()
-    #: Engine counters: simulations, graph_hits, point_hits, store_hits,
-    #: store_misses — the exact provenance the CLI stats line prints.
+    #: Engine counters (simulations, point and graph hits and misses), then
+    #: the call's store hits and misses — the provenance the CLI prints.
     stats: Mapping[str, Any] = dataclasses.field(default_factory=dict)
 
     def __post_init__(self) -> None:

@@ -18,7 +18,6 @@ cores (Fig. 4 of the paper).  The hierarchy is:
 from repro.cim.macro import CIMMacroConfig, CIMMacro
 from repro.cim.core import CIMCore
 from repro.cim.mxu import CIMMXUConfig, CIMMXU, CIMCycleBreakdown
-from repro.cim.precision import PrecisionPipeline
 from repro.cim.energy import CIMEnergyReport, macro_energy_report
 
 __all__ = [
@@ -28,7 +27,6 @@ __all__ = [
     "CIMMXUConfig",
     "CIMMXU",
     "CIMCycleBreakdown",
-    "PrecisionPipeline",
     "CIMEnergyReport",
     "macro_energy_report",
 ]

@@ -189,6 +189,9 @@ def _make_handler(manager: JobManager) -> type[BaseHTTPRequestHandler]:
 
         def do_GET(self) -> None:  # noqa: N802 - http.server API
             try:
+                # A body is read and ignored: one left unread would be
+                # parsed as the connection's next request.
+                self._read_body()
                 parts = [p for p in self.path.split("/") if p]
                 if parts == ["v1", "health"]:
                     jobs = manager.jobs()

@@ -56,10 +56,7 @@ class CalibrationConstants:
     bf16_energy_overhead:
         Multiplicative dynamic-energy overhead of BF16 (mantissa alignment in
         the pre-processing unit plus wider accumulation) relative to INT8 for
-        the same MAC count.
-    bf16_throughput_factor:
-        Peak-throughput factor of BF16 relative to INT8 (both MXU flavours
-        keep the same MACs/cycle in the paper, hence 1.0).
+        the same MAC count.  BF16 keeps INT8's MACs/cycle in the paper.
     """
 
     digital_tops_per_watt: float = 0.77
@@ -69,7 +66,6 @@ class CalibrationConstants:
     digital_leakage_fraction: float = 0.22
     cim_leakage_fraction: float = 0.20
     bf16_energy_overhead: float = 1.45
-    bf16_throughput_factor: float = 1.0
 
     def __post_init__(self) -> None:
         for field_name in (
@@ -78,7 +74,6 @@ class CalibrationConstants:
             "cim_tops_per_watt",
             "cim_tops_per_mm2",
             "bf16_energy_overhead",
-            "bf16_throughput_factor",
         ):
             if getattr(self, field_name) <= 0:
                 raise ValueError(f"{field_name} must be positive")

@@ -11,7 +11,7 @@ paper cites as the basis of its mapping engine.
 
 from repro.mapping.tiling import TileShape, Tiling, matmul_tile_bytes, choose_vmem_tiling
 from repro.mapping.mapspace import PartitionDim, MappingCandidate, enumerate_candidates
-from repro.mapping.schedule import ScheduleOptions, pipelined_tile_latency
+from repro.mapping.schedule import ScheduleOptions
 from repro.mapping.engine import MappingEngine, MatmulMapping, MappingObjective
 
 __all__ = [
@@ -23,7 +23,6 @@ __all__ = [
     "MappingCandidate",
     "enumerate_candidates",
     "ScheduleOptions",
-    "pipelined_tile_latency",
     "MappingEngine",
     "MatmulMapping",
     "MappingObjective",

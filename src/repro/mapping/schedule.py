@@ -3,9 +3,8 @@
 The paper's mapping engine overlaps computation with memory access through
 double buffering and memory coalescing "at each level of the memory
 hierarchy".  At the analytical granularity of this simulator that reduces to
-one question per operator (or per tile stream): is the steady-state latency
-``max(compute, transfer)`` or ``compute + transfer``, and how much of the
-first/last tile's transfer remains exposed.
+one question per operator: is its latency ``max(compute, transfer)`` or
+``compute + transfer``.
 """
 
 from __future__ import annotations
@@ -26,27 +25,6 @@ class ScheduleOptions:
         parts.append("double-buffered" if self.double_buffering else "serialised")
         parts.append("coalesced" if self.memory_coalescing else "strided")
         return ", ".join(parts)
-
-
-def pipelined_tile_latency(num_tiles: int, compute_per_tile: float, load_per_tile: float,
-                           store_per_tile: float = 0.0,
-                           double_buffered: bool = True) -> float:
-    """Latency of streaming ``num_tiles`` tiles through a compute unit.
-
-    With double buffering the loads of tile ``i+1`` and the stores of tile
-    ``i−1`` overlap the computation of tile ``i``; the first load and the last
-    store remain exposed.  Without double buffering every phase serialises.
-    """
-    if num_tiles <= 0:
-        raise ValueError("num_tiles must be positive")
-    if compute_per_tile < 0 or load_per_tile < 0 or store_per_tile < 0:
-        raise ValueError("per-tile cycle counts must be non-negative")
-
-    if not double_buffered:
-        return num_tiles * (compute_per_tile + load_per_tile + store_per_tile)
-
-    steady = max(compute_per_tile, load_per_tile + store_per_tile)
-    return load_per_tile + (num_tiles - 1) * steady + compute_per_tile + store_per_tile
 
 
 def overlapped_operator_latency(compute_cycles: float, weight_transfer_cycles: float,

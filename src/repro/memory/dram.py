@@ -71,9 +71,3 @@ class MainMemory:
         efficiency = (self.config.coalesced_efficiency if coalesced
                       else self.config.strided_efficiency)
         return self.config.bandwidth_gbps * efficiency
-
-    def fits(self, num_bytes: int) -> bool:
-        """Whether a working set of ``num_bytes`` fits in main memory."""
-        if num_bytes < 0:
-            raise ValueError("num_bytes must be non-negative")
-        return num_bytes <= self.config.capacity_bytes

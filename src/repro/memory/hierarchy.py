@@ -1,4 +1,4 @@
-"""Two-level memory hierarchy with double buffering and coalescing.
+"""Two-level memory hierarchy with memory coalescing.
 
 The hierarchy mirrors the TPUv4i (and the paper's CIM-based TPU, which keeps
 it unchanged): HBM → CMEM → VMEM → compute units.  The mapping engine asks
@@ -8,10 +8,9 @@ this model two questions for every scheduled tile:
   results) at each level, and
 * what is the resulting energy.
 
-Double buffering at a level lets the *next* tile's transfers overlap the
-current tile's computation, so the steady-state latency of a tile becomes
-``max(compute, transfer)`` instead of their sum.  Memory coalescing chooses
-the long-burst HBM efficiency point.
+Whether those cycles overlap computation (double buffering) is decided by
+:func:`repro.mapping.schedule.overlapped_operator_latency`.  Memory
+coalescing chooses the long-burst HBM efficiency point.
 """
 
 from __future__ import annotations
@@ -121,27 +120,6 @@ class MemoryHierarchy:
     def _vmem_compute(self, num_bytes: float, coalesced: bool, energy: EnergyBudget) -> float:
         energy.add_dynamic("vmem", self.energy_model.vmem_access_energy(num_bytes))
         return self.vmem.read_cycles(num_bytes)
-
-    # ----------------------------------------------------------- scheduling
-    @staticmethod
-    def overlapped_latency(compute_cycles: float, transfer_cycles: float,
-                           double_buffered: bool = True) -> float:
-        """Steady-state latency of a tile given its compute and transfer time.
-
-        With double buffering the transfers of tile ``i+1`` happen during the
-        computation of tile ``i``; without it, the two serialise.
-        """
-        if compute_cycles < 0 or transfer_cycles < 0:
-            raise ValueError("cycle counts must be non-negative")
-        if double_buffered:
-            return max(compute_cycles, transfer_cycles)
-        return compute_cycles + transfer_cycles
-
-    def double_buffer_fits(self, buffer: SRAMBuffer, tile_bytes: int) -> bool:
-        """Whether a tile can be double buffered in the given SRAM."""
-        if tile_bytes < 0:
-            raise ValueError("tile_bytes must be non-negative")
-        return 2 * tile_bytes <= buffer.config.capacity_bytes
 
 
 #: The hop between each level of ``LEVELS`` and the next one down.

@@ -110,15 +110,3 @@ class RingTopology:
         chunk = num_bytes / n
         per_step = chunk / self.link.bytes_per_cycle + self.link.latency_cycles
         return steps * per_step
-
-    def all_gather_cycles(self, num_bytes: float) -> float:
-        """Cycles for a ring all-gather of ``num_bytes`` per device."""
-        if num_bytes < 0:
-            raise ValueError("num_bytes must be non-negative")
-        n = self.num_devices
-        if n == 1 or num_bytes == 0:
-            return 0.0
-        steps = n - 1
-        chunk = num_bytes / n
-        per_step = chunk / self.link.bytes_per_cycle + self.link.latency_cycles
-        return steps * per_step

@@ -1,10 +1,9 @@
 """On-chip SRAM buffer model (VMEM and CMEM).
 
 Both on-chip memories are modelled as banked SRAMs with a capacity, a read
-bandwidth and a write bandwidth expressed in bytes per core clock cycle.  The
-buffer also offers a simple allocation interface so the mapping engine can
-verify that a candidate tiling (with or without double buffering) actually
-fits before it is scheduled.
+bandwidth and a write bandwidth expressed in bytes per core clock cycle.
+Whether a tile fits is the mapping engine's question, answered against the
+buffer's capacity by :func:`repro.mapping.tiling.choose_vmem_tiling`.
 """
 
 from __future__ import annotations
@@ -39,7 +38,6 @@ class SRAMBuffer:
 
     def __init__(self, config: SRAMConfig) -> None:
         self.config = config
-        self._allocations: dict[str, int] = {}
 
     # ---------------------------------------------------------------- timing
     def read_cycles(self, num_bytes: float) -> float:
@@ -53,43 +51,6 @@ class SRAMBuffer:
         if num_bytes < 0:
             raise ValueError("num_bytes must be non-negative")
         return num_bytes / self.config.write_bytes_per_cycle
-
-    # ------------------------------------------------------------ allocation
-    @property
-    def allocated_bytes(self) -> int:
-        """Bytes currently reserved by named allocations."""
-        return sum(self._allocations.values())
-
-    @property
-    def free_bytes(self) -> int:
-        """Bytes still available for allocation."""
-        return self.config.capacity_bytes - self.allocated_bytes
-
-    def fits(self, num_bytes: int) -> bool:
-        """Whether an additional allocation of ``num_bytes`` would fit."""
-        if num_bytes < 0:
-            raise ValueError("num_bytes must be non-negative")
-        return num_bytes <= self.free_bytes
-
-    def allocate(self, name: str, num_bytes: int) -> None:
-        """Reserve ``num_bytes`` under ``name``; raises if it does not fit."""
-        if name in self._allocations:
-            raise ValueError(f"allocation '{name}' already exists in {self.config.name}")
-        if not self.fits(num_bytes):
-            raise MemoryError(
-                f"{self.config.name}: cannot allocate {num_bytes} bytes for '{name}' "
-                f"({self.free_bytes} bytes free of {self.config.capacity_bytes})")
-        self._allocations[name] = num_bytes
-
-    def release(self, name: str) -> None:
-        """Release a named allocation."""
-        if name not in self._allocations:
-            raise KeyError(f"no allocation named '{name}' in {self.config.name}")
-        del self._allocations[name]
-
-    def reset(self) -> None:
-        """Drop every allocation (used between simulated operators)."""
-        self._allocations.clear()
 
 
 def vmem_default() -> SRAMConfig:

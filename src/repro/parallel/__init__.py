@@ -1,21 +1,15 @@
-"""Multi-device parallelism: tensor and pipeline parallelism over ICI rings.
+"""Multi-device parallelism: pipeline and tensor parallelism over ICI rings.
 
 The paper scales its evaluation to up to four TPUs interconnected in a ring
 through the two per-chip ICI links, using pipeline parallelism (and tensor
 parallelism within a layer where beneficial) to accommodate large batch sizes
-and model footprints.  This package models both schemes on top of the
-single-chip simulator.
+and model footprints.  :class:`MultiTPUSystem` models both schemes on top of
+the single-chip simulator.
 """
 
-from repro.parallel.tensor_parallel import TensorParallelPlan, shard_layer_config
-from repro.parallel.pipeline_parallel import PipelineParallelPlan, PipelineSchedule
 from repro.parallel.multi_device import MultiTPUSystem, MultiDeviceResult
 
 __all__ = [
-    "TensorParallelPlan",
-    "shard_layer_config",
-    "PipelineParallelPlan",
-    "PipelineSchedule",
     "MultiTPUSystem",
     "MultiDeviceResult",
 ]

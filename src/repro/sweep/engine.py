@@ -96,10 +96,6 @@ class SweepStats:
     point_misses: int = 0
     graph_hits: int = 0
     graph_misses: int = 0
-    #: Point rows served from / written to the persistent store (when one
-    #: is attached): a store hit does zero simulation work.
-    store_hits: int = 0
-    store_misses: int = 0
 
     @property
     def simulations(self) -> int:
@@ -243,8 +239,8 @@ class SweepEngine:
         #: Persistent cross-run store or a call's view (``None`` = in-memory).
         self.store = store
         #: Telemetry sink (wall-clock domain): per-point compute spans plus
-        #: live cache/store hit-miss counters.  Observation only — rows are
-        #: identical with telemetry on or off.
+        #: a computed-row counter.  Observation only — rows are identical
+        #: with telemetry on or off.
         self.telemetry = telemetry
         #: Finished rows by point key, so a repeated point simulates once.
         self._rows: dict[str, SweepResult] = {}
@@ -291,16 +287,7 @@ class SweepEngine:
         """Decode a stored row (``None`` without a store or on a miss)."""
         if self.store is None:
             return None
-        row = self.store.load(STORE_KIND, key, _decode_row)
-        if row is not None:
-            self._stats.store_hits += 1
-            if self.telemetry is not None:
-                self.telemetry.count("sweep.store_hits")
-            return row
-        self._stats.store_misses += 1
-        if self.telemetry is not None:
-            self.telemetry.count("sweep.store_misses")
-        return None
+        return self.store.load(STORE_KIND, key, _decode_row)
 
     def _compute(self, groups: list[list[tuple[str, SweepPoint]]],
                  workers: int | None) -> None:

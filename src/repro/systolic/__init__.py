@@ -2,15 +2,14 @@
 
 The paper evaluates its baseline with SCALE-Sim [26] over a Gemmini-generated
 128×128 systolic array.  This package re-implements the SCALE-Sim analytical
-cycle model (:mod:`repro.systolic.dataflows`, :mod:`repro.systolic.scalesim`)
-and wraps it, together with the energy/area calibration, into a
+cycle model (:mod:`repro.systolic.dataflows`) and wraps it, together with the
+energy/area calibration, into a
 :class:`repro.systolic.systolic_array.DigitalMXU` component model that the
 chip-level simulator instantiates.
 """
 
 from repro.systolic.dataflows import Dataflow, systolic_gemm_cycles, SystolicCycleBreakdown
 from repro.systolic.systolic_array import SystolicArrayConfig, DigitalMXU, MXUComputeResult
-from repro.systolic.scalesim import ScaleSimConfig, ScaleSimReport, run_scale_sim
 
 __all__ = [
     "Dataflow",
@@ -19,7 +18,4 @@ __all__ = [
     "SystolicArrayConfig",
     "DigitalMXU",
     "MXUComputeResult",
-    "ScaleSimConfig",
-    "ScaleSimReport",
-    "run_scale_sim",
 ]

@@ -93,6 +93,23 @@ class TestCapacityPlan:
         assert plan.memory_per_device_bytes == pytest.approx(
             footprint.total_bytes / plan.min_devices)
 
+    def test_footprint_at_usable_memory_fits_one_device(self):
+        # Usable memory is HBM capacity times the utilisation bound.
+        usable = int(tpuv4i_baseline().main_memory_bytes * 0.9)
+        at = ModelFootprint("at", weight_bytes=usable, kv_cache_bytes=0, activation_bytes=0)
+        over = ModelFootprint("over", weight_bytes=usable + 1, kv_cache_bytes=0,
+                              activation_bytes=0)
+        assert plan_capacity(at, tpuv4i_baseline()).min_devices == 1
+        assert plan_capacity(over, tpuv4i_baseline()).min_devices == 2
+
+    def test_full_utilisation_uses_all_of_hbm(self):
+        tpu = tpuv4i_baseline()
+        hbm = ModelFootprint("hbm", weight_bytes=8 * 2**30, kv_cache_bytes=0,
+                             activation_bytes=0)
+        assert tpu.main_memory_bytes == 8 * 2**30
+        assert plan_capacity(hbm, tpu, memory_utilisation=1.0).fits_single_device
+        assert not plan_capacity(hbm, tpu).fits_single_device
+
     def test_utilisation_bound_validation(self):
         footprint = dit_footprint(DIT_XL_2, batch=1)
         with pytest.raises(ValueError):

@@ -348,6 +348,27 @@ class TestOtherFacades:
         assert warm.served_from_store
         assert warm.rows == cold.rows
 
+    def test_sweep_without_store_reports_no_store_traffic(self):
+        request = SweepRequest(designs=("baseline",), models=("llama2-7b",),
+                               batches=(1,), input_tokens=64, output_tokens=16)
+        response = api.sweep(request)
+        assert (response.stats["store_hits"], response.stats["store_misses"]) == (0, 0)
+        assert (response.store_hits, response.store_misses) == (0, 0)
+
+    def test_sweep_stats_count_each_store_load_once(self, tmp_path):
+        store = ResultStore(tmp_path / "store.jsonl")
+        request = SweepRequest(designs=("baseline",), models=("llama2-7b",),
+                               batches=(1, 2), input_tokens=64, output_tokens=16)
+        cold = api.sweep(request, store=store)
+        warm = api.sweep(request, store=store)
+        rows = len(cold.rows)
+        assert (cold.stats["store_hits"], cold.stats["store_misses"]) == (0, rows)
+        assert (warm.stats["store_hits"], warm.stats["store_misses"]) == (rows, 0)
+        for response in (cold, warm):
+            assert (response.stats["store_hits"], response.stats["store_misses"]) == \
+                (response.store_hits, response.store_misses)
+            assert list(response.stats)[-2:] == ["store_hits", "store_misses"]
+
     def test_optimize_warm_repeat_costs_nothing(self, tmp_path):
         store = ResultStore(tmp_path / "store.jsonl")
         request = OptimizeRequest(llm="llama2-7b", designs=("baseline",),

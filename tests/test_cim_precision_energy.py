@@ -1,38 +1,55 @@
-"""Tests for the CIM precision pipeline and the Table II energy report."""
+"""Tests for the CIM BF16 datapath and the Table II energy report."""
 
 import pytest
 
 from repro.cim.energy import CIMEnergyReport, compare_mxus, macro_energy_report
+from repro.cim.macro import CIMMacro
 from repro.cim.mxu import CIMMXU, CIMMXUConfig
-from repro.cim.precision import PrecisionPipeline
 from repro.common import Precision
+from repro.hw.calibration import CalibrationConstants
+from repro.hw.energy import EnergyModel
 from repro.systolic.systolic_array import DigitalMXU
 
 
-class TestPrecisionPipeline:
+class TestBF16Datapath:
+    """BF16 on the CIM-MXU: INT8's MACs, one alignment cycle, more energy."""
+
     def setup_method(self):
-        self.pipeline = PrecisionPipeline()
+        self.mxu = CIMMXU()
 
-    def test_int8_bypasses_pipeline(self):
-        assert self.pipeline.is_bypassed(Precision.INT8)
-        assert self.pipeline.pipeline_fill_cycles(Precision.INT8) == 0
-        assert self.pipeline.energy_factor(Precision.INT8) == 1.0
+    def test_int8_and_bf16_run_the_same_macs(self):
+        int8 = self.mxu.gemm_cycles(64, 2048, 2048, Precision.INT8)
+        bf16 = self.mxu.gemm_cycles(64, 2048, 2048, Precision.BF16)
+        assert bf16.macs == int8.macs
+        assert (bf16.k_folds, bf16.n_folds, bf16.grid_fill_cycles) == \
+            (int8.k_folds, int8.n_folds, int8.grid_fill_cycles)
 
-    def test_bf16_uses_pipeline(self):
-        assert not self.pipeline.is_bypassed(Precision.BF16)
-        assert self.pipeline.pipeline_fill_cycles(Precision.BF16) == 5
-        assert self.pipeline.energy_factor(Precision.BF16) > 1.0
+    @pytest.mark.parametrize("m,k,n", [(1, 2048, 2048), (64, 2048, 2048),
+                                       (64, 4096, 4096), (7, 300, 5000)])
+    def test_bf16_adds_one_cycle_per_vector_per_fold(self, m, k, n):
+        # The alignment latency is amortised per input vector; no fixed
+        # pipeline fill is charged on top.
+        int8 = self.mxu.gemm_cycles(m, k, n, Precision.INT8)
+        bf16 = self.mxu.gemm_cycles(m, k, n, Precision.BF16)
+        extra = m * int8.k_folds * int8.n_folds
+        assert bf16.compute_cycles - int8.compute_cycles == extra
+        assert bf16.total_cycles - int8.total_cycles == extra
 
-    def test_throughput_factor_matches_paper(self):
-        # The paper's CIM-MXU keeps the same MACs/cycle in BF16 mode.
-        assert self.pipeline.throughput_factor(Precision.BF16) == 1.0
+    def test_bf16_weight_writes_load_mantissas_only(self):
+        macro = CIMMacro()
+        assert macro.weight_write_cycles(precision=Precision.BF16) == \
+            macro.weight_write_cycles(precision=Precision.INT8)
 
-    def test_mantissa_bits(self):
-        assert self.pipeline.mantissa_bits_loaded(Precision.BF16) == 8
+    def test_bf16_energy_factor_is_the_calibration_overhead(self):
+        model = EnergyModel()
+        overhead = model.calibration.bf16_energy_overhead
+        assert model.cim_mac_energy(16) == pytest.approx(overhead * model.cim_mac_energy(8))
+        assert model.digital_mac_energy(16) == pytest.approx(
+            overhead * model.digital_mac_energy(8))
 
-    def test_rejects_negative_depths(self):
-        with pytest.raises(ValueError):
-            PrecisionPipeline(pre_stage_cycles=-1)
+    def test_bf16_energy_follows_a_custom_overhead(self):
+        model = EnergyModel(calibration=CalibrationConstants(bf16_energy_overhead=2.0))
+        assert model.cim_mac_energy(16) == pytest.approx(2.0 * model.cim_mac_energy(8))
 
 
 class TestEnergyReport:

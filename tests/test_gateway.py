@@ -129,6 +129,19 @@ def read_to_eof(sock):
     return b"".join(chunks)
 
 
+def split_replies(data):
+    """``(status line, headers, JSON body)`` of each HTTP/1.1 reply in ``data``."""
+    replies = []
+    while data:
+        head, _, data = data.partition(b"\r\n\r\n")
+        status_line, *header_lines = head.decode("latin-1").split("\r\n")
+        headers = dict(line.split(": ", 1) for line in header_lines)
+        length = int(headers["Content-Length"])
+        body, data = data[:length], data[length:]
+        replies.append((status_line, headers, json.loads(body)))
+    return replies
+
+
 class TestSubmitPollFetch:
     def test_submit_poll_fetch_round_trip(self, gateway):
         payload = SimulateRequest(**FAST).to_dict()
@@ -433,11 +446,15 @@ class TestWire:
         assert json.loads(reply)["status"] == "ok"
         assert writes == [reply]
 
-    def test_chunked_body_gets_one_400_then_the_close(self, gateway):
-        # Read as a body-less POST, the chunk-size line would be parsed as
-        # the connection's next request.
+    @pytest.mark.parametrize("request_line", [b"POST /v1/simulate",
+                                              b"GET /v1/health"],
+                             ids=["post", "get"])
+    def test_chunked_body_gets_one_400_then_the_close(self, gateway,
+                                                      request_line):
+        # Read as a body-less request, the chunk-size line would be parsed
+        # as the connection's next request.
         body = json.dumps(SimulateRequest(**FAST).to_dict()).encode("utf-8")
-        request = (b"POST /v1/simulate HTTP/1.1\r\nHost: gateway\r\n"
+        request = (request_line + b" HTTP/1.1\r\nHost: gateway\r\n"
                    b"Content-Type: application/json\r\n"
                    b"Transfer-Encoding: chunked\r\n\r\n"
                    + b"%x\r\n" % len(body) + body + b"\r\n0\r\n\r\n"
@@ -456,6 +473,23 @@ class TestWire:
         assert error["code"] == "invalid-json"
         assert "Transfer-Encoding 'chunked'" in error["message"]
         assert "Content-Length" in error["message"]
+
+    def test_get_body_is_read_before_the_next_request(self, gateway):
+        # Left unread, the body would be parsed as the connection's next
+        # request line and the pipelined request never answered.
+        request = (b"GET /v1/health HTTP/1.1\r\nHost: gateway\r\n"
+                   b"Content-Type: application/json\r\n"
+                   b"Content-Length: 13\r\n\r\n" b'{"a": "bcde"}'
+                   b"GET /v1/jobs HTTP/1.1\r\nHost: gateway\r\n"
+                   b"Connection: close\r\n\r\n")
+        with socket.create_connection((gateway.host, gateway.port),
+                                      timeout=10) as sock:
+            sock.sendall(request)
+            reply = read_to_eof(sock)
+        (health_line, _, health), (jobs_line, _, jobs) = split_replies(reply)
+        assert health_line == jobs_line == "HTTP/1.1 200 OK"
+        assert health["status"] == "ok"
+        assert jobs == {"jobs": []}
 
 
 class TestShutdown:

@@ -1,22 +1,27 @@
 """Tests for the mapping engine."""
 
+import dataclasses
+
 import pytest
 
 from repro.cim.mxu import CIMMXU
 from repro.mapping.engine import MappingEngine, MappingObjective
 from repro.mapping.mapspace import PartitionDim
 from repro.mapping.schedule import ScheduleOptions
+from repro.mapping.tiling import matmul_tile_bytes
 from repro.memory.hierarchy import MemoryHierarchy
+from repro.memory.sram import vmem_default
 from repro.systolic.systolic_array import DigitalMXU
 from repro.vector.vpu import VectorUnit
 from repro.workloads.operators import LayerCategory, MatMulOp, OperandSource
 
 
-def make_engine(mxu=None, schedule=None, objective=MappingObjective.LATENCY):
+def make_engine(mxu=None, schedule=None, objective=MappingObjective.LATENCY,
+                hierarchy=None):
     return MappingEngine(
         mxu_template=mxu if mxu is not None else DigitalMXU(),
         mxu_count=4,
-        hierarchy=MemoryHierarchy(),
+        hierarchy=hierarchy if hierarchy is not None else MemoryHierarchy(),
         vpu=VectorUnit(),
         schedule=schedule if schedule is not None else ScheduleOptions(),
         objective=objective,
@@ -104,3 +109,55 @@ class TestMapMatmul:
         with pytest.raises(ValueError):
             MappingEngine(mxu_template=DigitalMXU(), mxu_count=0,
                           hierarchy=MemoryHierarchy(), vpu=VectorUnit())
+
+
+#: Operators from compute-bound prefill to memory-bound decode, one of them
+#: K-partitionable so reduction cycles are exercised too.
+SCHEDULED_OPS = [(4096, 4096, 4096), (8, 7168, 21504), (1, 16384, 128), (512, 1024, 1024)]
+
+
+class TestDoubleBuffering:
+    """The engine combines compute and transfers with the one operator rule."""
+
+    @pytest.mark.parametrize("shape", SCHEDULED_OPS)
+    def test_buffered_latency_is_the_max_of_compute_and_transfers(self, shape):
+        for mapping in make_engine().evaluate_all(make_matmul(*shape)):
+            assert mapping.total_cycles == max(
+                mapping.compute_cycles, mapping.weight_transfer_cycles,
+                mapping.activation_transfer_cycles) + mapping.reduction_cycles
+
+    @pytest.mark.parametrize("shape", SCHEDULED_OPS)
+    def test_serialised_latency_adds_the_slower_transfer(self, shape):
+        engine = make_engine(schedule=ScheduleOptions(double_buffering=False))
+        for mapping in engine.evaluate_all(make_matmul(*shape)):
+            assert mapping.total_cycles == mapping.compute_cycles + max(
+                mapping.weight_transfer_cycles,
+                mapping.activation_transfer_cycles) + mapping.reduction_cycles
+
+    def test_double_buffering_never_slower(self):
+        buffered = make_engine()
+        serial = make_engine(schedule=ScheduleOptions(double_buffering=False))
+        for shape in SCHEDULED_OPS:
+            op = make_matmul(*shape)
+            for fast, slow in zip(buffered.evaluate_all(op), serial.evaluate_all(op)):
+                assert fast.candidate == slow.candidate
+                assert fast.total_cycles <= slow.total_cycles
+
+    def test_compute_bound_op_hides_its_transfers(self):
+        mapping = make_engine().map_matmul(make_matmul(8192, 7168, 21504))
+        assert mapping.total_cycles == mapping.compute_cycles + mapping.reduction_cycles
+
+    def test_tiles_fit_half_the_hierarchy_vmem(self):
+        engine = make_engine()
+        capacity = engine.hierarchy.vmem.config.capacity_bytes
+        op = make_matmul(8192, 7168, 21504)
+        for mapping in engine.evaluate_all(op):
+            assert matmul_tile_bytes(mapping.tiling.tile, op.precision) <= capacity // 2
+
+    def test_smaller_vmem_gives_more_tiles(self):
+        small_vmem = dataclasses.replace(vmem_default(), capacity_bytes=1 << 20)
+        default = make_engine().map_matmul(make_matmul(4096, 4096, 4096))
+        small = make_engine(hierarchy=MemoryHierarchy(vmem=small_vmem)).map_matmul(
+            make_matmul(4096, 4096, 4096))
+        assert small.candidate == default.candidate
+        assert small.tiling.num_tiles > default.tiling.num_tiles

@@ -3,11 +3,7 @@
 import pytest
 
 from repro.mapping.mapspace import MappingCandidate, PartitionDim, enumerate_candidates
-from repro.mapping.schedule import (
-    ScheduleOptions,
-    overlapped_operator_latency,
-    pipelined_tile_latency,
-)
+from repro.mapping.schedule import ScheduleOptions, overlapped_operator_latency
 from repro.workloads.operators import LayerCategory, MatMulOp
 
 
@@ -73,34 +69,9 @@ class TestScheduleOptions:
         assert "double-buffered" in ScheduleOptions().describe()
         assert "serialised" in ScheduleOptions(double_buffering=False).describe()
 
-
-class TestPipelinedTileLatency:
-    def test_double_buffered_steady_state(self):
-        latency = pipelined_tile_latency(num_tiles=10, compute_per_tile=100,
-                                         load_per_tile=40, store_per_tile=10)
-        assert latency == 40 + 9 * 100 + 100 + 10
-
-    def test_memory_bound_steady_state(self):
-        latency = pipelined_tile_latency(num_tiles=10, compute_per_tile=20,
-                                         load_per_tile=100)
-        assert latency == 100 + 9 * 100 + 20 + 0
-
-    def test_serialised(self):
-        latency = pipelined_tile_latency(num_tiles=5, compute_per_tile=10, load_per_tile=10,
-                                         store_per_tile=5, double_buffered=False)
-        assert latency == 5 * 25
-
-    def test_double_buffering_never_slower(self):
-        for compute, load in [(10, 100), (100, 10), (50, 50)]:
-            buffered = pipelined_tile_latency(8, compute, load)
-            serial = pipelined_tile_latency(8, compute, load, double_buffered=False)
-            assert buffered <= serial
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            pipelined_tile_latency(0, 1, 1)
-        with pytest.raises(ValueError):
-            pipelined_tile_latency(1, -1, 1)
+    def test_describe_coalescing(self):
+        assert "coalesced" in ScheduleOptions().describe()
+        assert "strided" in ScheduleOptions(memory_coalescing=False).describe()
 
 
 class TestOverlappedOperatorLatency:
@@ -117,6 +88,19 @@ class TestOverlappedOperatorLatency:
     def test_serialised(self):
         assert overlapped_operator_latency(100, 20, 30, double_buffered=False) == 130
 
+    def test_serialised_charges_only_the_slower_transfer(self):
+        assert overlapped_operator_latency(10, 80, 70, double_buffered=False) == 90
+
+    @pytest.mark.parametrize("double_buffered", [True, False])
+    def test_no_compute_costs_the_transfer_time(self, double_buffered):
+        assert overlapped_operator_latency(0, 50, 20, double_buffered=double_buffered) == 50
+
     def test_validation(self):
         with pytest.raises(ValueError):
             overlapped_operator_latency(-1, 0, 0)
+
+    def test_negative_transfers_rejected(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            overlapped_operator_latency(10, -1, 0)
+        with pytest.raises(ValueError, match="non-negative"):
+            overlapped_operator_latency(10, 0, -1)

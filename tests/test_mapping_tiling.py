@@ -74,6 +74,24 @@ class TestChooseVmemTiling:
         assert tiling.tile.m == 1
         assert tiling.covers_problem()
 
+    def test_double_buffered_tile_may_fill_half_the_buffer(self):
+        footprint = matmul_tile_bytes(TileShape(128, 128, 128), Precision.INT8)
+        tiling = choose_vmem_tiling(128, 128, 128, Precision.INT8, 2 * footprint)
+        assert tiling.num_tiles == 1
+
+    def test_double_buffered_tile_over_half_the_buffer_is_split(self):
+        footprint = matmul_tile_bytes(TileShape(128, 128, 128), Precision.INT8)
+        tiling = choose_vmem_tiling(128, 128, 128, Precision.INT8, 2 * footprint - 1)
+        assert tiling.num_tiles == 2
+        assert 2 * matmul_tile_bytes(tiling.tile, Precision.INT8) <= 2 * footprint - 1
+
+    def test_serialised_tile_may_fill_the_whole_buffer(self):
+        footprint = matmul_tile_bytes(TileShape(128, 128, 128), Precision.INT8)
+        assert choose_vmem_tiling(128, 128, 128, Precision.INT8, footprint,
+                                  double_buffered=False).num_tiles == 1
+        assert choose_vmem_tiling(128, 128, 128, Precision.INT8, footprint - 1,
+                                  double_buffered=False).num_tiles == 2
+
     def test_impossible_budget_raises(self):
         with pytest.raises(MemoryError):
             choose_vmem_tiling(1, 4096, 4096, Precision.INT8, vmem_capacity_bytes=64)

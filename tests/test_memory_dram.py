@@ -45,15 +45,9 @@ class TestTransfers:
         assert self.memory.effective_bandwidth_gbps() == pytest.approx(614 * 0.92)
         assert self.memory.effective_bandwidth_gbps(coalesced=False) == pytest.approx(614 * 0.55)
 
-    def test_capacity_check(self):
-        assert self.memory.fits(8 * 2**30)
-        assert not self.memory.fits(9 * 2**30)
-
     def test_negative_bytes_rejected(self):
         with pytest.raises(ValueError):
             self.memory.transfer_cycles(-1)
-        with pytest.raises(ValueError):
-            self.memory.fits(-1)
 
     def test_transfer_cycles_monotonic_in_size(self):
         sizes = [2**10, 2**15, 2**20, 2**25]

@@ -178,25 +178,3 @@ class TestNegativeBytes:
                      lambda: hierarchy.vmem.write_cycles(-1)):
             with pytest.raises(ValueError, match="^num_bytes must be non-negative$"):
                 call()
-
-    def test_tile_bytes(self, hierarchy):
-        with pytest.raises(ValueError, match="^tile_bytes must be non-negative$"):
-            hierarchy.double_buffer_fits(hierarchy.vmem, -1)
-
-
-class TestScheduling:
-    def test_double_buffered_latency_is_max(self):
-        assert MemoryHierarchy.overlapped_latency(100, 80) == 100
-        assert MemoryHierarchy.overlapped_latency(80, 100) == 100
-
-    def test_serialised_latency_is_sum(self):
-        assert MemoryHierarchy.overlapped_latency(100, 80, double_buffered=False) == 180
-
-    def test_negative_cycles_rejected(self):
-        with pytest.raises(ValueError):
-            MemoryHierarchy.overlapped_latency(-1, 10)
-
-    def test_double_buffer_fits(self, hierarchy):
-        vmem_capacity = hierarchy.vmem.config.capacity_bytes
-        assert hierarchy.double_buffer_fits(hierarchy.vmem, vmem_capacity // 2)
-        assert not hierarchy.double_buffer_fits(hierarchy.vmem, vmem_capacity // 2 + 1)

@@ -52,10 +52,18 @@ class TestRingTopology:
         expected = expected_steps * (num_bytes / 4) / ring.link.bytes_per_cycle
         assert ring.all_reduce_cycles(num_bytes) == pytest.approx(expected)
 
-    def test_all_gather_cheaper_than_all_reduce(self):
+    def test_point_to_point_is_one_link_transfer(self):
         ring = RingTopology(num_devices=4)
+        assert ring.point_to_point_cycles(1 << 20) == ring.link.transfer_cycles(1 << 20)
+
+    def test_all_reduce_of_nothing_is_free(self):
+        assert RingTopology(num_devices=4).all_reduce_cycles(0) == 0.0
+
+    @pytest.mark.parametrize("num_devices", [2, 4, 8])
+    def test_all_reduce_costs_more_than_one_hop(self, num_devices):
+        ring = RingTopology(num_devices=num_devices)
         payload = 1 << 20
-        assert ring.all_gather_cycles(payload) < ring.all_reduce_cycles(payload)
+        assert ring.all_reduce_cycles(payload) > ring.point_to_point_cycles(payload)
 
     def test_all_reduce_grows_with_devices_due_to_latency(self):
         payload = 1 << 16

@@ -38,41 +38,3 @@ class TestTiming:
     def test_negative_bytes_rejected(self):
         with pytest.raises(ValueError):
             self.buffer.read_cycles(-1)
-
-
-class TestAllocation:
-    def setup_method(self):
-        self.buffer = SRAMBuffer(SRAMConfig(name="test", capacity_bytes=1000,
-                                            read_bytes_per_cycle=64, write_bytes_per_cycle=64))
-
-    def test_allocate_and_release(self):
-        self.buffer.allocate("weights", 600)
-        assert self.buffer.allocated_bytes == 600
-        assert self.buffer.free_bytes == 400
-        self.buffer.release("weights")
-        assert self.buffer.free_bytes == 1000
-
-    def test_fits(self):
-        self.buffer.allocate("a", 700)
-        assert self.buffer.fits(300)
-        assert not self.buffer.fits(301)
-
-    def test_over_allocation_raises(self):
-        self.buffer.allocate("a", 900)
-        with pytest.raises(MemoryError):
-            self.buffer.allocate("b", 200)
-
-    def test_duplicate_name_raises(self):
-        self.buffer.allocate("a", 100)
-        with pytest.raises(ValueError):
-            self.buffer.allocate("a", 100)
-
-    def test_release_unknown_raises(self):
-        with pytest.raises(KeyError):
-            self.buffer.release("ghost")
-
-    def test_reset(self):
-        self.buffer.allocate("a", 100)
-        self.buffer.allocate("b", 100)
-        self.buffer.reset()
-        assert self.buffer.allocated_bytes == 0

@@ -6,7 +6,7 @@ from repro.cim.mxu import CIMMXU, CIMMXUConfig
 from repro.common import Precision, ceil_div
 from repro.hw.energy import EnergyBudget
 from repro.mapping.mapspace import PartitionDim, enumerate_candidates
-from repro.mapping.schedule import overlapped_operator_latency, pipelined_tile_latency
+from repro.mapping.schedule import overlapped_operator_latency
 from repro.mapping.tiling import choose_vmem_tiling, matmul_tile_bytes
 from repro.memory.interconnect import RingTopology
 from repro.systolic.dataflows import Dataflow, systolic_gemm_cycles
@@ -102,14 +102,14 @@ class TestEnergyBudgetProperties:
 
 
 class TestSchedulingProperties:
-    @given(st.integers(min_value=1, max_value=1000),
-           st.floats(min_value=0, max_value=1e6), st.floats(min_value=0, max_value=1e6),
-           st.floats(min_value=0, max_value=1e6))
-    def test_double_buffering_never_slower(self, tiles, compute, load, store):
-        buffered = pipelined_tile_latency(tiles, compute, load, store, double_buffered=True)
-        serial = pipelined_tile_latency(tiles, compute, load, store, double_buffered=False)
-        # Tolerate floating-point summation-order noise.
-        assert buffered <= serial * (1 + 1e-9) + 1e-6
+    @given(st.floats(min_value=0, max_value=1e9), st.floats(min_value=0, max_value=1e9),
+           st.floats(min_value=0, max_value=1e9))
+    def test_double_buffering_never_slower(self, compute, weights, activations):
+        buffered = overlapped_operator_latency(compute, weights, activations,
+                                               double_buffered=True)
+        serial = overlapped_operator_latency(compute, weights, activations,
+                                             double_buffered=False)
+        assert buffered <= serial
 
     @given(st.floats(min_value=0, max_value=1e9), st.floats(min_value=0, max_value=1e9),
            st.floats(min_value=0, max_value=1e9))

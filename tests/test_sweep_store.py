@@ -147,16 +147,18 @@ class TestEngineStoreIntegration:
     def test_warm_store_serves_rows_with_zero_simulations(self, tmp_path):
         path = tmp_path / "store.jsonl"
         grid = small_grid()
-        cold = SweepEngine(store=ResultStore(path))
+        cold_store = ResultStore(path)
+        cold = SweepEngine(store=cold_store)
         cold_rows = cold.sweep(grid)
         assert cold.stats.simulations > 0
-        assert cold.stats.store_hits == 0
+        assert cold_store.stats.hits == 0
 
-        warm = SweepEngine(store=ResultStore(path))
+        warm_store = ResultStore(path)
+        warm = SweepEngine(store=warm_store)
         warm_rows = warm.sweep(grid)
         assert warm_rows == cold_rows  # bit-for-bit, dataclasses included
         assert warm.stats.simulations == 0
-        assert warm.stats.store_hits == len(cold_rows)
+        assert (warm_store.stats.hits, warm_store.stats.misses) == (len(cold_rows), 0)
 
     def test_parallel_sweep_honours_the_warm_store(self, tmp_path):
         path = tmp_path / "store.jsonl"
@@ -177,12 +179,6 @@ class TestEngineStoreIntegration:
         warm = SweepEngine(store=ResultStore(path))
         assert warm.sweep(grid) == cold_rows
         assert warm.stats.simulations == 0
-
-    def test_engine_without_store_reports_no_store_traffic(self):
-        engine = SweepEngine()
-        engine.sweep(small_grid())
-        assert engine.stats.store_hits == 0
-        assert engine.stats.store_misses == 0
 
     def test_fleet_sweep_point_round_trips_through_store(self, tmp_path):
         path = tmp_path / "store.jsonl"

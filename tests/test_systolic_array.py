@@ -3,7 +3,12 @@
 import pytest
 
 from repro.common import Precision
+from repro.systolic.dataflows import Dataflow, systolic_gemm_cycles
 from repro.systolic.systolic_array import DigitalMXU, SystolicArrayConfig
+
+#: The four weight GEMMs ``(m, k, n)`` of one Transformer layer (batch 2,
+#: 64 tokens, d_model 256, d_ff 1024): QKV, output projection, FFN1, FFN2.
+LAYER_GEMMS = [(128, 256, 768), (128, 256, 256), (128, 256, 1024), (128, 1024, 256)]
 
 
 @pytest.fixture(scope="module")
@@ -81,3 +86,62 @@ class TestGemm:
         small = DigitalMXU(config=SystolicArrayConfig(rows=64, cols=64))
         large = DigitalMXU(config=SystolicArrayConfig(rows=128, cols=128))
         assert large.leakage_power_w == pytest.approx(4 * small.leakage_power_w)
+
+
+class TestLayerGemms:
+    """A Transformer layer's GEMMs as the mapping engine prices them."""
+
+    @pytest.mark.parametrize("m,k,n", LAYER_GEMMS)
+    def test_stationary_weights_use_the_double_buffered_dataflow(self, mxu, m, k, n):
+        result = mxu.gemm(m, k, n, stationary_weights=True)
+        expected = systolic_gemm_cycles(m, k, n, 128, 128, Dataflow.WEIGHT_STATIONARY_DB)
+        assert result.breakdown == expected
+        assert result.cycles == expected.total_cycles
+
+    def test_dynamic_weights_use_the_plain_dataflow(self, mxu):
+        for m, k, n in LAYER_GEMMS:
+            result = mxu.gemm(m, k, n, stationary_weights=False)
+            assert result.breakdown == systolic_gemm_cycles(
+                m, k, n, 128, 128, Dataflow.WEIGHT_STATIONARY)
+
+    def test_utilization_is_macs_over_peak_cycles(self, mxu):
+        for m, k, n in LAYER_GEMMS:
+            result = mxu.gemm(m, k, n)
+            assert 0.0 < result.utilization <= 1.0
+            assert result.utilization == pytest.approx(
+                result.macs / (result.cycles * mxu.macs_per_cycle))
+
+    def test_input_traffic_counts_each_operand_once(self, mxu):
+        # Column folds re-read the inputs inside the array; the operand
+        # crosses the MXU boundary once.
+        narrow = mxu.gemm(128, 256, 128, Precision.BF16)
+        wide = mxu.gemm(128, 256, 1024, Precision.BF16)
+        assert wide.breakdown.folds == 8 * narrow.breakdown.folds
+        assert wide.input_bytes == narrow.input_bytes == 128 * 256 * 2
+
+    def test_dynamic_weights_are_fetched_per_instance(self, mxu):
+        stationary = mxu.gemm(64, 128, 512, stationary_weights=True, instances=4)
+        dynamic = mxu.gemm(64, 128, 512, stationary_weights=False, instances=4)
+        assert stationary.weight_bytes == 128 * 512
+        assert dynamic.weight_bytes == 4 * 128 * 512
+        assert dynamic.input_bytes == stationary.input_bytes == 4 * 64 * 128
+
+    def test_output_stationary_array(self):
+        config = SystolicArrayConfig(stationary_dataflow=Dataflow.OUTPUT_STATIONARY)
+        result = DigitalMXU(config=config).gemm(256, 512, 384)
+        assert result.cycles == systolic_gemm_cycles(
+            256, 512, 384, 128, 128, Dataflow.OUTPUT_STATIONARY).total_cycles
+        assert result.breakdown.weight_load_cycles == 0
+
+    def test_bigger_array_is_not_slower_for_large_gemm(self, mxu):
+        big = DigitalMXU(config=SystolicArrayConfig(rows=256, cols=256))
+        assert big.gemm(4096, 4096, 4096).cycles <= mxu.gemm(4096, 4096, 4096).cycles
+
+    def test_leakage_is_charged_for_the_busy_cycles(self, mxu):
+        result = mxu.gemm(128, 1024, 256)
+        seconds = result.cycles / (mxu.config.frequency_ghz * 1e9)
+        assert result.energy.total_leakage == pytest.approx(mxu.leakage_power_w * seconds)
+
+    def test_invalid_dimensions_rejected(self, mxu):
+        with pytest.raises(ValueError):
+            mxu.gemm(0, 128, 128)

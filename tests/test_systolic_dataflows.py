@@ -1,5 +1,7 @@
 """Tests for the SCALE-Sim style systolic dataflow cycle models."""
 
+import itertools
+
 import pytest
 
 from repro.systolic.dataflows import (
@@ -80,6 +82,17 @@ class TestDispatch:
         for dataflow in Dataflow:
             result = systolic_gemm_cycles(4096, 4096, 4096, 128, 128, dataflow)
             assert 0.0 < result.utilization <= 1.0
+
+    @pytest.mark.parametrize("dataflow", list(Dataflow))
+    def test_breakdown_accounts_for_every_cycle(self, dataflow):
+        # Every cycle is fill/drain skew, visible weight load or streaming.
+        for (m, k, n), (rows, cols) in itertools.product(
+                itertools.product((1, 7, 128, 200, 4096), (1, 100, 128, 1024),
+                                  (1, 128, 300)),
+                ((128, 128), (32, 64))):
+            result = systolic_gemm_cycles(m, k, n, rows, cols, dataflow)
+            assert (result.fill_drain_cycles + result.weight_load_cycles
+                    + result.streaming_cycles) == result.total_cycles
 
     def test_invalid_dimensions_rejected(self):
         with pytest.raises(ValueError):
